@@ -46,6 +46,7 @@ from .engine import (
     explain,
     load,
     prepare,
+    prepare_files,
     run_join,
     stable_hash,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "explain",
     "load",
     "prepare",
+    "prepare_files",
     "run_join",
     "stable_hash",
     "GeneratorParams",

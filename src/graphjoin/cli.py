@@ -20,7 +20,7 @@ import statistics
 import sys
 import time
 
-from .engine import build_index, explain, load, run_join
+from .engine import build_index, explain, load, prepare_files, run_join
 from .graphio import (
     GeneratorParams,
     build_graph,
@@ -161,36 +161,34 @@ def cmd_join(args) -> int:
     semantics = _SEMANTICS[args.semantics]
     threads = args.threads if args.threads is not None else _default_threads()
 
-    t0 = time.perf_counter()
-    db = PropertyGraph()
-    left = load_graph_pair(db, args.left_vertices, args.left_edges)
-    right = load_graph_pair(db, args.right_vertices, args.right_edges)
-    load_file_s = time.perf_counter() - t0
-
+    left_pair = (args.left_vertices, args.left_edges)
+    right_pair = (args.right_vertices, args.right_edges)
     counters = None
-    timings = {"load_files": load_file_s}
+    timings = {}
     if args.engine == "optimized":
+        t0 = time.perf_counter()
+        ia, ib = prepare_files(
+            left_pair, right_pair, [p[0] for p in pairs], [p[1] for p in pairs]
+        )
+        timings["prepare_files"] = time.perf_counter() - t0
         t1 = time.perf_counter()
-        la = load(left, [p[0] for p in pairs])
-        lb = load(right, [p[1] for p in pairs])
-        timings["load"] = time.perf_counter() - t1
-        t2 = time.perf_counter()
-        ia = build_index(la)
-        ib = build_index(lb)
-        timings["index"] = time.perf_counter() - t2
-        t3 = time.perf_counter()
-        run = run_join(ia, ib, semantics, threads=threads, target_db=db)
-        timings["join"] = time.perf_counter() - t3
+        run = run_join(ia, ib, semantics, threads=threads)
+        timings["join"] = time.perf_counter() - t1
         result = run
         counters = run.counters.as_dict()
         if args.explain:
             print(explain(run).render())
             print()
     else:
+        t0 = time.perf_counter()
+        db = PropertyGraph()
+        left = load_graph_pair(db, *left_pair)
+        right = load_graph_pair(db, *right_pair)
+        timings["load_files"] = time.perf_counter() - t0
         theta = ThetaPredicate.equalities(pairs)
-        t3 = time.perf_counter()
+        t1 = time.perf_counter()
         result = graph_join(left, right, JoinSpec(theta, semantics))
-        timings["join"] = time.perf_counter() - t3
+        timings["join"] = time.perf_counter() - t1
 
     vertex_path, edge_path = write_join_result(result, args.out)
 

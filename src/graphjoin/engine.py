@@ -22,6 +22,10 @@ phases, each independently usable:
    that bonded with nothing and merges them with placeholder edges,
    exactly as the reference implementation does.
 
+For a one-off join of two file pairs, :func:`prepare_files` replaces
+the first two phases: it reads both pairs, intersects their bucket
+hashes, and builds only the part of each operand the join can reach.
+
 Every unit of work the join performs is counted in
 :class:`OpCounters`:
 
@@ -51,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
+from .graphio import read_graph_rows
 from .logical import CONJUNCTIVE, DISJUNCTIVE
 from .model import (
     EMPTY_RECORD,
@@ -70,6 +75,7 @@ __all__ = [
     "load",
     "build_index",
     "prepare",
+    "prepare_files",
     "LoadedOperand",
     "EngineIndex",
     "OutEdge",
@@ -133,6 +139,17 @@ class LoadedOperand:
         self.dropped_edges = dropped
 
 
+def _bucket_order(lv: _LoadedVertex) -> tuple:
+    return (lv.key, lv.element.sort_key)
+
+
+def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
+    keys = tuple(keys)
+    if not keys or any(not isinstance(k, str) or not k for k in keys):
+        raise ValidationError("join keys must be a non-empty sequence of attribute names")
+    return keys
+
+
 def load(
     graph: Graph,
     keys: Iterable[str],
@@ -142,9 +159,7 @@ def load(
     """Bucket one component's vertices by the hash of their join-key
     values.  ``hash_override`` substitutes the bucket hash function;
     it exists to force collisions in tests."""
-    keys = tuple(keys)
-    if not keys or any(not isinstance(k, str) or not k for k in keys):
-        raise ValidationError("join keys must be a non-empty sequence of attribute names")
+    keys = _check_keys(keys)
     hfn = hash_override if hash_override is not None else stable_hash
     db = graph.db
 
@@ -172,7 +187,7 @@ def load(
         ls.out.append((ld, e, db.edge_labels_of(e)))
 
     for bucket in buckets.values():
-        bucket.sort(key=lambda lv: (lv.key, lv.element.sort_key))
+        bucket.sort(key=_bucket_order)
 
     return LoadedOperand(
         keys,
@@ -318,6 +333,10 @@ class EngineIndex:
             at += count
         if at != nverts:
             raise ValidationError("directory does not cover the vertex table")
+        # the directory merge walks both directories in hash order
+        for (h0, _, _), (h1, _, _) in zip(directory, directory[1:]):
+            if h1 <= h0:
+                raise ValidationError("directory hashes do not strictly ascend")
         elements, key_values, labels, out = [], [], [], []
         eid = 0
         for _ in range(nverts):
@@ -332,6 +351,8 @@ class EngineIndex:
             oes = []
             for _ in range(nout):
                 dest = r.u64()
+                if dest >= nverts:
+                    raise ValidationError(f"out-edge destination {dest} outside the vertex table")
                 erep = r.u64()
                 erec = r.record()
                 elabs = r.labels()
@@ -480,6 +501,104 @@ def build_index(loaded: LoadedOperand) -> EngineIndex:
 def prepare(graph: Graph, keys: Iterable[str], *, hash_override=None) -> EngineIndex:
     """Loading and indexing in one call."""
     return build_index(load(graph, keys, hash_override=hash_override))
+
+
+_NO_LABELS: frozenset = frozenset()
+
+
+def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:
+    """Both operands of a join of two vertex/edge file pairs, read
+    straight from the files and pruned to each other (a semi-join
+    reduction: only buckets whose hash occurs on both sides can join).
+
+    Pass 1 reads and validates the four files in the order left
+    vertices, left edges, right vertices, right edges, raising what
+    :func:`graphio.load_graph_pair` raises, and hashes each distinct key
+    tuple once.  Pass 2 materializes only the vertices of buckets found
+    on both sides, the destinations of their out-edges and those
+    out-edges.
+
+    :func:`run_join` on the pair gives the result, counters and bucket
+    statistics it gives on ``prepare`` of both pairs loaded into one
+    database.  Replicas are counted database-wide, left rows first;
+    universes, skipped and dropped counts cover every row; every bucket
+    hash of a side stays in its directory, with count 0 unless it holds
+    an out-edge destination.
+
+    Each operand lacks what the other makes irrelevant, so neither is
+    fit for saving or for a join with a third operand; use
+    :func:`prepare` for those.
+    """
+    keys_a = _check_keys(keys_a)
+    keys_b = _check_keys(keys_b)
+    if len(keys_a) != len(keys_b):
+        raise SpecMismatch(f"key widths differ: {keys_a} vs {keys_b}")
+
+    # pass 1: validate every row, number replicas, hash key tuples
+    hashes: dict[tuple[str, ...], int] = {}
+    vertex_mu: dict[tuple, int] = {}
+    sides = []
+    edge_base = 0
+    for (vertex_path, edge_path), keys in ((left_pair, keys_a), (right_pair, keys_b)):
+        bindings, edges = read_graph_rows(vertex_path, edge_path)
+        replicas, key_of, hash_of = [], [], []
+        for b in bindings:
+            # the identity a Record gives the same bindings
+            payload = tuple(sorted(b.items()))
+            r = vertex_mu.get(payload, 0) + 1
+            vertex_mu[payload] = r
+            replicas.append(r)
+            kt = tuple([b.get(k) for k in keys])
+            if None in kt:
+                kt = h = None
+            else:
+                h = hashes.get(kt)
+                if h is None:
+                    h = hashes[kt] = stable_hash(kt)
+            key_of.append(kt)
+            hash_of.append(h)
+        present = set(hash_of)
+        present.discard(None)
+        sides.append((keys, bindings, edges, edge_base, replicas, key_of, hash_of, present))
+        edge_base += len(edges)
+    common = sides[0][-1] & sides[1][-1]
+
+    # pass 2: materialize what can take part in the join
+    return tuple(build_index(_pruned_operand(*side, common)) for side in sides)
+
+
+def _pruned_operand(keys, bindings, edges, edge_base, replicas, key_of, hash_of, present, common):
+    buckets: dict[int, list[_LoadedVertex]] = {h: [] for h in present}
+    loaded: dict[int, _LoadedVertex] = {}
+
+    def vertex(row: int) -> _LoadedVertex:
+        lv = loaded.get(row)
+        if lv is None:
+            element = Element(Record(bindings[row]), replicas[row])
+            lv = loaded[row] = _LoadedVertex(element, key_of[row], _NO_LABELS)
+            buckets[hash_of[row]].append(lv)
+        return lv
+
+    for row, h in enumerate(hash_of):
+        if h in common:
+            vertex(row)
+    dropped = 0
+    for replica, (src, dst) in enumerate(edges, start=edge_base + 1):
+        if hash_of[src] is None or hash_of[dst] is None:
+            dropped += 1
+        elif hash_of[src] in common:
+            vertex(src).out.append((vertex(dst), Element(EMPTY_RECORD, replica), _NO_LABELS))
+
+    for bucket in buckets.values():
+        bucket.sort(key=_bucket_order)
+    return LoadedOperand(
+        keys,
+        buckets,
+        frozenset(replicas),
+        frozenset(range(edge_base + 1, edge_base + len(edges) + 1)),
+        hash_of.count(None),
+        dropped,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable
 
-import numpy as np
-
 from .model import (
     EMPTY_RECORD,
     DataFormatError,
     Element,
     Graph,
-    IndexedSet,
     PropertyGraph,
     Record,
     ValidationError,
@@ -43,6 +40,7 @@ __all__ = [
     "MalformedRowError",
     "DuplicateIdError",
     "DanglingEndpointError",
+    "read_graph_rows",
     "load_graph_pair",
     "write_graph",
     "write_join_result",
@@ -80,6 +78,59 @@ def _parse_id(cell: str, line: int) -> int:
     return value
 
 
+def read_graph_rows(vertex_path, edge_path, *, keep_id: bool = False):
+    """Read and validate one vertex/edge file pair without building any
+    model object.
+
+    Returns ``(bindings, edges)``.  ``bindings[i]`` maps attribute names
+    to values for vertex row ``i``, with empty cells left out.  ``edges``
+    lists one ``(src, dst)`` pair of vertex row positions per edge row,
+    in file order.  Malformed rows, repeated vertex ids and dangling
+    endpoints raise line-numbered :class:`DataFormatError` subclasses;
+    the vertex file is read, and checked, before the edge file.
+    """
+    with open(vertex_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRowError("vertex file has no header row", 1) from None
+        if len(header) < 1 or any(not c for c in header):
+            raise MalformedRowError("empty column name in header", 1)
+        width = len(header)
+        attr_names = header[1:] if not keep_id else header[:]
+        first = 0 if keep_id else 1
+        position: dict[int, int] = {}
+        bindings = []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise MalformedRowError(f"expected {width} cells, found {len(row)}", line)
+            vid = _parse_id(row[0], line)
+            if vid in position:
+                raise DuplicateIdError(f"vertex id {vid} repeats", line)
+            position[vid] = len(bindings)
+            bindings.append(
+                {name: cell for name, cell in zip(attr_names, row[first:]) if cell}
+            )
+
+    with open(edge_path, newline="", encoding="utf-8") as fh:
+        edges = []
+        for line, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+            if len(row) != 2:
+                raise MalformedRowError(f"expected 2 cells, found {len(row)}", line)
+            try:
+                # fast path: no negative id is ever a key of ``position``
+                edges.append((position[int(row[0])], position[int(row[1])]))
+                continue
+            except (ValueError, KeyError):
+                pass
+            # both ids parse before either may be reported as dangling
+            for vid in [_parse_id(cell, line) for cell in row]:
+                if vid not in position:
+                    raise DanglingEndpointError(f"unknown vertex id {vid}", line)
+    return bindings, edges
+
+
 def load_graph_pair(
     db: PropertyGraph,
     vertex_path,
@@ -90,69 +141,14 @@ def load_graph_pair(
     keep_id: bool = False,
 ) -> Graph:
     """Load one vertex/edge file pair as a new component of ``db``."""
-    vertex_labels = frozenset(vertex_labels)
-    edge_labels = frozenset(edge_labels)
-
-    with open(vertex_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRowError("vertex file has no header row", 1) from None
-        if len(header) < 1 or any(not c for c in header):
-            raise MalformedRowError("empty column name in header", 1)
-        attr_names = header[1:] if not keep_id else header[:]
-        seen_ids: set[int] = set()
-        local_mu: dict[Record, int] = {}
-        by_id: dict[int, Element] = {}
-        elements = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRowError(
-                    f"expected {len(header)} cells, found {len(row)}", line
-                )
-            vid = _parse_id(row[0], line)
-            if vid in seen_ids:
-                raise DuplicateIdError(f"vertex id {vid} repeats", line)
-            seen_ids.add(vid)
-            cells = row if keep_id else row[1:]
-            rec = Record(
-                (name, cell) for name, cell in zip(attr_names, cells) if cell != ""
-            )
-            n = local_mu.get(rec, 0)
-            local_mu[rec] = n + 1
-            el = Element(rec, db.vertex_multiplicity(rec) + n + 1)
-            by_id[vid] = el
-            elements.append(el)
-
-    with open(edge_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        edge_mu: dict[Record, int] = {}
-        edges = []
-        endpoints = {}
-        for line, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise MalformedRowError(f"expected 2 cells, found {len(row)}", line)
-            sid = _parse_id(row[0], line)
-            did = _parse_id(row[1], line)
-            src = by_id.get(sid)
-            dst = by_id.get(did)
-            if src is None:
-                raise DanglingEndpointError(f"unknown vertex id {sid}", line)
-            if dst is None:
-                raise DanglingEndpointError(f"unknown vertex id {did}", line)
-            n = edge_mu.get(EMPTY_RECORD, 0)
-            edge_mu[EMPTY_RECORD] = n + 1
-            el = Element(EMPTY_RECORD, db.edge_multiplicity(EMPTY_RECORD) + n + 1)
-            edges.append(el)
-            endpoints[el] = (src, dst)
-
-    vlabs = {v: vertex_labels for v in elements}
-    elabs = {e: edge_labels for e in edges}
-    cid = db.register_component(
-        IndexedSet(elements), IndexedSet(edges), endpoints, vlabs, elabs
+    bindings, edges = read_graph_rows(vertex_path, edge_path, keep_id=keep_id)
+    return component_from_payloads(
+        db,
+        [Record(b) for b in bindings],
+        [(src, dst, EMPTY_RECORD) for src, dst in edges],
+        vertex_labels=[frozenset(vertex_labels)] * len(bindings),
+        edge_labels=[frozenset(edge_labels)] * len(edges),
     )
-    return db.get_graph(cid)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +285,9 @@ _RMAT_P = (0.57, 0.19, 0.19, 0.05)
 def generate_rows(params: GeneratorParams):
     """All file content in memory: (header, vertex rows, edge pairs).
     Deterministic for fixed params."""
+    # imported here so that reading and joining files never pays for it
+    import numpy as np
+
     n = 1 << params.scale
     m = params.edge_factor * n
     rng = np.random.Generator(np.random.PCG64(params.seed))

@@ -98,7 +98,7 @@ def test_join_reports_and_engines_agree(tmp_path, file_pairs, capsys):
     assert opt_report["semantics"] == "disjunctive"
     assert opt_report["on"] == ["dob1=dob2", "company1=company2"]
     assert opt_report["counters"]["vertex_comparisons"] > 0
-    assert set(opt_report["timings_s"]) == {"load_files", "load", "index", "join"}
+    assert set(opt_report["timings_s"]) == {"prepare_files", "join"}
     assert ora_report["counters"] is None
     assert ora_report["result"]["vertices"] == opt_report["result"]["vertices"] > 0
 
@@ -157,21 +157,49 @@ def test_join_with_missing_input_file_is_an_io_error(tmp_path, file_pairs, capsy
     assert code == 3
 
 
-def test_join_with_malformed_input_is_a_data_error(tmp_path, file_pairs, capsys):
+# one bad file per input slot; each fault sits on line 2
+BAD_INPUTS = {
+    "left-vertices": "id,k\n0,a,b\n",
+    "left-edges": "0\t1\n0\t99\n",
+    "right-vertices": "id,k\nseven,a\n",
+    "right-edges": "0\t1\nx\t1\n",
+}
+
+
+@pytest.mark.parametrize("engine", ["optimized", "oracle"])
+@pytest.mark.parametrize("slot", sorted(BAD_INPUTS))
+def test_join_with_malformed_input_is_a_data_error(tmp_path, file_pairs, capsys, slot, engine):
+    inputs = dict(zip(("left-vertices", "left-edges", "right-vertices", "right-edges"), file_pairs))
+    bad = tmp_path / "bad"
+    bad.write_text(BAD_INPUTS[slot], encoding="utf-8")
+    inputs[slot] = str(bad)
+    argv = ["join", "--on", "dob1=dob2", "--engine", engine, "--out", str(tmp_path / "out")]
+    for name, path in inputs.items():
+        argv += [f"--{name}", path]
+    assert run_cli(*argv) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["optimized", "oracle"])
+def test_join_reports_the_first_bad_file_in_read_order(tmp_path, file_pairs, capsys, engine):
+    # left edges are read before right vertices, so their fault wins
     lv, le, rv, re_ = file_pairs
-    bad = tmp_path / "bad.csv"
-    bad.write_text("id,k\n0,a,b\n", encoding="utf-8")
+    bad_edges = tmp_path / "bad.tsv"
+    bad_edges.write_text("0\t1\n1\t2\n0\n", encoding="utf-8")
+    bad_vertices = tmp_path / "bad.csv"
+    bad_vertices.write_text("id,k\n-1,a\n", encoding="utf-8")
     code = run_cli(
         "join",
-        "--left-vertices", str(bad),
-        "--left-edges", le,
-        "--right-vertices", rv,
+        "--left-vertices", lv,
+        "--left-edges", str(bad_edges),
+        "--right-vertices", str(bad_vertices),
         "--right-edges", re_,
-        "--on", "k=dob2",
+        "--on", "dob1=dob2",
+        "--engine", engine,
         "--out", str(tmp_path / "out"),
     )
     assert code == 3
-    assert "line 2" in capsys.readouterr().err
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_threads_default_comes_from_the_environment(tmp_path, file_pairs, monkeypatch, capsys):

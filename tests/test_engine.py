@@ -1,7 +1,8 @@
 """Optimized join engine: bucket hashing, operand loading, the binary
-index format, parity with the reference join, threading, and the cost
-counters.  The citation instance's counter values are frozen by hand
-from the phase definitions."""
+index format, operands pruned to each other straight from files,
+parity with the reference join, threading, and the cost counters.  The
+citation instance's counter values are frozen by hand from the phase
+definitions."""
 
 import struct
 
@@ -9,18 +10,22 @@ import pytest
 
 from graphjoin.engine import (
     EngineIndex,
+    OutEdge,
     build_index,
     conjunctive_join,
     disjunctive_join,
     explain,
     load,
     prepare,
+    prepare_files,
     run_join,
     stable_hash,
 )
+from graphjoin.graphio import load_graph_pair, write_graph, write_join_result
 from graphjoin.logical import CONJUNCTIVE, DISJUNCTIVE, JoinSpec, graph_join
 from graphjoin.model import (
     EMPTY_RECORD,
+    Element,
     PropertyGraph,
     Record,
     SpecMismatch,
@@ -225,6 +230,46 @@ def test_from_bytes_rejects_broken_directories(citation_instance):
         EngineIndex.from_bytes(tampered.to_bytes())
 
 
+def test_from_bytes_rejects_unsorted_directory_hashes():
+    db, left, right, pairs = build_pair(5)
+    a = prepare(left, [pairs[0][0]])
+    b = prepare(right, [pairs[0][1]])
+    assert len(run_join(a, b).vertices) == 8
+
+    # the directory merge assumes ascending hashes; with two swapped it
+    # would walk past every match and join nothing
+    d = list(a.directory)
+    (h0, s0, c0), (h1, s1, c1) = d[0], d[1]
+    d[0], d[1] = (h1, s0, c0), (h0, s1, c1)
+    tampered = EngineIndex(
+        a.keys, a.elements, a.key_values, a.labels, a.out,
+        tuple(d), a.vertex_universe, a.edge_universe, 0, 0,
+    )
+    with pytest.raises(ValidationError, match="ascend"):
+        EngineIndex.from_bytes(tampered.to_bytes())
+
+
+def test_from_bytes_rejects_out_of_range_destinations():
+    db = PropertyGraph()
+    g = component_from_payloads(
+        db,
+        [Record({"k": "a"}), Record({"k": "b"}), Record({"k": "c"})],
+        [(0, 1, EMPTY_RECORD)],
+    )
+    idx = prepare(g, ["k"])
+    assert idx.n_vertices == 3
+    out = tuple(
+        tuple(OutEdge(oe.eid, 10**6, oe.element, oe.labels) for oe in outs)
+        for outs in idx.out
+    )
+    tampered = EngineIndex(
+        idx.keys, idx.elements, idx.key_values, idx.labels, out,
+        idx.directory, idx.vertex_universe, idx.edge_universe, 0, 0,
+    )
+    with pytest.raises(ValidationError, match="outside the vertex table"):
+        EngineIndex.from_bytes(tampered.to_bytes())
+
+
 def test_deserialized_index_joins_identically():
     db, left, right, pairs = build_pair(23)
     a = prepare(left, [pairs[0][0]])
@@ -238,6 +283,131 @@ def test_deserialized_index_joins_identically():
         )
         assert raw_signature(thawed) == raw_signature(live)
         assert thawed.counters.as_dict() == live.counters.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# operands pruned to each other, straight from files
+
+
+def write_pair(directory, vertex_text, edge_text):
+    directory.mkdir()
+    vp, ep = directory / "v.csv", directory / "e.tsv"
+    vp.write_text(vertex_text, encoding="utf-8")
+    ep.write_text(edge_text, encoding="utf-8")
+    return str(vp), str(ep)
+
+
+FILE_CASES = {
+    # shared attribute names, so replicas of the repeated (k=a, c=x)
+    # payload run on from the left file into the right one; duplicate
+    # rows, empty key cells, self-loops, parallel edges, edges into
+    # keyless vertices and edges between buckets only one side has
+    "shared-names": (
+        "id,k,c\n0,a,x\n1,a,x\n2,,x\n3,b,y\n4,z,y\n5,a,x\n6,w,y\n",
+        "0\t1\n0\t1\n1\t1\n0\t2\n3\t4\n0\t4\n4\t0\n5\t3\n4\t4\n",
+        "id,k,c\n0,a,x\n1,b,\n2,b,\n3,,y\n4,q,x\n5,r,x\n",
+        "0\t1\n1\t2\n2\t2\n0\t3\n0\t4\n2\t1\n2\t1\n4\t0\n5\t5\n",
+        ("k",),
+        ("k",),
+    ),
+    # the right header has no c column, so no right vertex has a key
+    "key-column-missing-on-one-side": (
+        "id,k,c\n0,a,x\n1,a,y\n",
+        "0\t1\n",
+        "id,k\n0,a\n1,a\n",
+        "1\t0\n",
+        ("k", "c"),
+        ("k", "c"),
+    ),
+    "no-common-bucket": (
+        "id,k1\n0,a\n1,b\n2,b\n",
+        "0\t1\n1\t2\n2\t2\n",
+        "id,k2\n0,c\n1,d\n",
+        "0\t1\n1\t0\n",
+        ("k1",),
+        ("k2",),
+    ),
+}
+
+
+def assert_matches_full_load(out_dir, left_pair, right_pair, keys_a, keys_b, semantics):
+    """prepare_files + run_join against load_graph_pair + prepare +
+    run_join: same result, counters, bucket statistics, written bytes,
+    and the same full-load facts on each operand."""
+    db = PropertyGraph()
+    left = load_graph_pair(db, *left_pair)
+    right = load_graph_pair(db, *right_pair)
+    full_ops = (prepare(left, keys_a), prepare(right, keys_b))
+    full = run_join(*full_ops, semantics, target_db=db)
+
+    pruned_ops = prepare_files(left_pair, right_pair, keys_a, keys_b)
+    pruned = run_join(*pruned_ops, semantics)
+
+    assert raw_signature(pruned) == raw_signature(full)
+    assert pruned.counters.as_dict() == full.counters.as_dict()
+    assert pruned.bucket_stats == full.bucket_stats
+    for p, f in zip(pruned_ops, full_ops):
+        assert [h for h, _, _ in p.directory] == [h for h, _, _ in f.directory]
+        assert p.vertex_universe == f.vertex_universe
+        assert p.edge_universe == f.edge_universe
+        assert (p.skipped_vertices, p.dropped_edges) == (f.skipped_vertices, f.dropped_edges)
+        assert p.n_vertices <= f.n_vertices
+        assert all(oe.dest < p.n_vertices for outs in p.out for oe in outs)
+        # a deserialized operand passes the reader's own checks
+        EngineIndex.from_bytes(p.to_bytes())
+
+    for name, run in (("full", full), ("pruned", pruned)):
+        write_join_result(run, out_dir / name)
+    for name in ("vertices.csv", "edges.tsv"):
+        assert (out_dir / "pruned" / name).read_bytes() == (out_dir / "full" / name).read_bytes()
+    return pruned_ops, pruned
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_prepare_files_matches_full_load(tmp_path, case, semantics):
+    lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    ops, run = assert_matches_full_load(
+        tmp_path, left_pair, right_pair, keys_a, keys_b, semantics
+    )
+    if case == "shared-names":
+        assert len(run.vertices) == 5
+        assert run.edges
+        # buckets z and q are one-sided and hold only out-edge
+        # destinations; w and r keep their hash but no vertex
+        a, b = ops
+        assert (a.n_vertices, b.n_vertices) == (5, 4)
+        assert sum(1 for _, _, count in a.directory if count == 0) == 1
+        assert Element(Record({"k": "a", "c": "x"}), 4) in b.elements
+    else:
+        assert len(run.vertices) == 0
+        assert all(op.n_vertices == 0 for op in ops)
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_prepare_files_matches_full_load_on_random_pairs(tmp_path, semantics):
+    for seed in range(40):
+        db, left, right, pairs = build_pair(seed)
+        d = tmp_path / str(seed)
+        d.mkdir()
+        file_pairs = []
+        for side, graph in (("l", left), ("r", right)):
+            vp, ep = str(d / f"{side}.csv"), str(d / f"{side}.tsv")
+            write_graph(graph, vp, ep)
+            file_pairs.append((vp, ep))
+        assert_matches_full_load(d, *file_pairs, [pairs[0][0]], [pairs[0][1]], semantics)
+
+
+def test_prepare_files_rejects_bad_keys(tmp_path):
+    lv, le, rv, re_, _, _ = FILE_CASES["shared-names"]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    with pytest.raises(ValidationError):
+        prepare_files(left_pair, right_pair, [], ["k"])
+    with pytest.raises(SpecMismatch):
+        prepare_files(left_pair, right_pair, ["k", "c"], ["k"])
 
 
 # ---------------------------------------------------------------------------
