@@ -13,8 +13,13 @@ phases, each independently usable:
 2. **Indexing** (:func:`build_index`): flatten the buckets into
    ordinal arrays plus a sorted hash directory.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format (:meth:`EngineIndex.to_bytes`) so one side of a repeated
-   join can be prepared once and reused.
+   format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one side
+   of a repeated join can be prepared once and reused.  The format
+   keeps every string once, the directory and out-edge structure as
+   int columns, and one checksummed section per part.  Reading it back
+   (:meth:`EngineIndex.from_bytes`) checks the structure at once but
+   decodes a bucket's vertices and edges only when the join first
+   touches that bucket.
 3. **Join** (:func:`conjunctive_join` / :func:`disjunctive_join`):
    merge the two directories, scan common buckets pairwise for joined
    vertices, then scan out-edge list pairs of joined source pairs for
@@ -51,8 +56,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+import zlib
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import accumulate, chain
+from operator import add, sub
 from typing import Callable, Iterable, Optional
 
 from .graphio import read_graph_rows
@@ -213,6 +225,9 @@ class OutEdge:
         self.labels = labels
 
 
+_NO_LABELS: frozenset = frozenset()
+
+
 class EngineIndex:
     """Flattened, serializable form of a loaded operand.
 
@@ -220,6 +235,13 @@ class EngineIndex:
     bucket hash, then key, then element identity); ``directory`` maps
     each bucket hash to its ordinal range.  Out-edges reference their
     destination by ordinal and carry a flat edge id.
+
+    ``elements``, ``key_values``, ``labels`` and ``out`` are indexed by
+    ordinal.  An index built in memory holds them as tuples.  One read
+    back with :meth:`from_bytes` holds sequence views instead: the first
+    access to an ordinal decodes that ordinal's whole bucket, so a join
+    pays only for the buckets it visits (``decoded_buckets`` counts
+    them).  ``n_edges`` and ``bucket_sizes()`` decode nothing.
     """
 
     __slots__ = (
@@ -233,6 +255,8 @@ class EngineIndex:
         "edge_universe",
         "skipped_vertices",
         "dropped_edges",
+        "_edge_offsets",
+        "_payload",
     )
 
     def __init__(
@@ -258,6 +282,8 @@ class EngineIndex:
         self.edge_universe = edge_universe
         self.skipped_vertices = skipped_vertices
         self.dropped_edges = dropped_edges
+        self._edge_offsets = None
+        self._payload = None
 
     @property
     def n_vertices(self) -> int:
@@ -265,114 +291,173 @@ class EngineIndex:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(o) for o in self.out)
+        return self._out_offsets()[-1]
+
+    def _out_offsets(self):
+        # CSR form: the out-edges of ordinal o have edge ids
+        # offsets[o] to offsets[o + 1]
+        if self._edge_offsets is None:
+            self._edge_offsets = list(accumulate(map(len, self.out), initial=0))
+        return self._edge_offsets
 
     def bucket_sizes(self) -> list[tuple[int, int, int]]:
         """(hash, vertices, total out-degree) per bucket."""
-        out = []
-        for h, start, count in self.directory:
-            deg = sum(len(self.out[o]) for o in range(start, start + count))
-            out.append((h, count, deg))
-        return out
+        offsets = self._out_offsets()
+        return [
+            (h, count, offsets[start + count] - offsets[start])
+            for h, start, count in self.directory
+        ]
 
-    # -- serialization, format GJIX version 1
+    @property
+    def decoded_buckets(self) -> int:
+        """Buckets whose payload has been decoded; every bucket of an
+        index built in memory."""
+        if self._payload is None:
+            return len(self.directory)
+        return self._payload.done.count(1)
+
+    # -- serialization, format GJIX version 2
 
     MAGIC = b"GJIX"
-    VERSION = 1
+    VERSION = 2
 
     def to_bytes(self) -> bytes:
-        w = bytearray()
-        w += self.MAGIC
-        w += struct.pack("<H", self.VERSION)
-        w += struct.pack("<H", len(self.keys))
-        for k in self.keys:
-            _w_str(w, k)
-        w += struct.pack("<QQ", self.skipped_vertices, self.dropped_edges)
-        _w_u64_set(w, self.vertex_universe)
-        _w_u64_set(w, self.edge_universe)
-        w += struct.pack("<Q", len(self.directory))
-        for h, start, count in self.directory:
-            w += struct.pack("<QQQ", h, start, count)
-        w += struct.pack("<Q", len(self.elements))
-        for o in range(len(self.elements)):
-            el = self.elements[o]
-            w += struct.pack("<Q", _checked_u64(el.replica))
-            for kv in self.key_values[o]:
-                _w_str(w, kv)
-            _w_record(w, el.record)
-            _w_labels(w, self.labels[o])
-            outs = self.out[o]
-            w += struct.pack("<I", len(outs))
+        """Serialize; on an index read back from bytes this decodes
+        every bucket first."""
+        # strings are numbered in order of first use, which a read-back
+        # index repeats, so the bytes round-trip exactly
+        strings = []
+        sid = {}
+
+        def new(s: str) -> bytes:
+            code = sid[s] = _varint(len(strings))
+            strings.append(s)
+            return code
+
+        def record(items) -> bytes:
+            if not items:
+                return b"\x00"
+            ids = [sid.get(s) or new(s) for s in chain.from_iterable(items)]
+            return _varint(len(items)) + b"".join(ids)
+
+        def label_set(labels) -> bytes:
+            if not labels:
+                return b"\x00"
+            return _varint(len(labels)) + b"".join([sid.get(s) or new(s) for s in sorted(labels)])
+
+        keys = [sid.get(k) or new(k) for k in self.keys]
+        blocks = []
+        edge_offsets = [0]
+        dest = []
+        for el, kvs, labs, outs in zip(self.elements, self.key_values, self.labels, self.out):
+            pieces = [_varint(el.replica)]
+            pieces += [sid.get(v) or new(v) for v in kvs]
+            pieces += (record(el.record.items), label_set(labs))
             for oe in outs:
-                w += struct.pack("<QQ", oe.dest, _checked_u64(oe.element.replica))
-                _w_record(w, oe.element.record)
-                _w_labels(w, oe.labels)
-        return bytes(w)
+                pieces += (_varint(oe.element.replica), record(oe.element.record.items), label_set(oe.labels))
+                dest.append(oe.dest)
+            edge_offsets.append(len(dest))
+            blocks.append(b"".join(pieces))
+        payload = b"".join(blocks)
+        vertex_at = list(accumulate(map(len, blocks), initial=0))
+
+        hashes = [h for h, _, _ in self.directory]
+        starts = [s for _, s, _ in self.directory]
+        counts = [c for _, _, c in self.directory]
+        # a bucket's block runs from its first vertex to the next
+        # bucket's; starts past the table only occur in tampered indices
+        bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in starts]
+
+        meta = b"".join(
+            [_varint(len(keys)), *keys, _varint(self.skipped_vertices), _varint(self.dropped_edges)]
+        )
+        text = "".join(strings)
+        string_offsets = list(accumulate(map(len, strings), initial=0))
+        return _pack_sections(
+            {
+                "meta": (1, meta),
+                "string_offsets": _column(string_offsets),
+                "string_text": (1, text.encode("utf-8")),
+                "bucket_hash": _column(hashes),
+                "bucket_start": _column(starts),
+                "bucket_count": _column(counts),
+                "bucket_payload": _column(bucket_at),
+                "edge_offsets": _column(edge_offsets),
+                "edge_dest": _column(dest),
+                "vertex_universe": (1, _universe_deltas(self.vertex_universe)),
+                "edge_universe": (1, _universe_deltas(self.edge_universe)),
+                "payload": (1, payload),
+            }
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EngineIndex":
-        r = _Reader(raw)
-        if r.take(4) != cls.MAGIC:
-            raise ValidationError("not an engine index: bad magic")
-        version = r.u16()
-        if version != cls.VERSION:
-            raise ValidationError(f"unsupported index version {version}")
-        nkeys = r.u16()
-        keys = tuple(r.str() for _ in range(nkeys))
-        skipped = r.u64()
-        dropped = r.u64()
-        vuniv = r.u64_set()
-        euniv = r.u64_set()
-        ndir = r.u64()
-        directory = tuple((r.u64(), r.u64(), r.u64()) for _ in range(ndir))
-        nverts = r.u64()
-        at = 0
-        for h, start, count in directory:
-            if start != at:
-                raise ValidationError("directory ranges are not contiguous")
-            at += count
-        if at != nverts:
+        """Read an index back.  The structure is decoded and checked
+        here; bucket payloads are decoded on first access."""
+        sec = _unpack_sections(raw)
+
+        offsets = _read_column(sec, "string_offsets")
+        try:
+            text = str(sec["string_text"][1], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError("string table is not UTF-8") from exc
+        if not offsets or offsets[0] != 0 or offsets[-1] != len(text) or not _ascending(offsets):
+            raise ValidationError("string table offsets do not fit the string text")
+        strings = [text[a:b] for a, b in zip(offsets, offsets[1:])]
+
+        meta = _read_varints(sec["meta"][1])
+        nkeys = meta[0] if meta else -1
+        if len(meta) != nkeys + 3 or max(meta[1 : 1 + nkeys], default=-1) >= len(strings):
+            raise ValidationError("corrupt index header fields")
+        keys = tuple([strings[i] for i in meta[1 : 1 + nkeys]])
+        skipped, dropped = meta[-2:]
+
+        hashes, starts, counts, bucket_at = (
+            _read_column(sec, name)
+            for name in ("bucket_hash", "bucket_start", "bucket_count", "bucket_payload")
+        )
+        edge_offsets = _read_column(sec, "edge_offsets")
+        dest = _read_column(sec, "edge_dest")
+        payload = bytes(sec["payload"][1])
+        if not len(hashes) == len(starts) == len(counts) == len(bucket_at):
+            raise ValidationError("directory columns differ in length")
+        if not edge_offsets:
+            raise ValidationError("edge offsets are missing")
+        nverts = len(edge_offsets) - 1
+
+        ends = list(map(add, starts, counts))
+        if list(starts) != ([0] + ends)[: len(ends)]:
+            raise ValidationError("directory ranges are not contiguous")
+        if (ends[-1] if ends else 0) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
-        for (h0, _, _), (h1, _, _) in zip(directory, directory[1:]):
-            if h1 <= h0:
-                raise ValidationError("directory hashes do not strictly ascend")
-        elements, key_values, labels, out = [], [], [], []
-        eid = 0
-        for _ in range(nverts):
-            replica = r.u64()
-            kvs = tuple(r.str() for _ in range(nkeys))
-            rec = r.record()
-            labs = r.labels()
-            elements.append(Element(rec, replica))
-            key_values.append(kvs)
-            labels.append(labs)
-            nout = r.u32()
-            oes = []
-            for _ in range(nout):
-                dest = r.u64()
-                if dest >= nverts:
-                    raise ValidationError(f"out-edge destination {dest} outside the vertex table")
-                erep = r.u64()
-                erec = r.record()
-                elabs = r.labels()
-                oes.append(OutEdge(eid, dest, Element(erec, erep), elabs))
-                eid += 1
-            out.append(tuple(oes))
-        if not r.done():
-            raise ValidationError("trailing bytes after index payload")
-        return cls(
+        if list(hashes) != sorted(set(hashes)):
+            raise ValidationError("directory hashes do not strictly ascend")
+        if edge_offsets[0] != 0 or edge_offsets[-1] != len(dest) or not _ascending(edge_offsets):
+            raise ValidationError("edge offsets do not fit the edge table")
+        if dest and max(dest) >= nverts:
+            raise ValidationError(f"out-edge destination {max(dest)} outside the vertex table")
+        if bucket_at and (bucket_at[0] != 0 or bucket_at[-1] > len(payload) or not _ascending(bucket_at)):
+            raise ValidationError("bucket payload offsets do not fit the payload")
+
+        lazy = _LazyPayload(
+            strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, dest, payload
+        )
+        index = cls(
             keys,
-            tuple(elements),
-            tuple(key_values),
-            tuple(labels),
-            tuple(out),
-            directory,
-            vuniv,
-            euniv,
+            _LazyColumn(lazy, lazy.elements),
+            _LazyColumn(lazy, lazy.key_values),
+            _LazyColumn(lazy, lazy.labels),
+            _LazyColumn(lazy, lazy.out),
+            tuple(zip(hashes, starts, counts)),
+            _read_universe(sec["vertex_universe"][1]),
+            _read_universe(sec["edge_universe"][1]),
             skipped,
             dropped,
         )
+        index._edge_offsets = edge_offsets
+        index._payload = lazy
+        return index
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -384,78 +469,287 @@ class EngineIndex:
             return cls.from_bytes(fh.read())
 
 
-def _checked_u64(value: int) -> int:
-    if value >= 1 << 64:
-        raise ValidationError("replica index too large for the binary index format")
-    return value
+# GJIX v2 layout: magic, u16 version, one (width, length, CRC32) entry
+# per section in this order, a CRC32 of everything before it, then the
+# section bodies back to back.  Width 1 marks a byte section; 4 and 8
+# mark a little-endian unsigned int column of that item size.
+_SECTIONS = (
+    "meta",  # varints: key count, key string ids, skipped, dropped
+    "string_offsets",  # column: code-point offsets into string_text
+    "string_text",  # every distinct string once, in order of first use, as UTF-8
+    "bucket_hash",  # column per bucket, strictly ascending
+    "bucket_start",  # column per bucket: first ordinal
+    "bucket_count",  # column per bucket: vertex count
+    "bucket_payload",  # column per bucket: byte offset of its block in payload
+    "edge_offsets",  # column per ordinal, plus one: CSR out-edge offsets
+    "edge_dest",  # column per edge id: destination ordinal
+    "vertex_universe",  # varints: the least member, then the gap to each next
+    "edge_universe",  # same
+    "payload",  # varints: one block per bucket, see _LazyPayload.decode
+)
+_ENTRY = struct.Struct("<BQI")
+_HEAD = struct.Struct("<4sH")
+_CRC = struct.Struct("<I")
+_HEAD_SIZE = _HEAD.size + _ENTRY.size * len(_SECTIONS) + _CRC.size
+_TYPECODES = {4: "I", 8: "Q"}
+_SWAP = sys.byteorder == "big"
 
 
-def _w_str(w: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    w += struct.pack("<I", len(raw))
-    w += raw
+def _pack_sections(sections: dict) -> bytes:
+    """The file for ``{name: (width, body)}``, one entry per name of
+    ``_SECTIONS``."""
+    bodies = [sections[name] for name in _SECTIONS]
+    head = bytearray(_HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION))
+    for width, body in bodies:
+        head += _ENTRY.pack(width, len(body), zlib.crc32(body))
+    head += _CRC.pack(zlib.crc32(head))
+    return bytes(head) + b"".join(body for _, body in bodies)
 
 
-def _w_record(w: bytearray, rec: Record) -> None:
-    w += struct.pack("<I", len(rec.items))
-    for k, v in rec.items:
-        _w_str(w, k)
-        _w_str(w, v)
+def _unpack_sections(raw: bytes) -> dict:
+    """``{name: (width, body)}`` of a file, after checking its magic,
+    version, section bounds and every checksum."""
+    if len(raw) < _HEAD.size:
+        raise ValidationError("truncated index")
+    magic, version = _HEAD.unpack_from(raw)
+    if magic != EngineIndex.MAGIC:
+        raise ValidationError("not an engine index: bad magic")
+    if version != EngineIndex.VERSION:
+        raise ValidationError(f"unsupported index version {version}")
+    if len(raw) < _HEAD_SIZE:
+        raise ValidationError("truncated index")
+    view = memoryview(raw)
+    entries = [
+        _ENTRY.unpack_from(raw, _HEAD.size + i * _ENTRY.size) for i in range(len(_SECTIONS))
+    ]
+    if zlib.crc32(view[: _HEAD_SIZE - _CRC.size]) != _CRC.unpack_from(raw, _HEAD_SIZE - _CRC.size)[0]:
+        raise ValidationError("index header checksum mismatch")
+    end = _HEAD_SIZE + sum(length for _, length, _ in entries)
+    if end > len(raw):
+        raise ValidationError("truncated index")
+    if end < len(raw):
+        raise ValidationError("trailing bytes after index payload")
+    sections = {}
+    at = _HEAD_SIZE
+    for name, (width, length, crc) in zip(_SECTIONS, entries):
+        body = view[at : at + length]
+        at += length
+        if zlib.crc32(body) != crc:
+            raise ValidationError(f"checksum mismatch in index section {name}")
+        sections[name] = (width, body)
+    return sections
 
 
-def _w_labels(w: bytearray, labels: frozenset) -> None:
-    labs = sorted(labels)
-    w += struct.pack("<I", len(labs))
-    for l in labs:
-        _w_str(w, l)
+def _column(values) -> tuple[int, bytes]:
+    try:
+        col = array("I", values)
+    except OverflowError:
+        col = array("Q", values)
+    if _SWAP:
+        col.byteswap()
+    return col.itemsize, col.tobytes()
 
 
-def _w_u64_set(w: bytearray, values: frozenset[int]) -> None:
-    w += struct.pack("<Q", len(values))
-    for v in sorted(values):
-        w += struct.pack("<Q", _checked_u64(v))
+def _read_column(sections: dict, name: str) -> array:
+    width, body = sections[name]
+    if width not in _TYPECODES or len(body) % width:
+        raise ValidationError(f"index section {name} is not an int column")
+    col = array(_TYPECODES[width])
+    col.frombytes(body)
+    if _SWAP:
+        col.byteswap()
+    return col
 
 
-class _Reader:
-    __slots__ = ("raw", "pos")
+def _ascending(col) -> bool:
+    values = list(col)
+    return values == sorted(values)
 
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise ValidationError("truncated index")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
+_SMALL_VARINTS = [bytes((v,)) for v in range(0x80)]
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+def _varint(v: int) -> bytes:
+    """Unsigned LEB128: seven bits per byte, low bits first."""
+    if v < 0x80:
+        return _SMALL_VARINTS[v]
+    if v < 0x4000:
+        return bytes((v & 0x7F | 0x80, v >> 7))
+    w = bytearray()
+    while v > 0x7F:
+        w.append(v & 0x7F | 0x80)
+        v >>= 7
+    w.append(v)
+    return bytes(w)
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
 
-    def str(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+def _read_varints(buf) -> list[int]:
+    values = []
+    v = shift = 0
+    for byte in buf:
+        if byte & 0x80:
+            v |= (byte & 0x7F) << shift
+            shift += 7
+        else:
+            values.append(v | byte << shift)
+            v = shift = 0
+    if shift:
+        raise ValidationError("truncated varint in index")
+    return values
 
-    def record(self) -> Record:
-        n = self.u32()
-        return Record([(self.str(), self.str()) for _ in range(n)])
 
-    def labels(self) -> frozenset:
-        n = self.u32()
-        return frozenset(self.str() for _ in range(n))
+def _universe_deltas(universe) -> bytes:
+    values = sorted(universe)
+    return b"".join(map(_varint, map(sub, values, [0] + values)))
 
-    def u64_set(self) -> frozenset[int]:
-        n = self.u64()
-        return frozenset(self.u64() for _ in range(n))
 
-    def done(self) -> bool:
-        return self.pos == len(self.raw)
+def _read_universe(buf) -> frozenset[int]:
+    # one varint per member, so a universe costs memory in proportion
+    # to its bytes; runs of consecutive ints would let a few bytes
+    # declare billions of members
+    return frozenset(accumulate(_read_varints(buf)))
+
+
+class _LazyPayload:
+    """The ordinal columns of a deserialized index, filled one bucket
+    at a time.
+
+    A bucket's block holds, per vertex in ordinal order: replica, key
+    value ids, the record as a binding count and (name id, value id)
+    pairs, the labels as a count and ids; then per out-edge of that
+    vertex, in edge id order: replica, record and labels alike.  Out-edge
+    counts and destinations come from the CSR columns.
+    """
+
+    __slots__ = (
+        "strings",
+        "nkeys",
+        "hashes",
+        "starts",
+        "counts",
+        "bucket_at",
+        "edge_offsets",
+        "dest",
+        "payload",
+        "elements",
+        "key_values",
+        "labels",
+        "out",
+        "done",
+    )
+
+    def __init__(self, strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, dest, payload):
+        self.strings = strings
+        self.nkeys = nkeys
+        self.hashes = hashes
+        self.starts = starts
+        self.counts = counts
+        self.bucket_at = bucket_at
+        self.edge_offsets = edge_offsets
+        self.dest = dest
+        self.payload = payload
+        n = len(edge_offsets) - 1
+        self.elements = [None] * n
+        self.key_values = [None] * n
+        self.labels = [None] * n
+        self.out = [None] * n
+        self.done = bytearray(len(hashes))
+
+    def decode_ordinal(self, o: int) -> None:
+        # the last bucket starting at or before o; an empty bucket
+        # shares its start with the next one, so it is never picked
+        self.decode(bisect_right(self.starts, o) - 1)
+
+    def decode_all(self) -> None:
+        for b, done in enumerate(self.done):
+            if not done:
+                self.decode(b)
+
+    def decode(self, b: int) -> None:
+        start, count = self.starts[b], self.counts[b]
+        block_end = self.bucket_at[b + 1] if b + 1 < len(self.bucket_at) else len(self.payload)
+        ints = _read_varints(self.payload[self.bucket_at[b] : block_end])
+        strings, nkeys, edge_offsets, dest = self.strings, self.nkeys, self.edge_offsets, self.dest
+        elements, key_values, labels, out = [], [], [], []
+        pos = 0
+        try:
+            for o in range(start, start + count):
+                replica = ints[pos]
+                key_values.append(tuple([strings[i] for i in ints[pos + 1 : pos + 1 + nkeys]]))
+                rec, pos = _take_record(ints, pos + 1 + nkeys, strings)
+                labs, pos = _take_labels(ints, pos, strings)
+                elements.append(Element(rec, replica))
+                labels.append(labs)
+                oes = []
+                for eid in range(edge_offsets[o], edge_offsets[o + 1]):
+                    replica = ints[pos]
+                    rec, pos = _take_record(ints, pos + 1, strings)
+                    labs, pos = _take_labels(ints, pos, strings)
+                    oes.append(OutEdge(eid, dest[eid], Element(rec, replica), labs))
+                out.append(tuple(oes))
+        except IndexError as exc:
+            raise ValidationError(f"corrupt payload in bucket {b}") from exc
+        if pos != len(ints):
+            raise ValidationError(f"corrupt payload in bucket {b}")
+        h = self.hashes[b]
+        for kvs in set(key_values):
+            if stable_hash(kvs) != h:
+                raise ValidationError(f"key {kvs!r} does not hash to its bucket {h:#x}")
+        end = start + count
+        self.elements[start:end] = elements
+        self.key_values[start:end] = key_values
+        self.labels[start:end] = labels
+        self.out[start:end] = out
+        self.done[b] = 1
+
+
+def _take_record(ints: list, pos: int, strings: list) -> tuple[Record, int]:
+    n = ints[pos]
+    if not n:
+        return EMPTY_RECORD, pos + 1
+    ids = ints[pos + 1 : pos + 1 + 2 * n]
+    rec = Record(zip([strings[i] for i in ids[::2]], [strings[i] for i in ids[1::2]]))
+    if len(rec) != n:
+        raise ValidationError("corrupt record in index payload")
+    return rec, pos + 1 + 2 * n
+
+
+def _take_labels(ints: list, pos: int, strings: list) -> tuple[frozenset, int]:
+    n = ints[pos]
+    if not n:
+        return _NO_LABELS, pos + 1
+    labels = frozenset([strings[i] for i in ints[pos + 1 : pos + 1 + n]])
+    if len(labels) != n:
+        raise ValidationError("corrupt label set in index payload")
+    return labels, pos + 1 + n
+
+
+class _LazyColumn(Sequence):
+    """One ordinal column of a deserialized index; reading an ordinal
+    decodes its bucket on first access."""
+
+    __slots__ = ("_payload", "_values")
+
+    def __init__(self, payload: _LazyPayload, values: list):
+        self._payload = payload
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, o):
+        if isinstance(o, slice):
+            self._payload.decode_all()
+            return tuple(self._values[o])
+        value = self._values[o]
+        if value is None:
+            self._payload.decode_ordinal(o % len(self._values))
+            value = self._values[o]
+        return value
+
+    def __iter__(self):
+        self._payload.decode_all()
+        return iter(self._values)
 
 
 def build_index(loaded: LoadedOperand) -> EngineIndex:
@@ -501,9 +795,6 @@ def build_index(loaded: LoadedOperand) -> EngineIndex:
 def prepare(graph: Graph, keys: Iterable[str], *, hash_override=None) -> EngineIndex:
     """Loading and indexing in one call."""
     return build_index(load(graph, keys, hash_override=hash_override))
-
-
-_NO_LABELS: frozenset = frozenset()
 
 
 def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:

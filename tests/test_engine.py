@@ -7,10 +7,15 @@ definitions."""
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphjoin.engine import (
     EngineIndex,
     OutEdge,
+    _SECTIONS,
+    _pack_sections,
+    _unpack_sections,
     build_index,
     conjunctive_join,
     disjunctive_join,
@@ -26,6 +31,7 @@ from graphjoin.logical import CONJUNCTIVE, DISJUNCTIVE, JoinSpec, graph_join
 from graphjoin.model import (
     EMPTY_RECORD,
     Element,
+    IndexedSet,
     PropertyGraph,
     Record,
     SpecMismatch,
@@ -187,9 +193,16 @@ def test_from_bytes_rejects_bad_magic(citation_instance):
 def test_from_bytes_rejects_unknown_version(citation_instance):
     db, researcher, _ = citation_instance
     raw = prepare(researcher, ["Name"]).to_bytes()
-    bumped = raw[:4] + struct.pack("<H", 2) + raw[6:]
+    bumped = raw[:4] + struct.pack("<H", 3) + raw[6:]
     with pytest.raises(ValidationError, match="version"):
         EngineIndex.from_bytes(bumped)
+
+
+def test_from_bytes_rejects_a_version_1_index():
+    # the head of a version 1 file: magic, version, one key "k"
+    v1 = b"GJIX" + struct.pack("<HHI", 1, 1, 1) + b"k" + bytes(16)
+    with pytest.raises(ValidationError, match="unsupported index version 1"):
+        EngineIndex.from_bytes(v1)
 
 
 def test_from_bytes_rejects_truncation_and_trailing_bytes(citation_instance):
@@ -270,7 +283,7 @@ def test_from_bytes_rejects_out_of_range_destinations():
         EngineIndex.from_bytes(tampered.to_bytes())
 
 
-def test_deserialized_index_joins_identically():
+def test_deserialized_index_joins_identically(tmp_path):
     db, left, right, pairs = build_pair(23)
     a = prepare(left, [pairs[0][0]])
     b = prepare(right, [pairs[0][1]])
@@ -283,6 +296,182 @@ def test_deserialized_index_joins_identically():
         )
         assert raw_signature(thawed) == raw_signature(live)
         assert thawed.counters.as_dict() == live.counters.as_dict()
+        assert thawed.bucket_stats == live.bucket_stats
+        write_join_result(live, tmp_path / semantics / "live")
+        write_join_result(thawed, tmp_path / semantics / "thawed")
+        for name in ("vertices.csv", "edges.tsv"):
+            written = tmp_path / semantics / "thawed" / name
+            assert written.read_bytes() == (tmp_path / semantics / "live" / name).read_bytes()
+
+
+def test_index_round_trips_replicas_beyond_u64():
+    big = 2**70
+    db = PropertyGraph()
+    va, vb = Element(Record({"k": "a"}), big), Element(Record({"k": "b"}), 1)
+    edge = Element(Record({"w": "x"}), big)
+    cid = db.register_component(IndexedSet([va, vb]), IndexedSet([edge]), {edge: (va, vb)})
+    left = db.get_graph(cid)
+    right = component_from_payloads(
+        db, [Record({"k2": "a"}), Record({"k2": "b"})], [(0, 1, Record({"w": "x"}))]
+    )
+    a = prepare(left, ["k"])
+    b = prepare(right, ["k2"])
+    raw = a.to_bytes()
+    back = EngineIndex.from_bytes(raw)
+    assert back.to_bytes() == raw
+    assert big in {el.replica for el in back.elements}
+    assert big in {oe.element.replica for outs in back.out for oe in outs}
+    for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+        live = run_join(a, b, semantics)
+        thawed = run_join(back, EngineIndex.from_bytes(b.to_bytes()), semantics)
+        assert len(live.edges) == 1
+        assert raw_signature(thawed) == raw_signature(live)
+        assert thawed.counters.as_dict() == live.counters.as_dict()
+        assert thawed.bucket_stats == live.bucket_stats
+
+
+def test_loaded_index_decodes_only_the_buckets_a_join_visits(tmp_path):
+    db, left, right, pairs = build_pair(1, max_vertices=60, max_edges=80, key_domain=40)
+    a = prepare(left, [pairs[0][0]])
+    b = prepare(right, [pairs[0][1]])
+    a.save(tmp_path / "a.gjix")
+    b.save(tmp_path / "b.gjix")
+    for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+        la = EngineIndex.load_file(tmp_path / "a.gjix")
+        lb = EngineIndex.load_file(tmp_path / "b.gjix")
+        assert (la.n_edges, lb.n_edges) == (a.n_edges, b.n_edges)
+        assert (la.bucket_sizes(), lb.bucket_sizes()) == (a.bucket_sizes(), b.bucket_sizes())
+        assert la.decoded_buckets == lb.decoded_buckets == 0
+        run = run_join(la, lb, semantics)
+        visits = run.counters.bucket_visits
+        assert 0 < visits < min(len(a.directory), len(b.directory))
+        assert la.decoded_buckets == lb.decoded_buckets == visits
+        assert raw_signature(run) == raw_signature(run_join(a, b, semantics))
+    # an index built in memory has nothing left to decode
+    assert a.decoded_buckets == len(a.directory)
+
+
+def test_from_bytes_rejects_checksum_mismatches(citation_instance):
+    db, researcher, _ = citation_instance
+    raw = prepare(researcher, ["Name"]).to_bytes()
+    in_payload = raw[:-1] + bytes([raw[-1] ^ 0x01])
+    with pytest.raises(ValidationError, match="checksum mismatch in index section payload"):
+        EngineIndex.from_bytes(in_payload)
+    # the first section's length, inside the section table
+    in_table = raw[:7] + bytes([raw[7] ^ 0x01]) + raw[8:]
+    with pytest.raises(ValidationError, match="header checksum"):
+        EngineIndex.from_bytes(in_table)
+
+
+def test_bucket_decode_rejects_a_key_that_does_not_hash_to_its_bucket():
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [])
+    sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
+    width, payload = sections["payload"]
+    # per vertex: replica, key value id, one binding (name id, value
+    # id), no labels; string ids in order of first use: k, then the
+    # first vertex's value, then the second's
+    assert bytes(payload) == bytes([1, 1, 1, 0, 1, 0, 1, 2, 1, 0, 2, 0])
+    # the first vertex now claims the second one's key value
+    sections["payload"] = (width, bytes([1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 2, 0]))
+    patched = EngineIndex.from_bytes(_pack_sections(sections))
+    assert patched.key_values[1] == (patched.elements[1].record["k"],)
+    with pytest.raises(ValidationError, match="does not hash to its bucket"):
+        patched.elements[0]
+    assert patched.decoded_buckets == 1
+
+
+def damage(name, change):
+    """A change to one section of a one-vertex index, after which the
+    checksums are recomputed."""
+
+    def apply(sections):
+        width, body = sections[name]
+        sections[name] = (width, change(bytes(body), width))
+
+    return apply
+
+
+STRUCTURAL_DAMAGE = {
+    "string-text-not-utf8": (damage("string_text", lambda b, w: b"\xff" + b[1:]), "not UTF-8"),
+    "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
+    "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
+    "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
+    "payload-offset-not-zero": (
+        damage("bucket_payload", lambda b, w: (1).to_bytes(w, "little") + b[w:]),
+        "bucket payload offsets",
+    ),
+    "block-trailing-byte": (damage("payload", lambda b, w: b + b"\x00"), "corrupt payload in bucket"),
+    "block-truncated-varint": (damage("payload", lambda b, w: b + b"\x80"), "truncated varint"),
+    # the record {k=a, x=b} now binds k twice
+    "record-duplicate-name": (
+        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 0, 3]))),
+        "corrupt record",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_DAMAGE))
+def test_structural_damage_behind_valid_checksums_is_rejected(case):
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
+    sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
+    # vertex: replica, key id, two bindings, no labels; its self-loop:
+    # replica, no bindings, no labels
+    assert bytes(sections["payload"][1]) == bytes([1, 1, 2, 0, 1, 2, 3, 0, 1, 0, 0])
+    apply, message = STRUCTURAL_DAMAGE[case]
+    apply(sections)
+    with pytest.raises(ValidationError, match=message):
+        EngineIndex.from_bytes(_pack_sections(sections)).to_bytes()
+
+
+def mutated(raw: bytes, data) -> bytes:
+    """One truncation, single bit flip or splice of ``raw``."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        return raw[: bit // 8] + bytes([raw[bit // 8] ^ 1 << bit % 8]) + raw[bit // 8 + 1 :]
+    lo = data.draw(st.integers(0, len(raw)))
+    hi = data.draw(st.integers(lo, min(len(raw), lo + 16)))
+    return raw[:lo] + data.draw(st.binary(max_size=16)) + raw[hi:]
+
+
+def fuzz_operand(seed: int) -> bytes:
+    db, left, right, pairs = build_pair(seed)
+    return prepare(left, [pairs[0][0]]).to_bytes()
+
+
+@given(st.integers(0, 40), st.data())
+def test_corrupt_index_bytes_raise_only_validation_errors(seed, data):
+    raw = fuzz_operand(seed)
+    bad = mutated(raw, data)
+    try:
+        # forces every bucket through decoding
+        back = EngineIndex.from_bytes(bad).to_bytes()
+    except ValidationError:
+        return
+    # only an unchanged file may load
+    assert bad == raw
+    assert back == raw
+
+
+@given(st.integers(0, 40), st.sampled_from(_SECTIONS), st.data())
+def test_corrupt_sections_with_fixed_checksums_raise_only_validation_errors(seed, name, data):
+    # the checksums are recomputed after the damage, so the checks
+    # behind them have to catch it
+    sections = _unpack_sections(fuzz_operand(seed))
+    width, body = sections[name]
+    if not body:
+        return
+    sections[name] = (width, mutated(bytes(body), data))
+    try:
+        back = EngineIndex.from_bytes(_pack_sections(sections)).to_bytes()
+    except ValidationError:
+        return
+    # whatever loads is a well-formed index
+    assert EngineIndex.from_bytes(back).to_bytes() == back
 
 
 # ---------------------------------------------------------------------------
