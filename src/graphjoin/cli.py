@@ -7,7 +7,7 @@ file pair through the reference or optimized implementation),
 Every command exits 0 on success, 1 on a verification or assertion
 failure, 2 on usage errors, 3 on I/O and data-format errors.  A
 ``--config`` file supplies key=value defaults for any long flag;
-explicit flags win.  GRAPHJOIN_THREADS sets the default thread cap.
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ def _require(args, parser_hint: str, *names: str) -> None:
         raise _UsageError(f"{parser_hint}: missing required option(s): {flags}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("GRAPHJOIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphjoin",
@@ -91,7 +83,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     j.add_argument("--semantics", choices=sorted(_SEMANTICS), default="conjunctive")
     j.add_argument("--engine", choices=("optimized", "oracle"), default="optimized")
     j.add_argument("--out", default="join-out", help="result directory")
-    j.add_argument("--threads", type=int, default=None)
     j.add_argument("--explain", action="store_true", help="print the cost report")
 
     v = sub.add_parser("verify", help="randomized law checking")
@@ -108,7 +99,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     b.add_argument("--edge-factor", type=int, default=2)
     b.add_argument("--dob-values", type=int, default=365)
     b.add_argument("--company-values", type=int, default=512)
-    b.add_argument("--threads", type=int, default=None)
     b.add_argument("--out", default=".", help="report directory")
 
     # each subcommand parses into a fresh namespace, so config values
@@ -159,7 +149,6 @@ def cmd_join(args) -> int:
     _require(args, "join", "left-vertices", "left-edges", "right-vertices", "right-edges", "on")
     pairs = _parse_on(args.on)
     semantics = _SEMANTICS[args.semantics]
-    threads = args.threads if args.threads is not None else _default_threads()
 
     left_pair = (args.left_vertices, args.left_edges)
     right_pair = (args.right_vertices, args.right_edges)
@@ -172,9 +161,11 @@ def cmd_join(args) -> int:
         )
         timings["prepare_files"] = time.perf_counter() - t0
         t1 = time.perf_counter()
-        run = run_join(ia, ib, semantics, threads=threads)
+        run = run_join(ia, ib, semantics)
         timings["join"] = time.perf_counter() - t1
         result = run
+        # the engine knows its result size before the edges exist
+        n_edges = run.n_edges
         counters = run.counters.as_dict()
         if args.explain:
             print(explain(run).render())
@@ -189,6 +180,7 @@ def cmd_join(args) -> int:
         t1 = time.perf_counter()
         result = graph_join(left, right, JoinSpec(theta, semantics))
         timings["join"] = time.perf_counter() - t1
+        n_edges = len(result.edges)
 
     vertex_path, edge_path = write_join_result(result, args.out)
 
@@ -197,12 +189,11 @@ def cmd_join(args) -> int:
         "engine": args.engine,
         "semantics": semantics,
         "on": ["=".join(p) for p in pairs],
-        "threads": threads,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "counters": counters,
         "result": {
             "vertices": len(result.vertices),
-            "edges": len(result.edges),
+            "edges": n_edges,
             "vertex_file": vertex_path,
             "edge_file": edge_path,
         },
@@ -217,7 +208,7 @@ def cmd_join(args) -> int:
         ("semantics", semantics),
         ("on", report["on"]),
         ("result vertices", len(result.vertices)),
-        ("result edges", len(result.edges)),
+        ("result edges", n_edges),
         ("report", report_path),
     ]
     rows.extend((f"time {k} (s)", f"{v:.4f}") for k, v in sorted(timings.items()))
@@ -243,31 +234,30 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _bench_cell(scale, semantics, args, threads):
-    # sides get disjoint attribute namespaces so only the key equality
-    # constrains the merge, as in the reference workload
+def _bench_operands(scale, args):
+    """Both generated graphs of one scale, in one database; every cell
+    of the scale joins them.  The sides get disjoint attribute
+    namespaces so only the key equality constrains the merge, as in
+    the reference workload."""
     db = PropertyGraph()
-    params_l = GeneratorParams(
+    common = dict(
         scale=scale,
-        seed=args.seed,
         edge_factor=args.edge_factor,
         dob_values=args.dob_values,
         company_values=args.company_values,
-        attr_suffix="1",
     )
-    params_r = GeneratorParams(
-        scale=scale,
-        seed=args.seed + 1,
-        edge_factor=args.edge_factor,
-        dob_values=args.dob_values,
-        company_values=args.company_values,
-        attr_suffix="2",
-    )
-    left = build_graph(db, params_l)
-    right = build_graph(db, params_r)
+    left = build_graph(db, GeneratorParams(seed=args.seed, attr_suffix="1", **common))
+    right = build_graph(db, GeneratorParams(seed=args.seed + 1, attr_suffix="2", **common))
+    return left, right
 
-    # collect before timing so this cell is not charged for garbage
-    # left over from generation or from earlier cells
+
+def _bench_cell(left, right, semantics):
+    """Timed load, index and join of one cell, and the join's counters.
+    The heap is collected before loading, so that the cell is not
+    charged for garbage left by generation or earlier cells.  The
+    operands live through the join unchanged, so they are frozen once
+    built: the join's collections then scan what the join allocates,
+    not millions of operand objects again."""
     gc.collect()
     t0 = time.perf_counter()
     la = load(left, ["dob1", "company1"])
@@ -277,10 +267,16 @@ def _bench_cell(scale, semantics, args, threads):
     ia = build_index(la)
     ib = build_index(lb)
     t_index = time.perf_counter() - t1
-    t2 = time.perf_counter()
-    run = run_join(ia, ib, semantics, threads=threads)
-    t_join = time.perf_counter() - t2
-    return t_load, t_index, t_join, run
+    gc.freeze()
+    try:
+        t2 = time.perf_counter()
+        run = run_join(ia, ib, semantics)
+        # the timed join includes materializing the result
+        run.graph
+        t_join = time.perf_counter() - t2
+    finally:
+        gc.unfreeze()
+    return t_load, t_index, t_join, run.counters
 
 
 def cmd_bench(args) -> int:
@@ -295,22 +291,19 @@ def cmd_bench(args) -> int:
         if args.semantics == "both"
         else [_SEMANTICS[args.semantics]]
     )
-    threads = args.threads if args.threads is not None else _default_threads()
-
     table_rows = []
     report_cells = []
     violation = None
     for scale in scales:
+        left, right = _bench_operands(scale, args)
         totals = {}
         for semantics in semantics_list:
             times = []
-            cell_counters = None
             timed_out = False
             for _ in range(max(1, args.repeat)):
-                t_load, t_index, t_join, run = _bench_cell(scale, semantics, args, threads)
+                t_load, t_index, t_join, cell_counters = _bench_cell(left, right, semantics)
                 total = t_load + t_index + t_join
                 times.append((t_load, t_index, t_join, total))
-                cell_counters = run.counters
                 if total > args.timeout:
                     timed_out = True
                     break
@@ -337,6 +330,8 @@ def cmd_bench(args) -> int:
                     f"comparisons {cell_counters.comparison_total}",
                 )
             )
+        # free this scale's graphs before the next scale is generated
+        del left, right
         if CONJUNCTIVE in totals and DISJUNCTIVE in totals:
             if totals[CONJUNCTIVE].comparison_total > totals[DISJUNCTIVE].comparison_total:
                 violation = (
@@ -351,7 +346,6 @@ def cmd_bench(args) -> int:
         json.dump(
             {
                 "command": "bench",
-                "threads": threads,
                 "repeat": args.repeat,
                 "timeout_s": args.timeout,
                 "cells": report_cells,
@@ -372,12 +366,12 @@ def cmd_bench(args) -> int:
 
 _CONFIG_DESTS = {
     "scale", "seed", "edge_factor", "dob_values", "company_values", "out",
-    "basename", "semantics", "engine", "threads", "trials", "max_vertices",
+    "basename", "semantics", "engine", "trials", "max_vertices",
     "scales", "repeat", "timeout", "on",
 }
 _INT_DESTS = {
     "scale", "seed", "edge_factor", "dob_values", "company_values",
-    "threads", "trials", "max_vertices", "repeat",
+    "trials", "max_vertices", "repeat",
 }
 
 

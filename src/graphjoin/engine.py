@@ -20,12 +20,24 @@ phases, each independently usable:
    (:meth:`EngineIndex.from_bytes`) checks the structure at once but
    decodes a bucket's vertices and edges only when the join first
    touches that bucket.
-3. **Join** (:func:`conjunctive_join` / :func:`disjunctive_join`):
-   merge the two directories, scan common buckets pairwise for joined
-   vertices, then scan out-edge list pairs of joined source pairs for
-   bonded edges.  The disjunctive variant additionally finds edges
-   that bonded with nothing and merges them with placeholder edges,
-   exactly as the reference implementation does.
+3. **Join** (:func:`run_join`, or :func:`conjunctive_join` /
+   :func:`disjunctive_join`): merge the two directories, scan common
+   buckets pairwise for joined vertices, then scan out-edge list pairs
+   of joined source pairs for bonded edges.  The disjunctive variant
+   additionally finds edges that bonded with nothing; each of them
+   fills in once per pair of vertices its source and its destination
+   joined with, merged with a placeholder edge, exactly as in the
+   reference implementation.
+
+The join result is late-materialized.  :func:`run_join` returns with
+every phase done and every counter final, the joined vertices and the
+bonded edges built as elements, and the fills factorized: per
+unbonded edge, the ints that name its source and destination mates.
+The edge count is exact at that point, and the result writer streams
+edge rows from the factorized form (:meth:`EngineRun.edge_rows`).  The
+fill and placeholder elements, the edge set and the result's database
+component are built only when a caller first asks for ``edges``,
+``db``, ``graph`` or ``component_id``.
 
 For a one-off join of two file pairs, :func:`prepare_files` replaces
 the first two phases: it reads both pairs, intersects their bucket
@@ -46,10 +58,10 @@ the measured counters against the cost model themselves
 (:func:`explain` does that rendering).
 
 Determinism: identical inputs produce identical results, counters, and
-serialized bytes, regardless of thread count.  Replica indices for
-merged elements are computed from the operands' full index universes,
-which the index stores explicitly (skipped vertices and dropped edges
-still occupy their indices).
+serialized bytes.  Replica indices for merged elements are computed
+from the operands' full index universes, which the index stores
+explicitly (skipped vertices and dropped edges still occupy their
+indices).
 """
 
 from __future__ import annotations
@@ -61,11 +73,10 @@ import zlib
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
-from operator import add, sub
-from typing import Callable, Iterable, Optional
+from operator import add, attrgetter, sub
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphio import read_graph_rows
 from .logical import CONJUNCTIVE, DISJUNCTIVE
@@ -914,10 +925,6 @@ class OpCounters:
     def comparison_total(self) -> int:
         return self.vertex_comparisons + self.edge_comparisons + self.disjunction_scans
 
-    def _absorb(self, other: "OpCounters") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
 
 @dataclass(frozen=True)
 class BucketStat:
@@ -933,23 +940,215 @@ class BucketStat:
     right_unbonded: int = 0
 
 
-@dataclass
 class EngineRun:
-    """Everything one engine join produced."""
+    """Everything one engine join produced.
 
-    db: PropertyGraph
-    component_id: int
-    vertices: IndexedSet
-    edges: IndexedSet
-    counters: OpCounters
-    bucket_stats: tuple[BucketStat, ...]
-    semantics: str
-    left: EngineIndex
-    right: EngineIndex
+    Set when :func:`run_join` returns: ``vertices`` (the joined
+    vertices, as elements), ``counters``, ``bucket_stats``,
+    ``semantics``, the operands ``left`` and ``right``, and ``n_edges``.
+
+    The edges are kept factorized: bonded edges as elements, and the
+    fills of each unbonded edge as the lists of vertices its source
+    and its destination joined with, so their number is known before
+    any fill exists.  :meth:`edge_rows` streams the edges' endpoints
+    from that form and builds nothing.
+
+    ``edges``, ``db``, ``graph`` and ``component_id`` materialize the
+    result on first access: fill and placeholder elements are built,
+    and the result is registered as a component of the target
+    database (the one given to :func:`run_join`, a fresh one
+    otherwise).  Registration errors therefore surface there, not in
+    :func:`run_join`, and every later access raises the same error.
+    ``materialized`` tells whether materializing succeeded.
+    """
+
+    def __init__(
+        self,
+        vertices: IndexedSet,
+        vertex_sources: list,
+        bonded: list,
+        fills: list,
+        counters: OpCounters,
+        bucket_stats: tuple[BucketStat, ...],
+        semantics: str,
+        left: EngineIndex,
+        right: EngineIndex,
+        target_db: Optional[PropertyGraph],
+    ):
+        self.vertices = vertices
+        self.counters = counters
+        self.bucket_stats = bucket_stats
+        self.semantics = semantics
+        self.left = left
+        self.right = right
+        self.n_edges = len(bonded) + counters.fill_edge_emissions
+        # (merged vertex, left ordinal, right ordinal) per result vertex
+        self._vertex_sources = vertex_sources
+        # (edge, (source, destination) positions in vertices, labels) per
+        # bonded edge
+        self._bonded = bonded
+        self._fills = fills
+        self._order = None
+        self._db = target_db
+        self._component_id = None
+        self._edges = None
+        self._failure = None
+
+    @property
+    def materialized(self) -> bool:
+        return self._edges is not None
+
+    @property
+    def edges(self) -> IndexedSet:
+        self._materialize()
+        return self._edges
+
+    @property
+    def db(self) -> PropertyGraph:
+        self._materialize()
+        return self._db
+
+    @property
+    def component_id(self) -> int:
+        self._materialize()
+        return self._component_id
 
     @property
     def graph(self) -> Graph:
         return self.db.get_graph(self.component_id)
+
+    def _fill_order(self) -> list:
+        if self._order is None:
+            self._order = _fill_order(self._fills, self.left, self.right)
+        return self._order
+
+    def edge_rows(self) -> Iterable[tuple[int, int]]:
+        """(source, destination) per result edge as positions in
+        ``vertices``, in the canonical order of ``edges``, without
+        materializing the edges.
+
+        Edges sort by (payload, replica).  A fill's replica exceeds
+        every bonded edge's, and among fills of one payload it grows
+        with the fill's place in the fill order, which sorts by payload
+        first.  So the canonical order is the fills in fill order,
+        merged by payload with the sorted bonded edges, bonded first on
+        a tie.
+        """
+        bonded = sorted(self._bonded, key=lambda t: t[0].sort_key)
+        k = 0
+        last = None
+        for fs, i, j in self._fill_order():
+            if fs is not last:
+                last = fs
+                items = fs.edge.element.record.items
+                while k < len(bonded) and bonded[k][0].record.items <= items:
+                    yield bonded[k][1]
+                    k += 1
+            yield fs.srcs[i], fs.dsts[j]
+        for _, ends, _ in bonded[k:]:
+            yield ends
+
+    def _materialize(self) -> None:
+        if self._edges is not None:
+            return
+        if self._failure is not None:
+            # the target database may keep part of the failed attempt,
+            # so a second attempt would fail on that, not on the cause
+            raise self._failure
+        try:
+            self._build()
+        except Exception as exc:
+            self._failure = exc
+            raise
+
+    def _build(self) -> None:
+        a, b = self.left, self.right
+        joined = self.vertices.elements
+        result_edges = [m for m, _, _ in self._bonded]
+        endpoint_map = {m: (joined[src], joined[dst]) for m, (src, dst), _ in self._bonded}
+        edge_labels = {m: labs for m, _, labs in self._bonded}
+        placeholder_entries: dict[Element, tuple[tuple[Element, Element], frozenset]] = {}
+        if self._fills:
+            # placeholder numbering is side-blind, matching the reference
+            pool_start = fresh_fill_start(
+                a.edge_universe, b.edge_universe, (m.replica for m in result_edges)
+            )
+            fill_offset = pool_start + self.counters.fill_edge_emissions
+            k = pool_start
+            for fs, i, j in self._fill_order():
+                real = fs.edge.element
+                mates = b.elements if fs.side == "left" else a.elements
+                eps = Element(EMPTY_RECORD, k, synthetic=True)
+                k += 1
+                placeholder_entries[eps] = (
+                    (mates[fs.src_mates[i]], mates[fs.dst_mates[j]]),
+                    frozenset(),
+                )
+                idx = _pair_index(real.replica, eps.replica, fill_offset)
+                parts = (real, eps) if fs.side == "left" else (eps, real)
+                m = Element(real.record, idx, parts=parts)
+                result_edges.append(m)
+                endpoint_map[m] = (joined[fs.srcs[i]], joined[fs.dsts[j]])
+                edge_labels[m] = fs.edge.labels
+        vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, xo, yo in self._vertex_sources}
+
+        rdb = self._db if self._db is not None else PropertyGraph()
+        if placeholder_entries:
+            rdb.attach_placeholder_edges(placeholder_entries)
+        edges = IndexedSet(result_edges)
+        self._component_id = rdb.register_component(
+            self.vertices, edges, endpoint_map, vertex_labels, edge_labels
+        )
+        self._db = rdb
+        self._edges = edges
+
+
+class _FillSet(NamedTuple):
+    """The fills of one unbonded edge, one per (source mate, destination
+    mate) pair.  Mates are ordinals of the opposite operand; ``srcs[i]``
+    is the position in the result's vertices of the vertex the edge's
+    source joined into with ``src_mates[i]``, ``dsts[j]`` likewise."""
+
+    edge: OutEdge
+    side: str
+    src_mates: list
+    dst_mates: list
+    srcs: list
+    dsts: list
+
+
+def _fill_order(fills: list, a: EngineIndex, b: EngineIndex) -> list:
+    """The order in which the reference numbers placeholders: fills
+    sorted by the sort keys of (real edge, source mate, destination
+    mate), ties in discovery order, side-blind.
+
+    Returned as ``(fill set, i, j)`` per fill, the fill of
+    ``src_mates[i]`` and ``dst_mates[j]``.  Each fill's key packs the
+    int ranks of those three elements into one int; the sort is
+    stable, so ties keep discovery order.
+    """
+    mates_of = [b.elements if fs.side == "left" else a.elements for fs in fills]
+    real_rank = _ranks(fs.edge.element for fs in fills)
+    mate_rank = _ranks(
+        mates[o] for fs, mates in zip(fills, mates_of) for o in chain(fs.src_mates, fs.dst_mates)
+    )
+    width = len(mate_rank)
+    keys = []
+    cells = []
+    for fs, mates in zip(fills, mates_of):
+        base = real_rank[fs.edge.element] * width
+        dst_ranks = [mate_rank[mates[o]] for o in fs.dst_mates]
+        for i, src in enumerate(fs.src_mates):
+            row = (base + mate_rank[mates[src]]) * width
+            keys.extend([row + d for d in dst_ranks])
+            cells.extend([(fs, i, j) for j in range(len(dst_ranks))])
+    return [cells[p] for p in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _ranks(elements) -> dict:
+    """Element -> rank in sort-key order.  Equal elements are exactly
+    those with equal sort keys, so they share a rank."""
+    return {e: r for r, e in enumerate(sorted(set(elements), key=attrgetter("sort_key")))}
 
 
 def _merge_directories(da, db_, counters: OpCounters):
@@ -972,17 +1171,16 @@ def _merge_directories(da, db_, counters: OpCounters):
     return common
 
 
-def _vertex_scan(a, b, common, lo, hi, offset_v):
-    """Scan common buckets [lo, hi): all left x right vertex pairs, key
-    equality plus payload agreement.  Returns candidate merges and the
-    per-bucket pair lists."""
+def _vertex_scan(a, b, common, offset_v):
+    """Scan every common bucket: all left x right vertex pairs, key
+    equality plus payload agreement.  Returns candidate merges, the
+    per-bucket pair lists and the comparison count."""
     cand = []
     bucket_pairs = []
     comparisons = 0
     a_elems, b_elems = a.elements, b.elements
     a_keys, b_keys = a.key_values, b.key_values
-    for bi in range(lo, hi):
-        (ha, sa, ca), (hb, sb, cb) = common[bi]
+    for (ha, sa, ca), (hb, sb, cb) in common:
         comparisons += ca * cb
         pairs = []
         for xo in range(sa, sa + ca):
@@ -1007,7 +1205,7 @@ def _vertex_scan(a, b, common, lo, hi, offset_v):
     return cand, bucket_pairs, comparisons
 
 
-def _edge_scan(a, b, common, bucket_pairs, lo, hi, pair_elem):
+def _edge_scan(a, b, bucket_pairs, pair_pos):
     """Cross out-edge lists of every joined source pair; a dest-pair
     hit means the edges bond."""
     cand = []
@@ -1015,16 +1213,16 @@ def _edge_scan(a, b, common, bucket_pairs, lo, hi, pair_elem):
     bonded_b = set()
     comparisons = 0
     a_out, b_out = a.out, b.out
-    get_pair = pair_elem.get
-    for bi in range(lo, hi):
-        for xo, yo in bucket_pairs[bi]:
+    get_pair = pair_pos.get
+    for pairs in bucket_pairs:
+        for xo, yo in pairs:
             outs_x = a_out[xo]
             if not outs_x:
                 continue
             outs_y = b_out[yo]
             if not outs_y:
                 continue
-            src = pair_elem[(xo, yo)]
+            src = pair_pos[(xo, yo)]
             for oe in outs_x:
                 od = oe.dest
                 for of in outs_y:
@@ -1044,15 +1242,15 @@ def run_join(
     b: EngineIndex,
     semantics: str = CONJUNCTIVE,
     *,
-    threads: int = 1,
     target_db: Optional[PropertyGraph] = None,
 ) -> EngineRun:
     """Join two prepared operands.
 
-    The result lands in ``target_db`` when given (operands built from
-    live graphs in that database keep one shared element namespace) or
-    in a fresh database otherwise.  ``threads`` partitions the common
-    buckets for the scan phases; results are identical for any value.
+    Every phase runs here and every counter is final on return; the
+    result's edges stay factorized until first asked for (see
+    :class:`EngineRun`).  The result lands in ``target_db`` when given
+    (operands built from live graphs in that database keep one shared
+    element namespace) or in a fresh database otherwise.
     """
     if semantics not in (CONJUNCTIVE, DISJUNCTIVE):
         raise ValidationError(f"unknown semantics {semantics!r}")
@@ -1060,8 +1258,6 @@ def run_join(
         raise SpecMismatch(
             f"operands prepared for different key widths: {a.keys} vs {b.keys}"
         )
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
 
     counters = OpCounters()
     common = _merge_directories(a.directory, b.directory, counters)
@@ -1074,68 +1270,27 @@ def run_join(
     if a.edge_universe and b.edge_universe:
         offset_e = max(max(a.edge_universe), max(b.edge_universe)) + 1
 
-    want_matches = semantics == DISJUNCTIVE
-
-    def chunks():
-        n = len(common)
-        step = max(1, -(-n // threads))
-        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
     # vertex phase
-    if threads == 1 or len(common) <= 1:
-        v_parts = [_vertex_scan(a, b, common, 0, len(common), offset_v)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            v_parts = list(
-                pool.map(
-                    lambda rng: _vertex_scan(a, b, common, rng[0], rng[1], offset_v),
-                    chunks(),
-                )
-            )
-    v_cands = []
-    bucket_pairs = []
-    for cand, pairs, comparisons in v_parts:
-        v_cands.extend(cand)
-        bucket_pairs.extend(pairs)
-        counters.vertex_comparisons += comparisons
+    v_cands, bucket_pairs, counters.vertex_comparisons = _vertex_scan(a, b, common, offset_v)
 
     # one canonical vertex per (payload, replica) value, least operand
-    # tree wins; every contributing pair resolves to that instance
+    # tree wins
     v_best: dict[Element, tuple[Element, int, int]] = {}
     for xo, yo, m in v_cands:
         cur = v_best.get(m)
         if cur is None or m.decomposition_key() < cur[0].decomposition_key():
             v_best[m] = (m, xo, yo)
-    pair_elem: dict[tuple[int, int], Element] = {}
-    matches_a: dict[int, list[int]] = {}
-    matches_b: dict[int, list[int]] = {}
-    for xo, yo, m in v_cands:
-        pair_elem[(xo, yo)] = v_best[m][0]
-        if want_matches:
-            matches_a.setdefault(xo, []).append(yo)
-            matches_b.setdefault(yo, []).append(xo)
+    vertices = IndexedSet(m for m, _, _ in v_best.values())
+    # every contributing pair resolves to its canonical vertex, named by
+    # its position in the result's vertices
+    position = {v: i for i, v in enumerate(vertices)}
+    pair_pos = {(xo, yo): position[m] for xo, yo, m in v_cands}
 
     # edge phase
-    if threads == 1 or len(common) <= 1:
-        e_parts = [_edge_scan(a, b, common, bucket_pairs, 0, len(common), pair_elem)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            e_parts = list(
-                pool.map(
-                    lambda rng: _edge_scan(a, b, common, bucket_pairs, rng[0], rng[1], pair_elem),
-                    chunks(),
-                )
-            )
-    e_cands = []
-    bonded_a: set[int] = set()
-    bonded_b: set[int] = set()
-    for cand, ba, bb, comparisons in e_parts:
-        e_cands.extend(cand)
-        bonded_a |= ba
-        bonded_b |= bb
-        counters.edge_comparisons += comparisons
-
-    e_best: dict[Element, tuple[Element, tuple[Element, Element], frozenset]] = {}
+    e_cands, bonded_a, bonded_b, counters.edge_comparisons = _edge_scan(
+        a, b, bucket_pairs, pair_pos
+    )
+    e_best: dict[Element, tuple[Element, tuple[int, int], frozenset]] = {}
     for oe, of, src, dst in e_cands:
         ee, fe = oe.element, of.element
         m = Element(
@@ -1148,15 +1303,21 @@ def run_join(
             e_best[m] = (m, (src, dst), oe.labels | of.labels)
 
     # disjunctive pass: unbonded edges scan the opposite bucket for
-    # joined source partners; destination partners were recorded during
-    # the vertex phase
-    placeholder_entries: dict[Element, tuple[tuple[Element, Element], frozenset]] = {}
-    fill_requests = []
+    # joined source partners; destination partners come from the vertex
+    # phase.  Each unbonded edge's fills stay factorized as its source
+    # mates times its destination mates, with the joined vertices as
+    # positions in the result.
+    fills = []
     bucket_stats = []
     if semantics == DISJUNCTIVE:
+        matches_a: dict[int, list[int]] = {}
+        matches_b: dict[int, list[int]] = {}
+        for xo, yo, _ in v_cands:
+            matches_a.setdefault(xo, []).append(yo)
+            matches_b.setdefault(yo, []).append(xo)
         el_total = 0
         er_total = 0
-        for bi, ((ha, sa, ca), (hb, sb, cb)) in enumerate(common):
+        for (ha, sa, ca), (hb, sb, cb) in common:
             el_edges = [
                 (xo, oe)
                 for xo in range(sa, sa + ca)
@@ -1175,46 +1336,40 @@ def run_join(
                 src_mates = []
                 for yo in range(sb, sb + cb):
                     counters.disjunction_scans += 1
-                    if (xo, yo) in pair_elem:
+                    if (xo, yo) in pair_pos:
                         src_mates.append(yo)
-                if not src_mates:
-                    continue
                 dst_mates = matches_a.get(oe.dest, ())
-                for yo in src_mates:
-                    for y2 in dst_mates:
-                        fill_requests.append(
-                            (
-                                oe.element,
-                                b.elements[yo],
-                                b.elements[y2],
-                                "left",
-                                pair_elem[(xo, yo)],
-                                pair_elem[(oe.dest, y2)],
-                                oe.labels,
-                            )
+                if src_mates and dst_mates:
+                    fills.append(
+                        _FillSet(
+                            oe,
+                            "left",
+                            src_mates,
+                            dst_mates,
+                            [pair_pos[(xo, yo)] for yo in src_mates],
+                            [pair_pos[(oe.dest, y2)] for y2 in dst_mates],
                         )
+                    )
+                    counters.fill_edge_emissions += len(src_mates) * len(dst_mates)
             for yo, of in er_edges:
                 src_mates = []
                 for xo in range(sa, sa + ca):
                     counters.disjunction_scans += 1
-                    if (xo, yo) in pair_elem:
+                    if (xo, yo) in pair_pos:
                         src_mates.append(xo)
-                if not src_mates:
-                    continue
                 dst_mates = matches_b.get(of.dest, ())
-                for xo in src_mates:
-                    for x2 in dst_mates:
-                        fill_requests.append(
-                            (
-                                of.element,
-                                a.elements[xo],
-                                a.elements[x2],
-                                "right",
-                                pair_elem[(xo, yo)],
-                                pair_elem[(x2, of.dest)],
-                                of.labels,
-                            )
+                if src_mates and dst_mates:
+                    fills.append(
+                        _FillSet(
+                            of,
+                            "right",
+                            src_mates,
+                            dst_mates,
+                            [pair_pos[(xo, yo)] for xo in src_mates],
+                            [pair_pos[(x2, of.dest)] for x2 in dst_mates],
                         )
+                    )
+                    counters.fill_edge_emissions += len(src_mates) * len(dst_mates)
             bucket_stats.append(
                 BucketStat(
                     ha,
@@ -1240,56 +1395,26 @@ def run_join(
                 )
             )
 
-    result_edges = [m for m, _, _ in e_best.values()]
-    endpoint_map = {m: pair for m, pair, _ in e_best.values()}
-    edge_labels = {m: labs for m, _, labs in e_best.values()}
-
-    if fill_requests:
-        # placeholder numbering is side-blind, matching the reference
-        fill_requests.sort(key=lambda t: (t[0].sort_key, t[1].sort_key, t[2].sort_key))
-        pool_start = fresh_fill_start(
-            a.edge_universe, b.edge_universe, (m.replica for m in e_best)
-        )
-        fill_offset = pool_start + len(fill_requests)
-        for k, (real, v, v2, side, srcc, dstc, rlabels) in enumerate(fill_requests):
-            eps = Element(EMPTY_RECORD, pool_start + k, synthetic=True)
-            placeholder_entries[eps] = ((v, v2), frozenset())
-            idx = _pair_index(real.replica, eps.replica, fill_offset)
-            parts = (real, eps) if side == "left" else (eps, real)
-            m = Element(real.record, idx, parts=parts)
-            result_edges.append(m)
-            endpoint_map[m] = (srcc, dstc)
-            edge_labels[m] = rlabels
-            counters.fill_edge_emissions += 1
-
-    vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, xo, yo in v_best.values()}
-
-    rdb = target_db if target_db is not None else PropertyGraph()
-    if placeholder_entries:
-        rdb.attach_placeholder_edges(placeholder_entries)
-    vjoin = IndexedSet(m for m, _, _ in v_best.values())
-    ejoin = IndexedSet(result_edges)
-    cid = rdb.register_component(vjoin, ejoin, endpoint_map, vertex_labels, edge_labels)
-
     return EngineRun(
-        db=rdb,
-        component_id=cid,
-        vertices=vjoin,
-        edges=ejoin,
+        vertices=vertices,
+        vertex_sources=list(v_best.values()),
+        bonded=list(e_best.values()),
+        fills=fills,
         counters=counters,
         bucket_stats=tuple(bucket_stats),
         semantics=semantics,
         left=a,
         right=b,
+        target_db=target_db,
     )
 
 
-def conjunctive_join(a: EngineIndex, b: EngineIndex, *, threads: int = 1, target_db=None) -> EngineRun:
-    return run_join(a, b, CONJUNCTIVE, threads=threads, target_db=target_db)
+def conjunctive_join(a: EngineIndex, b: EngineIndex, *, target_db=None) -> EngineRun:
+    return run_join(a, b, CONJUNCTIVE, target_db=target_db)
 
 
-def disjunctive_join(a: EngineIndex, b: EngineIndex, *, threads: int = 1, target_db=None) -> EngineRun:
-    return run_join(a, b, DISJUNCTIVE, threads=threads, target_db=target_db)
+def disjunctive_join(a: EngineIndex, b: EngineIndex, *, target_db=None) -> EngineRun:
+    return run_join(a, b, DISJUNCTIVE, target_db=target_db)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,12 @@ def provenance_token(element: Element) -> str:
 def write_join_result(result, out_dir) -> tuple[str, str]:
     """Write a join result as a loadable file pair: vertex CSV with the
     union of attribute columns plus a provenance column, edge TSV with
-    src/dst ids.  Returns the two paths."""
+    src/dst ids.  Returns the two paths.
+
+    A vertex's id is its position in ``result.vertices``.  A result
+    that offers ``edge_rows`` (an engine run) streams its edges' rows
+    from there without materializing the edges; any other result (a
+    reference result, a graph) is read through its database."""
     os.makedirs(out_dir, exist_ok=True)
     vertex_path = os.path.join(out_dir, "vertices.csv")
     edge_path = os.path.join(out_dir, "edges.tsv")
@@ -220,11 +225,13 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
                 + [rec.get(a, "") for a in attrs]
                 + [provenance_token(v)]
             )
+    edge_rows = getattr(result, "edge_rows", None)
+    if edge_rows is not None:
+        rows = edge_rows()
+    else:
+        rows = ((ids[src], ids[dst]) for src, dst in map(result.db.endpoints_of, result.edges))
     with open(edge_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, delimiter="\t")
-        for e in result.edges:
-            src, dst = result.db.endpoints_of(e)
-            w.writerow([ids[src], ids[dst]])
+        csv.writer(fh, delimiter="\t").writerows(rows)
     return vertex_path, edge_path
 
 

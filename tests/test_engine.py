@@ -1,8 +1,8 @@
 """Optimized join engine: bucket hashing, operand loading, the binary
 index format, operands pruned to each other straight from files,
-parity with the reference join, threading, and the cost counters.  The
-citation instance's counter values are frozen by hand from the phase
-definitions."""
+parity with the reference join, the factorized result, and the cost
+counters.  The citation instance's counter values are frozen by hand
+from the phase definitions."""
 
 import struct
 
@@ -666,8 +666,6 @@ def test_run_join_validates_arguments(citation_instance):
     b = prepare(citation, ["1Author"])
     with pytest.raises(ValidationError):
         run_join(a, b, "both")
-    with pytest.raises(ValidationError):
-        run_join(a, b, threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +722,7 @@ def test_unbonded_edge_counts_feed_bucket_stats():
 
 
 # ---------------------------------------------------------------------------
-# hashing and threading do not change results
+# bucket hashing does not change results
 
 
 def test_bucket_collisions_change_counters_not_results():
@@ -741,16 +739,171 @@ def test_bucket_collisions_change_counters_not_results():
     assert squashed.counters.vertex_comparisons >= normal.counters.vertex_comparisons
 
 
-def test_thread_count_changes_nothing_observable():
-    db, left, right, pairs = build_pair(5, max_vertices=16, max_edges=28)
-    a = prepare(left, [pairs[0][0]])
-    b = prepare(right, [pairs[0][1]])
-    for semantics in (CONJUNCTIVE, DISJUNCTIVE):
-        solo = run_join(a, b, semantics, threads=1)
-        pooled = run_join(a, b, semantics, threads=4)
-        assert raw_signature(pooled) == raw_signature(solo)
-        assert pooled.counters.as_dict() == solo.counters.as_dict()
-        assert pooled.bucket_stats == solo.bucket_stats
+# ---------------------------------------------------------------------------
+# the factorized result: edges materialize on demand
+
+
+def written(run_or_graph, out_dir):
+    write_join_result(run_or_graph, out_dir)
+    return [(out_dir / name).read_bytes() for name in ("vertices.csv", "edges.tsv")]
+
+
+def assert_writes_what_it_materializes(run, out_dir):
+    """A fresh run writes the bytes it writes once materialized, and the
+    bytes its materialized graph writes through endpoint lookups; the
+    size it reports up front is the materialized size."""
+    n_vertices, n_edges = len(run.vertices), run.n_edges
+    fresh = written(run, out_dir / "fresh")
+    assert not run.materialized
+    graph = run.graph
+    assert run.materialized
+    assert written(run, out_dir / "forced") == fresh
+    assert written(graph, out_dir / "graph") == fresh
+    assert (n_vertices, n_edges) == (len(run.vertices), len(run.edges))
+    assert n_edges == len(graph.edges) == fresh[1].count(b"\n")
+    run.db.validate()
+
+
+def fill_numbering_keys(run):
+    """(real edge, source mate, destination mate) sort keys of the fills
+    in placeholder order: the reference numbers placeholders by them."""
+    keyed = []
+    for m in run.edges:
+        if m.parts is None or not any(p.synthetic for p in m.parts):
+            continue
+        eps, real = sorted(m.parts, key=lambda p: not p.synthetic)
+        v, v2 = run.db.endpoints_of(eps)
+        keyed.append((eps.replica, real.sort_key, v.sort_key, v2.sort_key))
+    return [key[1:] for key in sorted(keyed)]
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_factorized_result_writes_what_it_materializes(tmp_path, semantics):
+    fills = 0
+    for seed in range(40):
+        db, left, right, pairs = build_pair(seed)
+        run = run_join(prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]), semantics)
+        assert_writes_what_it_materializes(run, tmp_path / str(seed))
+        oracle = oracle_join(left, right, pairs, semantics)
+        assert raw_signature(run) == raw_signature(oracle)
+        fills += run.counters.fill_edge_emissions
+    assert fills > 0 if semantics == DISJUNCTIVE else fills == 0
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_factorized_citation_result_writes_what_it_materializes(
+    tmp_path, citation_instance, semantics
+):
+    db, researcher, citation = citation_instance
+    run = run_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]), semantics)
+    assert_writes_what_it_materializes(run, tmp_path)
+    oracle = oracle_join(researcher, citation, [("Name", "1Author")], semantics)
+    assert raw_signature(run) == raw_signature(oracle)
+
+
+def test_fills_of_one_edge_on_both_sides_number_in_reference_order(tmp_path):
+    # operands from two databases share edge elements, so one element
+    # can be an unbonded edge on both sides; its fills from the two
+    # sides interleave in placeholder order
+    shared = 0
+    for seed in range(60):
+        _, g1, _, _ = build_pair(seed)
+        _, g2, _, _ = build_pair(seed + 1000)
+        run = run_join(prepare(g1, ["k"]), prepare(g2, ["k"]), DISJUNCTIVE)
+        assert_writes_what_it_materializes(run, tmp_path / str(seed))
+        keys = fill_numbering_keys(run)
+        assert keys == sorted(keys)
+        lefts = {m.parts[0] for m in run.edges if m.parts[1].synthetic}
+        rights = {m.parts[1] for m in run.edges if m.parts[0].synthetic}
+        shared += len(lefts & rights)
+    assert shared > 0
+
+
+def reversed_buckets(index):
+    """``index`` with the vertices of every bucket in reverse order.  A
+    file read back is not checked for that order, so a join must not
+    depend on it."""
+    moved = list(range(index.n_vertices))
+    for _, start, count in index.directory:
+        moved[start : start + count] = reversed(moved[start : start + count])
+    # reversing is its own inverse: ordinal o now holds moved[o]
+    return EngineIndex(
+        index.keys,
+        tuple(index.elements[o] for o in moved),
+        tuple(index.key_values[o] for o in moved),
+        tuple(index.labels[o] for o in moved),
+        tuple(
+            tuple(OutEdge(e.eid, moved[e.dest], e.element, e.labels) for e in index.out[o])
+            for o in moved
+        ),
+        index.directory,
+        index.vertex_universe,
+        index.edge_universe,
+        index.skipped_vertices,
+        index.dropped_edges,
+    )
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_vertex_order_within_buckets_does_not_change_the_result(tmp_path, semantics):
+    multi_mate_fills = 0
+    for seed in range(40):
+        db, left, right, pairs = build_pair(seed)
+        a, b = prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]])
+        run = run_join(a, b, semantics)
+        back = run_join(reversed_buckets(a), reversed_buckets(b), semantics)
+        assert written(back, tmp_path / f"{seed}-reversed") == written(run, tmp_path / str(seed))
+        assert raw_signature(back) == raw_signature(run)
+        assert back.counters == run.counters
+        assert back.bucket_stats == run.bucket_stats
+        multi_mate_fills += sum(
+            len(fs.src_mates) > 1 or len(fs.dst_mates) > 1 for fs in run._fills
+        )
+    assert multi_mate_fills > 0 if semantics == DISJUNCTIVE else multi_mate_fills == 0
+
+
+def test_a_failed_materialization_raises_its_error_again():
+    db, left, right = fill_instance()
+    a, b = prepare(left, ["k"]), prepare(right, ["k"])
+    run_join(a, b, CONJUNCTIVE, target_db=db).db
+    # the disjunctive result has fills and the conjunctive one's
+    # vertices, which the database already holds: its placeholders are
+    # attached before registering its vertices fails
+    run = run_join(a, b, DISJUNCTIVE, target_db=db)
+    assert run.counters.fill_edge_emissions > 0
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="vertex .* already exists"):
+            run.db
+    assert not run.materialized
+
+
+def test_fills_with_equal_sort_keys_number_in_discovery_order(tmp_path):
+    # the operands share a real edge and the vertices its ends join
+    # with, so two of its fills tie on (real edge, source mate,
+    # destination mate); the reference numbers tied fills in the order
+    # the disjunctive pass finds them, which gives these rows
+    _, g1, _, _ = build_pair(133)
+    _, g2, _, _ = build_pair(1133)
+    run = run_join(prepare(g1, ["k"]), prepare(g2, ["k"]), DISJUNCTIVE)
+    rows = [
+        (3, 3), (3, 2), (2, 1), (3, 1), (4, 1), (3, 3), (3, 3), (2, 3), (2, 2), (2, 1), (3, 1),
+        (4, 1), (0, 3), (1, 3), (4, 3), (0, 2), (1, 2), (2, 0), (3, 0), (4, 0), (4, 2),
+    ]
+    assert written(run, tmp_path)[1] == b"".join(b"%d\t%d\r\n" % row for row in rows)
+    assert_writes_what_it_materializes(run, tmp_path / "again")
+
+
+def test_writing_and_sizing_a_result_does_not_materialize_it(tmp_path):
+    db, left, right, pairs = build_pair(3)
+    run = run_join(prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]), DISJUNCTIVE)
+    assert run.counters.fill_edge_emissions == 35
+    write_join_result(run, tmp_path)
+    explain(run)
+    assert (len(run.vertices), run.n_edges) == (9, 39)
+    assert not run.materialized
+    run.db
+    assert run.materialized
+    assert len(run.edges) == 39
 
 
 # ---------------------------------------------------------------------------

@@ -164,18 +164,15 @@ def test_join_commutes_up_to_predicate_inversion(r, s, use_eq):
 
 
 @given(indexed_sets(), indexed_sets(), indexed_sets())
-def test_join_associates_on_payload_and_leaf_sets(r, s, t):
+def test_join_associates_on_payload_sets(r, s, t):
     # Bracketing changes which intermediate merges collide on the same
-    # folded index, so result cardinalities can differ on duplicate
-    # payloads (e.g. |r|,|s|,|t| = 1,2,2 all sharing one payload gives
-    # 4 vs 3 elements).  The invariant is the SET of
-    # (payload, leaf multiset) signatures, not its multiset.
+    # folded index, so on duplicate payloads both the cardinality and
+    # the set of leaf multisets can differ between bracketings (see the
+    # frozen instances below).  The set of payloads does not.
     theta = ThetaPredicate.equalities([("k", "k")])
     left = theta_join(theta_join(r, s, theta), t, theta)
     right = theta_join(r, theta_join(s, t, theta), theta)
-    lsig = {(e.record.items, e.decomposition_key()) for e in left}
-    rsig = {(e.record.items, e.decomposition_key()) for e in right}
-    assert lsig == rsig
+    assert {e.record.items for e in left} == {e.record.items for e in right}
 
 
 def test_bracketing_can_change_cardinality_but_not_signatures():
@@ -191,6 +188,24 @@ def test_bracketing_can_change_cardinality_but_not_signatures():
     lsig = {(e.record.items, e.decomposition_key()) for e in left}
     rsig = {(e.record.items, e.decomposition_key()) for e in right}
     assert lsig == rsig
+
+
+def test_bracketing_can_change_leaf_sets():
+    # Frozen counterexample to leaf-set associativity: s_2+t_1 and
+    # s_1+t_2 fold to one index, so the right bracketing keeps a single
+    # (s, t) leaf pair where the left one keeps both, and the leaf set
+    # (r_1, s_2, t_1) exists only on the left.  Payload sets still agree.
+    theta = ThetaPredicate.equalities([("k", "k")])
+    r = IndexedSet.from_records([Record({"k": "1"})])
+    s = IndexedSet.from_records([Record({"k": "1"})] * 2)
+    t = IndexedSet.from_records([Record({"k": "1", "p": "x"})] * 2)
+    left = theta_join(theta_join(r, s, theta), t, theta)
+    right = theta_join(r, theta_join(s, t, theta), theta)
+    assert len(left) == 4 and len(right) == 3
+    assert {e.record.items for e in left} == {e.record.items for e in right}
+    lsig = {(e.record.items, e.decomposition_key()) for e in left}
+    rsig = {(e.record.items, e.decomposition_key()) for e in right}
+    assert rsig < lsig
 
 
 @given(indexed_sets())
