@@ -40,11 +40,7 @@ from .engine import (
     EngineIndex,
     EngineRun,
     OpCounters,
-    build_index,
-    conjunctive_join,
-    disjunctive_join,
     explain,
-    load,
     prepare,
     prepare_files,
     run_join,
@@ -96,11 +92,7 @@ __all__ = [
     "EngineIndex",
     "EngineRun",
     "OpCounters",
-    "build_index",
-    "conjunctive_join",
-    "disjunctive_join",
     "explain",
-    "load",
     "prepare",
     "prepare_files",
     "run_join",

@@ -20,7 +20,7 @@ import statistics
 import sys
 import time
 
-from .engine import build_index, explain, load, prepare_files, run_join
+from .engine import explain, prepare, prepare_files, run_join
 from .graphio import (
     GeneratorParams,
     build_graph,
@@ -252,31 +252,27 @@ def _bench_operands(scale, args):
 
 
 def _bench_cell(left, right, semantics):
-    """Timed load, index and join of one cell, and the join's counters.
-    The heap is collected before loading, so that the cell is not
+    """Timed prepare and join of one cell, and the join's counters.
+    The heap is collected before preparing, so that the cell is not
     charged for garbage left by generation or earlier cells.  The
     operands live through the join unchanged, so they are frozen once
     built: the join's collections then scan what the join allocates,
     not millions of operand objects again."""
     gc.collect()
     t0 = time.perf_counter()
-    la = load(left, ["dob1", "company1"])
-    lb = load(right, ["dob2", "company2"])
-    t_load = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    ia = build_index(la)
-    ib = build_index(lb)
-    t_index = time.perf_counter() - t1
+    ia = prepare(left, ["dob1", "company1"])
+    ib = prepare(right, ["dob2", "company2"])
+    t_prepare = time.perf_counter() - t0
     gc.freeze()
     try:
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         run = run_join(ia, ib, semantics)
         # the timed join includes materializing the result
         run.graph
-        t_join = time.perf_counter() - t2
+        t_join = time.perf_counter() - t1
     finally:
         gc.unfreeze()
-    return t_load, t_index, t_join, run.counters
+    return t_prepare, t_join, run.counters
 
 
 def cmd_bench(args) -> int:
@@ -301,20 +297,19 @@ def cmd_bench(args) -> int:
             times = []
             timed_out = False
             for _ in range(max(1, args.repeat)):
-                t_load, t_index, t_join, cell_counters = _bench_cell(left, right, semantics)
-                total = t_load + t_index + t_join
-                times.append((t_load, t_index, t_join, total))
+                t_prepare, t_join, cell_counters = _bench_cell(left, right, semantics)
+                total = t_prepare + t_join
+                times.append((t_prepare, t_join, total))
                 if total > args.timeout:
                     timed_out = True
                     break
-            tot = [t[3] for t in times]
+            tot = [t[2] for t in times]
             cell = {
                 "scale": scale,
                 "semantics": semantics,
                 "timed_out": timed_out,
-                "load_s": round(min(t[0] for t in times), 6),
-                "index_s": round(min(t[1] for t in times), 6),
-                "join_s": round(min(t[2] for t in times), 6),
+                "prepare_s": round(min(t[0] for t in times), 6),
+                "join_s": round(min(t[1] for t in times), 6),
                 "total_min_s": round(min(tot), 6),
                 "total_median_s": round(statistics.median(tot), 6),
                 "counters": cell_counters.as_dict(),
@@ -325,7 +320,7 @@ def cmd_bench(args) -> int:
             table_rows.append(
                 (
                     f"2^{scale} {semantics}",
-                    f"load {cell['load_s']:.3f}s  index {cell['index_s']:.3f}s  "
+                    f"prepare {cell['prepare_s']:.3f}s  "
                     f"join {cell['join_s']:.3f}s  total {shown}  "
                     f"comparisons {cell_counters.comparison_total}",
                 )

@@ -1,27 +1,28 @@
 """Hash-bucketed equi-join engine with observable costs.
 
 The reference join in ``logical.py`` is quadratic in everything.  This
-engine computes the same result for equality conditions in three
-phases, each independently usable:
+engine computes the same result for equality conditions in two phases,
+each independently usable:
 
-1. **Loading** (:func:`load`): pull one graph component into hash
-   buckets keyed by the join attributes.  Vertices missing a join
-   attribute are skipped; edges touching a skipped endpoint are
-   dropped (they can never bond and never find a joined partner, so
-   the result is unaffected).  Buckets are sorted internally, out-edge
-   lists per vertex as well, so later phases are order-deterministic.
-2. **Indexing** (:func:`build_index`): flatten the buckets into
-   ordinal arrays plus a sorted hash directory.  The result is an
-   :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one side
-   of a repeated join can be prepared once and reused.  The format
-   keeps every string once, the directory and out-edge structure as
-   int columns, and one checksummed section per part.  Reading it back
+1. **Prepare** (:func:`prepare`): index one graph component on its join
+   attributes in one pass.  Vertices are bucketed by the hash of their
+   key values and numbered by ordinal in bucket order; each carries its
+   sorted out-edges.  Vertices missing a join attribute are skipped;
+   edges touching a skipped endpoint are dropped (they can never bond
+   and never find a joined partner, so the result is unaffected).  The
+   result is an :class:`EngineIndex`, which also serializes to a stable
+   binary format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one
+   side of a repeated join can be prepared once and reused.  The format
+   keeps every string once, the directory and out-edge structure as int
+   columns, and one checksummed section per part.  Reading it back
    (:meth:`EngineIndex.from_bytes`) checks the structure at once but
    decodes a bucket's vertices and edges only when the join first
    touches that bucket.
-3. **Join** (:func:`run_join`, or :func:`conjunctive_join` /
-   :func:`disjunctive_join`): merge the two directories, scan common
+
+   :func:`prepare_files` is the pruned variant for a one-off join of two
+   file pairs: it reads both pairs, intersects their bucket hashes, and
+   builds only the part of each operand the join can reach.
+2. **Join** (:func:`run_join`): merge the two directories, scan common
    buckets pairwise for joined vertices, then scan out-edge list pairs
    of joined source pairs for bonded edges.  The disjunctive variant
    additionally finds edges that bonded with nothing; each of them
@@ -38,10 +39,6 @@ edge rows from the factorized form (:meth:`EngineRun.edge_rows`).  The
 fill and placeholder elements, the edge set and the result's database
 component are built only when a caller first asks for ``edges``,
 ``db``, ``graph`` or ``component_id``.
-
-For a one-off join of two file pairs, :func:`prepare_files` replaces
-the first two phases: it reads both pairs, intersects their bucket
-hashes, and builds only the part of each operand the join can reach.
 
 Every unit of work the join performs is counted in
 :class:`OpCounters`:
@@ -91,22 +88,18 @@ from .model import (
     ValidationError,
     _pair_index,
     fresh_fill_start,
+    pick_canonical,
 )
 
 __all__ = [
     "stable_hash",
-    "load",
-    "build_index",
     "prepare",
     "prepare_files",
-    "LoadedOperand",
     "EngineIndex",
     "OutEdge",
     "OpCounters",
     "BucketStat",
     "EngineRun",
-    "conjunctive_join",
-    "disjunctive_join",
     "run_join",
     "explain",
     "CostReport",
@@ -128,102 +121,7 @@ def stable_hash(values: tuple[str, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# phase 1: loading
-
-
-class _LoadedVertex:
-    __slots__ = ("element", "key", "labels", "out")
-
-    def __init__(self, element: Element, key: tuple[str, ...], labels: frozenset):
-        self.element = element
-        self.key = key
-        self.labels = labels
-        self.out: list = []
-
-
-class LoadedOperand:
-    """One graph component bucketed by join-key hash."""
-
-    __slots__ = (
-        "keys",
-        "buckets",
-        "vertex_universe",
-        "edge_universe",
-        "skipped_vertices",
-        "dropped_edges",
-    )
-
-    def __init__(self, keys, buckets, vertex_universe, edge_universe, skipped, dropped):
-        self.keys = keys
-        self.buckets = buckets
-        self.vertex_universe = vertex_universe
-        self.edge_universe = edge_universe
-        self.skipped_vertices = skipped
-        self.dropped_edges = dropped
-
-
-def _bucket_order(lv: _LoadedVertex) -> tuple:
-    return (lv.key, lv.element.sort_key)
-
-
-def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
-    keys = tuple(keys)
-    if not keys or any(not isinstance(k, str) or not k for k in keys):
-        raise ValidationError("join keys must be a non-empty sequence of attribute names")
-    return keys
-
-
-def load(
-    graph: Graph,
-    keys: Iterable[str],
-    *,
-    hash_override: Optional[Callable[[tuple[str, ...]], int]] = None,
-) -> LoadedOperand:
-    """Bucket one component's vertices by the hash of their join-key
-    values.  ``hash_override`` substitutes the bucket hash function;
-    it exists to force collisions in tests."""
-    keys = _check_keys(keys)
-    hfn = hash_override if hash_override is not None else stable_hash
-    db = graph.db
-
-    lv_of: dict[Element, _LoadedVertex] = {}
-    buckets: dict[int, list[_LoadedVertex]] = {}
-    skipped = 0
-    for v in graph.vertices:
-        rec = v.record
-        kt = tuple(rec.get(k) for k in keys)
-        if None in kt:
-            skipped += 1
-            continue
-        lv = _LoadedVertex(v, kt, db.vertex_labels_of(v))
-        lv_of[v] = lv
-        buckets.setdefault(hfn(kt), []).append(lv)
-
-    dropped = 0
-    for e in graph.edges:
-        src, dst = db.endpoints_of(e)
-        ls = lv_of.get(src)
-        ld = lv_of.get(dst)
-        if ls is None or ld is None:
-            dropped += 1
-            continue
-        ls.out.append((ld, e, db.edge_labels_of(e)))
-
-    for bucket in buckets.values():
-        bucket.sort(key=_bucket_order)
-
-    return LoadedOperand(
-        keys,
-        buckets,
-        graph.vertices.universe,
-        graph.edges.universe,
-        skipped,
-        dropped,
-    )
-
-
-# ---------------------------------------------------------------------------
-# phase 2: indexing
+# phase 1: prepare
 
 
 class OutEdge:
@@ -240,7 +138,7 @@ _NO_LABELS: frozenset = frozenset()
 
 
 class EngineIndex:
-    """Flattened, serializable form of a loaded operand.
+    """One prepared operand, in a serializable form.
 
     Vertices are numbered by ordinal in directory order (ascending
     bucket hash, then key, then element identity); ``directory`` maps
@@ -763,49 +661,114 @@ class _LazyColumn(Sequence):
         return iter(self._values)
 
 
-def build_index(loaded: LoadedOperand) -> EngineIndex:
-    ordinals: dict[int, int] = {}
-    elements, key_values, labels = [], [], []
-    directory = []
-    for h in sorted(loaded.buckets):
-        lvs = loaded.buckets[h]
-        directory.append((h, len(elements), len(lvs)))
-        for lv in lvs:
-            ordinals[id(lv)] = len(elements)
-            elements.append(lv.element)
-            key_values.append(lv.key)
-            labels.append(lv.labels)
+def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
+    keys = tuple(keys)
+    if not keys or any(not isinstance(k, str) or not k for k in keys):
+        raise ValidationError("join keys must be a non-empty sequence of attribute names")
+    return keys
 
-    out: list[tuple[OutEdge, ...]] = [() for _ in elements]
+
+def _bucket_order(vertex: tuple) -> tuple:
+    return (vertex[1], vertex[2].sort_key)
+
+
+def _out_order(entry: tuple) -> tuple:
+    return (entry[0], entry[1].replica, entry[1].record.items)
+
+
+def _index_operand(
+    keys, buckets, edges, vertex_universe, edge_universe, skipped, dropped
+) -> EngineIndex:
+    """The index of one operand, in one walk over its buckets and one
+    over its edges.
+
+    ``buckets`` maps each bucket hash to the bucket's vertices as
+    ``(tag, key tuple, element, labels)``, in any order; a bucket may be
+    empty.  A tag names one vertex within the call.  ``edges`` holds
+    ``(source tag, destination tag, element, labels)`` per out-edge
+    whose endpoints both sit in a bucket.
+
+    Ordinals follow the bucket hash, then the key tuple, then the
+    element's sort key.  Each out list sorts by destination ordinal,
+    replica and payload, and edge ids count up in ordinal order.
+    """
+    ordinal = {}
+    elements, key_values, labels, directory = [], [], [], []
+    for h in sorted(buckets):
+        bucket = buckets[h]
+        bucket.sort(key=_bucket_order)
+        directory.append((h, len(elements), len(bucket)))
+        for tag, kt, element, labs in bucket:
+            ordinal[tag] = len(elements)
+            elements.append(element)
+            key_values.append(kt)
+            labels.append(labs)
+
+    outs = [[] for _ in elements]
+    for src, dst, element, labs in edges:
+        outs[ordinal[src]].append((ordinal[dst], element, labs))
+    out = []
     eid = 0
-    for h in sorted(loaded.buckets):
-        for lv in loaded.buckets[h]:
-            o = ordinals[id(lv)]
-            entries = [(ordinals[id(dlv)], e, labs) for dlv, e, labs in lv.out]
-            entries.sort(key=lambda t: (t[0], t[1].replica, t[1].record.items))
-            oes = []
-            for dest, e, labs in entries:
-                oes.append(OutEdge(eid, dest, e, labs))
-                eid += 1
-            out[o] = tuple(oes)
+    for entries in outs:
+        entries.sort(key=_out_order)
+        out.append(tuple([OutEdge(eid + i, *entry) for i, entry in enumerate(entries)]))
+        eid += len(entries)
 
     return EngineIndex(
-        loaded.keys,
+        keys,
         tuple(elements),
         tuple(key_values),
         tuple(labels),
         tuple(out),
         tuple(directory),
-        loaded.vertex_universe,
-        loaded.edge_universe,
-        loaded.skipped_vertices,
-        loaded.dropped_edges,
+        vertex_universe,
+        edge_universe,
+        skipped,
+        dropped,
     )
 
 
-def prepare(graph: Graph, keys: Iterable[str], *, hash_override=None) -> EngineIndex:
-    """Loading and indexing in one call."""
-    return build_index(load(graph, keys, hash_override=hash_override))
+def prepare(
+    graph: Graph,
+    keys: Iterable[str],
+    *,
+    hash_override: Optional[Callable[[tuple[str, ...]], int]] = None,
+) -> EngineIndex:
+    """Index one component on the join attributes ``keys``.
+
+    Vertices are bucketed by the hash of their key values; a vertex
+    missing one is skipped, and an edge touching a skipped vertex is
+    dropped.  ``hash_override`` substitutes the bucket hash function;
+    it exists to force collisions in tests."""
+    keys = _check_keys(keys)
+    hfn = hash_override if hash_override is not None else stable_hash
+    db = graph.db
+
+    buckets: dict[int, list] = {}
+    keyless = set()
+    for v in graph.vertices:
+        rec = v.record
+        kt = tuple([rec.get(k) for k in keys])
+        if None in kt:
+            keyless.add(v)
+        else:
+            buckets.setdefault(hfn(kt), []).append((v, kt, v, db.vertex_labels_of(v)))
+
+    edges = []
+    for e in graph.edges:
+        src, dst = db.endpoints_of(e)
+        if src not in keyless and dst not in keyless:
+            edges.append((src, dst, e, db.edge_labels_of(e)))
+
+    return _index_operand(
+        keys,
+        buckets,
+        edges,
+        graph.vertices.universe,
+        graph.edges.universe,
+        len(keyless),
+        len(graph.edges) - len(edges),
+    )
 
 
 def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:
@@ -816,9 +779,9 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
     Pass 1 reads and validates the four files in the order left
     vertices, left edges, right vertices, right edges, raising what
     :func:`graphio.load_graph_pair` raises, and hashes each distinct key
-    tuple once.  Pass 2 materializes only the vertices of buckets found
-    on both sides, the destinations of their out-edges and those
-    out-edges.
+    tuple once.  Pass 2 builds, with vertices tagged by row number, only
+    the vertices of buckets found on both sides, the destinations of
+    their out-edges and those out-edges.
 
     :func:`run_join` on the pair gives the result, counters and bucket
     statistics it gives on ``prepare`` of both pairs loaded into one
@@ -865,46 +828,38 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
         edge_base += len(edges)
     common = sides[0][-1] & sides[1][-1]
 
-    # pass 2: materialize what can take part in the join
-    return tuple(build_index(_pruned_operand(*side, common)) for side in sides)
-
-
-def _pruned_operand(keys, bindings, edges, edge_base, replicas, key_of, hash_of, present, common):
-    buckets: dict[int, list[_LoadedVertex]] = {h: [] for h in present}
-    loaded: dict[int, _LoadedVertex] = {}
-
-    def vertex(row: int) -> _LoadedVertex:
-        lv = loaded.get(row)
-        if lv is None:
+    # pass 2: build what can take part in the join
+    indices = []
+    for keys, bindings, edges, edge_base, replicas, key_of, hash_of, present in sides:
+        rows = {row for row, h in enumerate(hash_of) if h in common}
+        out_edges = []
+        dropped = 0
+        for replica, (src, dst) in enumerate(edges, start=edge_base + 1):
+            if hash_of[src] is None or hash_of[dst] is None:
+                dropped += 1
+            elif hash_of[src] in common:
+                out_edges.append((src, dst, Element(EMPTY_RECORD, replica), _NO_LABELS))
+                rows.add(dst)
+        buckets: dict[int, list] = {h: [] for h in present}
+        for row in rows:
             element = Element(Record(bindings[row]), replicas[row])
-            lv = loaded[row] = _LoadedVertex(element, key_of[row], _NO_LABELS)
-            buckets[hash_of[row]].append(lv)
-        return lv
-
-    for row, h in enumerate(hash_of):
-        if h in common:
-            vertex(row)
-    dropped = 0
-    for replica, (src, dst) in enumerate(edges, start=edge_base + 1):
-        if hash_of[src] is None or hash_of[dst] is None:
-            dropped += 1
-        elif hash_of[src] in common:
-            vertex(src).out.append((vertex(dst), Element(EMPTY_RECORD, replica), _NO_LABELS))
-
-    for bucket in buckets.values():
-        bucket.sort(key=_bucket_order)
-    return LoadedOperand(
-        keys,
-        buckets,
-        frozenset(replicas),
-        frozenset(range(edge_base + 1, edge_base + len(edges) + 1)),
-        hash_of.count(None),
-        dropped,
-    )
+            buckets[hash_of[row]].append((row, key_of[row], element, _NO_LABELS))
+        indices.append(
+            _index_operand(
+                keys,
+                buckets,
+                out_edges,
+                frozenset(replicas),
+                frozenset(range(edge_base + 1, edge_base + len(edges) + 1)),
+                hash_of.count(None),
+                dropped,
+            )
+        )
+    return tuple(indices)
 
 
 # ---------------------------------------------------------------------------
-# phase 3: join
+# phase 2: join
 
 
 @dataclass
@@ -982,10 +937,10 @@ class EngineRun:
         self.left = left
         self.right = right
         self.n_edges = len(bonded) + counters.fill_edge_emissions
-        # (merged vertex, left ordinal, right ordinal) per result vertex
+        # (merged vertex, (left ordinal, right ordinal)) per result vertex
         self._vertex_sources = vertex_sources
-        # (edge, (source, destination) positions in vertices, labels) per
-        # bonded edge
+        # (edge, ((source, destination) positions in vertices, labels))
+        # per bonded edge
         self._bonded = bonded
         self._fills = fills
         self._order = None
@@ -1042,10 +997,10 @@ class EngineRun:
                 last = fs
                 items = fs.edge.element.record.items
                 while k < len(bonded) and bonded[k][0].record.items <= items:
-                    yield bonded[k][1]
+                    yield bonded[k][1][0]
                     k += 1
             yield fs.srcs[i], fs.dsts[j]
-        for _, ends, _ in bonded[k:]:
+        for _, (ends, _) in bonded[k:]:
             yield ends
 
     def _materialize(self) -> None:
@@ -1064,9 +1019,9 @@ class EngineRun:
     def _build(self) -> None:
         a, b = self.left, self.right
         joined = self.vertices.elements
-        result_edges = [m for m, _, _ in self._bonded]
-        endpoint_map = {m: (joined[src], joined[dst]) for m, (src, dst), _ in self._bonded}
-        edge_labels = {m: labs for m, _, labs in self._bonded}
+        result_edges = [m for m, _ in self._bonded]
+        endpoint_map = {m: (joined[src], joined[dst]) for m, ((src, dst), _) in self._bonded}
+        edge_labels = {m: labs for m, (_, labs) in self._bonded}
         placeholder_entries: dict[Element, tuple[tuple[Element, Element], frozenset]] = {}
         if self._fills:
             # placeholder numbering is side-blind, matching the reference
@@ -1090,7 +1045,7 @@ class EngineRun:
                 result_edges.append(m)
                 endpoint_map[m] = (joined[fs.srcs[i]], joined[fs.dsts[j]])
                 edge_labels[m] = fs.edge.labels
-        vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, xo, yo in self._vertex_sources}
+        vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, (xo, yo) in self._vertex_sources}
 
         rdb = self._db if self._db is not None else PropertyGraph()
         if placeholder_entries:
@@ -1173,8 +1128,9 @@ def _merge_directories(da, db_, counters: OpCounters):
 
 def _vertex_scan(a, b, common, offset_v):
     """Scan every common bucket: all left x right vertex pairs, key
-    equality plus payload agreement.  Returns candidate merges, the
-    per-bucket pair lists and the comparison count."""
+    equality plus payload agreement.  Returns the candidate merges as
+    (merged vertex, (left ordinal, right ordinal)), the per-bucket pair
+    lists and the comparison count."""
     cand = []
     bucket_pairs = []
     comparisons = 0
@@ -1199,15 +1155,19 @@ def _vertex_scan(a, b, common, offset_v):
                     _pair_index(xrep, ye.replica, offset_v),
                     parts=(xe, ye),
                 )
-                cand.append((xo, yo, merged))
-                pairs.append((xo, yo))
+                pair = (xo, yo)
+                cand.append((merged, pair))
+                pairs.append(pair)
         bucket_pairs.append(pairs)
     return cand, bucket_pairs, comparisons
 
 
-def _edge_scan(a, b, bucket_pairs, pair_pos):
+def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
     """Cross out-edge lists of every joined source pair; a dest-pair
-    hit means the edges bond."""
+    hit means the edges bond.  Bonded edges whose payloads agree are
+    merged; returns them as (merged edge, ((source, destination)
+    positions, labels)), the bonded edge ids of each side and the
+    comparison count."""
     cand = []
     bonded_a = set()
     bonded_b = set()
@@ -1232,9 +1192,46 @@ def _edge_scan(a, b, bucket_pairs, pair_pos):
                         continue
                     bonded_a.add(oe.eid)
                     bonded_b.add(of.eid)
-                    if oe.element.record.agrees_with(of.element.record):
-                        cand.append((oe, of, src, dst))
+                    ee, fe = oe.element, of.element
+                    if ee.record.agrees_with(fe.record):
+                        merged = Element(
+                            ee.record.combine(fe.record),
+                            _pair_index(ee.replica, fe.replica, offset_e),
+                            parts=(ee, fe),
+                        )
+                        cand.append((merged, ((src, dst), oe.labels | of.labels)))
     return cand, bonded_a, bonded_b, comparisons
+
+
+def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills):
+    """Append to ``fills`` the fill sets of one side's unbonded edges in
+    one common bucket, and return how many edges there are unbonded.
+
+    ``own`` is that side's operand, ``own_range`` and ``other_range``
+    the bucket's ordinals on this and the opposite side.  ``mates``
+    maps an own ordinal to ``{opposite ordinal: position}``, one entry
+    per vertex it joined into, positions naming the result's vertices.
+    Each unbonded edge scans the opposite bucket for the partners of
+    its source; its destination's come from ``mates``."""
+    unbonded = [(o, oe) for o in own_range for oe in own.out[o] if oe.eid not in bonded]
+    for o, oe in unbonded:
+        counters.disjunction_scans += len(other_range)
+        src_row = mates.get(o, {})
+        src_mates = [p for p in other_range if p in src_row]
+        dst_row = mates.get(oe.dest)
+        if src_mates and dst_row:
+            fills.append(
+                _FillSet(
+                    oe,
+                    side,
+                    src_mates,
+                    list(dst_row),
+                    [src_row[p] for p in src_mates],
+                    list(dst_row.values()),
+                )
+            )
+            counters.fill_edge_emissions += len(src_mates) * len(dst_row)
+    return len(unbonded)
 
 
 def run_join(
@@ -1275,32 +1272,18 @@ def run_join(
 
     # one canonical vertex per (payload, replica) value, least operand
     # tree wins
-    v_best: dict[Element, tuple[Element, int, int]] = {}
-    for xo, yo, m in v_cands:
-        cur = v_best.get(m)
-        if cur is None or m.decomposition_key() < cur[0].decomposition_key():
-            v_best[m] = (m, xo, yo)
-    vertices = IndexedSet(m for m, _, _ in v_best.values())
+    v_best = pick_canonical(v_cands)
+    vertices = IndexedSet(m for m, _ in v_best.values())
     # every contributing pair resolves to its canonical vertex, named by
     # its position in the result's vertices
     position = {v: i for i, v in enumerate(vertices)}
-    pair_pos = {(xo, yo): position[m] for xo, yo, m in v_cands}
+    pair_pos = {pair: position[m] for m, pair in v_cands}
 
     # edge phase
     e_cands, bonded_a, bonded_b, counters.edge_comparisons = _edge_scan(
-        a, b, bucket_pairs, pair_pos
+        a, b, bucket_pairs, pair_pos, offset_e
     )
-    e_best: dict[Element, tuple[Element, tuple[int, int], frozenset]] = {}
-    for oe, of, src, dst in e_cands:
-        ee, fe = oe.element, of.element
-        m = Element(
-            ee.record.combine(fe.record),
-            _pair_index(ee.replica, fe.replica, offset_e),
-            parts=(ee, fe),
-        )
-        cur = e_best.get(m)
-        if cur is None or m.decomposition_key() < cur[0].decomposition_key():
-            e_best[m] = (m, (src, dst), oe.labels | of.labels)
+    e_best = pick_canonical(e_cands)
 
     # disjunctive pass: unbonded edges scan the opposite bucket for
     # joined source partners; destination partners come from the vertex
@@ -1309,91 +1292,34 @@ def run_join(
     # positions in the result.
     fills = []
     bucket_stats = []
-    if semantics == DISJUNCTIVE:
-        matches_a: dict[int, list[int]] = {}
-        matches_b: dict[int, list[int]] = {}
-        for xo, yo, _ in v_cands:
-            matches_a.setdefault(xo, []).append(yo)
-            matches_b.setdefault(yo, []).append(xo)
-        el_total = 0
-        er_total = 0
-        for (ha, sa, ca), (hb, sb, cb) in common:
-            el_edges = [
-                (xo, oe)
-                for xo in range(sa, sa + ca)
-                for oe in a.out[xo]
-                if oe.eid not in bonded_a
-            ]
-            er_edges = [
-                (yo, of)
-                for yo in range(sb, sb + cb)
-                for of in b.out[yo]
-                if of.eid not in bonded_b
-            ]
-            el_total += len(el_edges)
-            er_total += len(er_edges)
-            for xo, oe in el_edges:
-                src_mates = []
-                for yo in range(sb, sb + cb):
-                    counters.disjunction_scans += 1
-                    if (xo, yo) in pair_pos:
-                        src_mates.append(yo)
-                dst_mates = matches_a.get(oe.dest, ())
-                if src_mates and dst_mates:
-                    fills.append(
-                        _FillSet(
-                            oe,
-                            "left",
-                            src_mates,
-                            dst_mates,
-                            [pair_pos[(xo, yo)] for yo in src_mates],
-                            [pair_pos[(oe.dest, y2)] for y2 in dst_mates],
-                        )
-                    )
-                    counters.fill_edge_emissions += len(src_mates) * len(dst_mates)
-            for yo, of in er_edges:
-                src_mates = []
-                for xo in range(sa, sa + ca):
-                    counters.disjunction_scans += 1
-                    if (xo, yo) in pair_pos:
-                        src_mates.append(xo)
-                dst_mates = matches_b.get(of.dest, ())
-                if src_mates and dst_mates:
-                    fills.append(
-                        _FillSet(
-                            of,
-                            "right",
-                            src_mates,
-                            dst_mates,
-                            [pair_pos[(xo, yo)] for xo in src_mates],
-                            [pair_pos[(x2, of.dest)] for x2 in dst_mates],
-                        )
-                    )
-                    counters.fill_edge_emissions += len(src_mates) * len(dst_mates)
-            bucket_stats.append(
-                BucketStat(
-                    ha,
-                    ca,
-                    cb,
-                    sum(len(a.out[o]) for o in range(sa, sa + ca)),
-                    sum(len(b.out[o]) for o in range(sb, sb + cb)),
-                    len(el_edges),
-                    len(er_edges),
-                )
+    disjunctive = semantics == DISJUNCTIVE
+    if disjunctive:
+        # in scan order, so opposite ordinals ascend
+        mates_a: dict[int, dict[int, int]] = {}
+        mates_b: dict[int, dict[int, int]] = {}
+        for (xo, yo), p in pair_pos.items():
+            mates_a.setdefault(xo, {})[yo] = p
+            mates_b.setdefault(yo, {})[xo] = p
+    for (ha, sa, ca), (hb, sb, cb) in common:
+        range_a, range_b = range(sa, sa + ca), range(sb, sb + cb)
+        unbonded_a = unbonded_b = 0
+        if disjunctive:
+            # left fills first, then right: fills keep discovery order
+            unbonded_a = _fill_sets("left", a, range_a, range_b, bonded_a, mates_a, counters, fills)
+            unbonded_b = _fill_sets("right", b, range_b, range_a, bonded_b, mates_b, counters, fills)
+            counters.el_peak += unbonded_a
+            counters.er_peak += unbonded_b
+        bucket_stats.append(
+            BucketStat(
+                ha,
+                ca,
+                cb,
+                sum(len(a.out[o]) for o in range_a),
+                sum(len(b.out[o]) for o in range_b),
+                unbonded_a,
+                unbonded_b,
             )
-        counters.el_peak = el_total
-        counters.er_peak = er_total
-    else:
-        for (ha, sa, ca), (hb, sb, cb) in common:
-            bucket_stats.append(
-                BucketStat(
-                    ha,
-                    ca,
-                    cb,
-                    sum(len(a.out[o]) for o in range(sa, sa + ca)),
-                    sum(len(b.out[o]) for o in range(sb, sb + cb)),
-                )
-            )
+        )
 
     return EngineRun(
         vertices=vertices,
@@ -1407,14 +1333,6 @@ def run_join(
         right=b,
         target_db=target_db,
     )
-
-
-def conjunctive_join(a: EngineIndex, b: EngineIndex, *, target_db=None) -> EngineRun:
-    return run_join(a, b, CONJUNCTIVE, target_db=target_db)
-
-
-def disjunctive_join(a: EngineIndex, b: EngineIndex, *, target_db=None) -> EngineRun:
-    return run_join(a, b, DISJUNCTIVE, target_db=target_db)
 
 
 # ---------------------------------------------------------------------------

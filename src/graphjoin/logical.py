@@ -30,6 +30,7 @@ from .model import (
     _pair_index,
     combine_elements,
     fresh_fill_start,
+    pick_canonical,
 )
 from .relational import ThetaPredicate, theta_join
 
@@ -97,15 +98,11 @@ def graph_join(left: Graph, right: Graph, spec: JoinSpec) -> JoinResult:
         for y in right.vertices:
             if theta(x, y) and x.record.agrees_with(y.record):
                 v_cands.append((x, y, combine_elements(x, y, lvu, rvu)))
-    v_best: dict[Element, Element] = {}
-    for _, _, m in v_cands:
-        cur = v_best.get(m)
-        if cur is None or m.decomposition_key() < cur.decomposition_key():
-            v_best[m] = m
+    v_best = pick_canonical((m, None) for _, _, m in v_cands)
     joined_pair: dict[tuple[Element, Element], Element] = {
-        (x, y): v_best[m] for x, y, m in v_cands
+        (x, y): v_best[m][0] for x, y, m in v_cands
     }
-    vjoin = IndexedSet(v_best.values())
+    vjoin = IndexedSet(m for m, _ in v_best.values())
 
     left_lam = {e: db.endpoints_of(e) for e in left.edges}
     right_lam = {f: db.endpoints_of(f) for f in right.edges}
@@ -131,11 +128,7 @@ def graph_join(left: Graph, right: Graph, spec: JoinSpec) -> JoinResult:
             if e.record.agrees_with(f.record):
                 e_cands.append((combine_elements(e, f, leu, reu), (src, dst)))
 
-    e_best: dict[Element, tuple[Element, tuple[Element, Element]]] = {}
-    for c, pair in e_cands:
-        cur = e_best.get(c)
-        if cur is None or c.decomposition_key() < cur[0].decomposition_key():
-            e_best[c] = (c, pair)
+    e_best = pick_canonical(e_cands)
     merged_edges = [c for c, _ in e_best.values()]
     endpoint_map = {c: pair for c, pair in e_best.values()}
 

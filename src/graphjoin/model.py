@@ -47,6 +47,7 @@ __all__ = [
     "combine_pairs",
     "combine_value",
     "decompose",
+    "pick_canonical",
     "runtime_extend",
     "fresh_fill_start",
 ]
@@ -251,6 +252,21 @@ class Element:
     def __repr__(self) -> str:
         tag = "~" if self.synthetic else ""
         return f"{tag}{self.record!r}_{self.replica}"
+
+
+def pick_canonical(pairs: Iterable[tuple[Element, object]]) -> dict:
+    """Per distinct element of the ``(element, data)`` pairs, the pair
+    whose element has the least :meth:`Element.decomposition_key`, the
+    first one on a tie: merges that land on one (payload, replica) value
+    keep one canonical operand tree, whatever order they come in.
+    Returned as ``{element: kept pair}`` in order of first appearance."""
+    best: dict = {}
+    for pair in pairs:
+        e = pair[0]
+        cur = best.get(e)
+        if cur is None or e.decomposition_key() < cur[0].decomposition_key():
+            best[e] = pair
+    return best
 
 
 def decompose(value: Element) -> Optional[tuple[Element, Element]]:

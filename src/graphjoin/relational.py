@@ -15,6 +15,7 @@ from .model import (
     IndexedSet,
     ValidationError,
     combine_elements,
+    pick_canonical,
 )
 
 __all__ = ["ThetaPredicate", "invert_predicate", "theta_join", "collapse_canonical"]
@@ -102,12 +103,7 @@ def collapse_canonical(candidates) -> list[Element]:
     key multiset is smallest.  Two operand pairs can collide only when
     both replicas live in both universes and the merged payloads agree;
     the survivor must not depend on enumeration order."""
-    best: dict[Element, Element] = {}
-    for e in candidates:
-        cur = best.get(e)
-        if cur is None or e.decomposition_key() < cur.decomposition_key():
-            best[e] = e
-    return list(best.values())
+    return [e for e, _ in pick_canonical((e, None) for e in candidates).values()]
 
 
 def theta_join(left: IndexedSet, right: IndexedSet, theta: ThetaPredicate) -> IndexedSet:

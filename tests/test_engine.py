@@ -1,26 +1,25 @@
-"""Optimized join engine: bucket hashing, operand loading, the binary
-index format, operands pruned to each other straight from files,
+"""Optimized join engine: bucket hashing, operand preparation, the
+binary index format, operands pruned to each other straight from files,
 parity with the reference join, the factorized result, and the cost
 counters.  The citation instance's counter values are frozen by hand
 from the phase definitions."""
 
+import hashlib
 import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphjoin
+import graphjoin.engine
 from graphjoin.engine import (
     EngineIndex,
     OutEdge,
     _SECTIONS,
     _pack_sections,
     _unpack_sections,
-    build_index,
-    conjunctive_join,
-    disjunctive_join,
     explain,
-    load,
     prepare,
     prepare_files,
     run_join,
@@ -69,24 +68,33 @@ def test_stable_hash_is_order_sensitive():
     assert stable_hash(("x", "y")) != stable_hash(("y", "x"))
 
 
+def test_export_lists_resolve():
+    # a name removed from a module must leave its export lists too
+    for module in (graphjoin, graphjoin.engine):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 # ---------------------------------------------------------------------------
-# phase 1: loading
+# prepare: bucketing
 
 
 def test_load_buckets_by_key_hash(citation_instance):
     db, researcher, citation = citation_instance
-    op = load(researcher, ["Name"])
-    assert op.keys == ("Name",)
-    assert set(op.buckets) == {stable_hash(("Alice",)), stable_hash(("Bob",))}
-    assert op.skipped_vertices == 0
-    assert op.dropped_edges == 0
-    (alice,) = op.buckets[stable_hash(("Alice",))]
-    assert alice.key == ("Alice",)
-    assert alice.labels == frozenset({"User"})
-    ((dest, edge, elabels),) = alice.out
-    assert dest.element.record == Record({"Name": "Bob"})
-    assert edge.record == Record({"Since": "2020"})
-    assert elabels == frozenset({"Follows"})
+    idx = prepare(researcher, ["Name"])
+    assert idx.keys == ("Name",)
+    assert {h for h, _, _ in idx.directory} == {stable_hash(("Alice",)), stable_hash(("Bob",))}
+    assert idx.skipped_vertices == 0
+    assert idx.dropped_edges == 0
+    ((alice, count),) = [
+        (start, count) for h, start, count in idx.directory if h == stable_hash(("Alice",))
+    ]
+    assert count == 1
+    assert idx.key_values[alice] == ("Alice",)
+    assert idx.labels[alice] == frozenset({"User"})
+    (oe,) = idx.out[alice]
+    assert idx.elements[oe.dest].record == Record({"Name": "Bob"})
+    assert oe.element.record == Record({"Since": "2020"})
+    assert oe.labels == frozenset({"Follows"})
 
 
 def test_load_skips_keyless_vertices_and_their_edges():
@@ -96,22 +104,27 @@ def test_load_skips_keyless_vertices_and_their_edges():
         [Record({"k": "1"}), Record({"other": "1"}), Record({"k": "2"})],
         [(0, 1, EMPTY_RECORD), (1, 2, EMPTY_RECORD), (0, 2, EMPTY_RECORD)],
     )
-    op = load(g, ["k"])
-    assert op.skipped_vertices == 1
-    assert op.dropped_edges == 2
-    assert sum(len(b) for b in op.buckets.values()) == 2
+    idx = prepare(g, ["k"])
+    assert idx.skipped_vertices == 1
+    assert idx.dropped_edges == 2
+    assert sum(count for _, _, count in idx.directory) == 2
+    assert sorted(idx.key_values) == [("1",), ("2",)]
+    # only the edge between the two keyed vertices stays
+    assert idx.n_edges == 1
+    ((src, (oe,)),) = [(o, outs) for o, outs in enumerate(idx.out) if outs]
+    assert (idx.key_values[src], idx.key_values[oe.dest]) == (("1",), ("2",))
 
 
 def test_load_rejects_bad_key_sequences(citation_instance):
     db, researcher, _ = citation_instance
     with pytest.raises(ValidationError):
-        load(researcher, [])
+        prepare(researcher, [])
     with pytest.raises(ValidationError):
-        load(researcher, [""])
+        prepare(researcher, [""])
 
 
 # ---------------------------------------------------------------------------
-# phase 2: indexing
+# prepare: ordinals and edge ids
 
 
 def test_index_directory_is_sorted_and_contiguous():
@@ -599,13 +612,69 @@ def test_prepare_files_rejects_bad_keys(tmp_path):
         prepare_files(left_pair, right_pair, ["k", "c"], ["k"])
 
 
+# SHA-256 of to_bytes() for both operands: prepare on build_pair seeds
+# 0-4, prepare_files on each FILE_CASES entry.  Ordinals and edge ids
+# shape every section of the bytes, so a builder that orders vertices or
+# out-edges differently fails here.
+FROZEN_PREPARE_DIGESTS = {
+    0: (
+        "966d6c6f0596533e857b0b53447a0320ba656232b1adc5a74b733ad8d6d53525",
+        "f9c826b43437748a6777a492a9110ca5dd4025cb5e8c93b67b9894e775b959c8",
+    ),
+    1: (
+        "cd48adf5f68ace4ae0319c9442313e7137a2681150e952b06110c643b9cc927d",
+        "69c0c98fd11c8dc5da99be7b57e27acda488270a79833d5dbd79797ebe0add21",
+    ),
+    2: (
+        "55624fc50d0f59c7fecc4d518f3af1633751f00b8a921c71600135ec39802d23",
+        "533cc92daf4f3e4492b4f5a5e7c575e10493fa1663508ad8111e939e00e68f0b",
+    ),
+    3: (
+        "3cb6c68bf5db6378ebf5385a7e58fcd418325cdfbfb6879c6df136150face1b7",
+        "16bb33846179837120b1a8eca1a01e95c3f292f18aab7f00b8e8642eb4c91a68",
+    ),
+    4: (
+        "2bfc9a31932a94c35a7d3e2bf1fc750e1018a616247941de391a1a9aafa2bb38",
+        "61aa67bc7bec2db179246f39ce60f42c97d87a1eaf0f2c20d8e27b2255981319",
+    ),
+}
+FROZEN_PREPARE_FILES_DIGESTS = {
+    "key-column-missing-on-one-side": (
+        "9748a3372ec718bc4e88a4eb65b10b28264baf0501b674d775373b5792f9495f",
+        "5096cf3eb6e1c5edebd3b2a81894c3f60ce78c7df8b71da22d36af421463bd0d",
+    ),
+    "no-common-bucket": (
+        "b63b77a20032b1d0d39b31bc017d18ebc0ee60e79d3ddc1df16f71b7e8152d5c",
+        "e3f5d1c1e714432c6cdf0659f97d539f1ac96b80833bdb9fea1390630cec3ed8",
+    ),
+    "shared-names": (
+        "99720bf1d4c52bc9677d0aff8327fbc62adcda5d81a8e45388577ab7d5915ecd",
+        "94354b450f95c0aad37c0c6a6bcf56f41427262beebbe948d5e15b245aa577bb",
+    ),
+}
+
+
+def test_index_bytes_are_frozen(tmp_path):
+    def digests(ops):
+        return tuple(hashlib.sha256(op.to_bytes()).hexdigest() for op in ops)
+
+    for seed, frozen in FROZEN_PREPARE_DIGESTS.items():
+        db, left, right, pairs = build_pair(seed)
+        assert digests((prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]))) == frozen
+    for case, frozen in FROZEN_PREPARE_FILES_DIGESTS.items():
+        lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+        left_pair = write_pair(tmp_path / f"{case}-left", lv, le)
+        right_pair = write_pair(tmp_path / f"{case}-right", rv, re_)
+        assert digests(prepare_files(left_pair, right_pair, keys_a, keys_b)) == frozen
+
+
 # ---------------------------------------------------------------------------
 # phase 3: join, frozen on the citation instance
 
 
 def test_citation_counters_are_frozen(citation_instance):
     db, researcher, citation = citation_instance
-    run = conjunctive_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]))
+    run = run_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]), CONJUNCTIVE)
     c = run.counters
     # two singleton buckets in common: each directory match costs one
     # step per side, each bucket scans 1x1 vertices, and the single
@@ -633,7 +702,7 @@ def test_citation_engine_matches_reference(citation_instance, semantics):
 
 def test_result_lands_in_a_fresh_database_by_default(citation_instance):
     db, researcher, citation = citation_instance
-    run = conjunctive_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]))
+    run = run_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]), CONJUNCTIVE)
     assert run.db is not db
     assert run.graph.vertices == run.vertices
     run.db.validate()
@@ -654,10 +723,10 @@ def test_result_can_land_in_the_operand_database(citation_instance):
 
 def test_mismatched_key_widths_are_rejected(citation_instance):
     db, researcher, citation = citation_instance
-    a = load(researcher, ["Name", "Name"])
-    b = load(citation, ["1Author"])
+    a = prepare(researcher, ["Name", "Name"])
+    b = prepare(citation, ["1Author"])
     with pytest.raises(SpecMismatch):
-        run_join(build_index(a), build_index(b))
+        run_join(a, b)
 
 
 def test_run_join_validates_arguments(citation_instance):
@@ -694,7 +763,7 @@ def fill_instance():
 def test_disjunctive_fills_match_reference():
     db, left, right = fill_instance()
     oracle = oracle_join(left, right, [("k", "k")], DISJUNCTIVE)
-    run = disjunctive_join(prepare(left, ["k"]), prepare(right, ["k"]))
+    run = run_join(prepare(left, ["k"]), prepare(right, ["k"]), DISJUNCTIVE)
     assert raw_signature(run) == raw_signature(oracle)
     assert run.counters.fill_edge_emissions == 1
     assert len(run.edges) == 1
@@ -706,7 +775,7 @@ def test_disjunctive_fills_match_reference():
 
 def test_conjunctive_run_drops_what_disjunctive_fills():
     db, left, right = fill_instance()
-    conj = conjunctive_join(prepare(left, ["k"]), prepare(right, ["k"]))
+    conj = run_join(prepare(left, ["k"]), prepare(right, ["k"]), CONJUNCTIVE)
     assert len(conj.edges) == 0
     assert conj.counters.fill_edge_emissions == 0
     assert conj.counters.disjunction_scans == 0
@@ -714,7 +783,7 @@ def test_conjunctive_run_drops_what_disjunctive_fills():
 
 def test_unbonded_edge_counts_feed_bucket_stats():
     db, left, right = fill_instance()
-    run = disjunctive_join(prepare(left, ["k"]), prepare(right, ["k"]))
+    run = run_join(prepare(left, ["k"]), prepare(right, ["k"]), DISJUNCTIVE)
     assert sum(s.left_unbonded for s in run.bucket_stats) == 1
     assert sum(s.right_unbonded for s in run.bucket_stats) == 0
     assert run.counters.el_peak == 1
@@ -925,7 +994,7 @@ def test_cost_report_bounds_hold_and_vertex_bound_is_tight():
 
 def test_cost_report_renders_all_counters(citation_instance):
     db, researcher, citation = citation_instance
-    run = conjunctive_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]))
+    run = run_join(prepare(researcher, ["Name"]), prepare(citation, ["1Author"]), CONJUNCTIVE)
     text = explain(run).render()
     for name in run.counters.as_dict():
         assert name in text
