@@ -94,7 +94,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     b.add_argument("--scales", default="10,12,14", help="comma-separated log2 sizes")
     b.add_argument("--semantics", choices=("both", "conjunctive", "disjunctive"), default="both")
     b.add_argument("--repeat", type=int, default=1)
-    b.add_argument("--timeout", type=float, default=60.0, help="seconds per cell")
+    timeout_help = "skip a cell's remaining repeats once one took longer than this many seconds"
+    b.add_argument("--timeout", type=float, default=60.0, help=timeout_help)
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--edge-factor", type=int, default=2)
     b.add_argument("--dob-values", type=int, default=365)

@@ -6,24 +6,26 @@ each independently usable:
 
 1. **Prepare** (:func:`prepare`): index one graph component on its join
    attributes in one pass.  Vertices are bucketed by the hash of their
-   key values and numbered by ordinal in bucket order; each carries its
-   sorted out-edges.  Vertices missing a join attribute are skipped;
-   edges touching a skipped endpoint are dropped (they can never bond
-   and never find a joined partner, so the result is unaffected).  The
-   result is an :class:`EngineIndex`, which also serializes to a stable
-   binary format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one
-   side of a repeated join can be prepared once and reused.  The format
-   keeps every string once, the directory and out-edge structure as int
-   columns, and one checksummed section per part.  Reading it back
-   (:meth:`EngineIndex.from_bytes`) checks the structure at once but
-   decodes a bucket's vertices and edges only when the join first
-   touches that bucket.
+   key values and numbered by ordinal in bucket order; out-edges are
+   numbered by source ordinal and held as columns in CSR form (offsets
+   per ordinal, then destination, element and labels per edge).
+   Vertices missing a join attribute are skipped; edges touching a
+   skipped endpoint are dropped (they can never bond and never find a
+   joined partner, so the result is unaffected).  The result is an
+   :class:`EngineIndex`, which also serializes to a stable binary
+   format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one side
+   of a repeated join can be prepared once and reused.  The format
+   keeps every string once, the directory and the same CSR offsets and
+   destinations as int columns, and one checksummed section per part.
+   Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
+   at once but decodes a bucket's vertices and edges only when the join
+   first touches that bucket.
 
    :func:`prepare_files` is the pruned variant for a one-off join of two
    file pairs: it reads both pairs, intersects their bucket hashes, and
    builds only the part of each operand the join can reach.
 2. **Join** (:func:`run_join`): merge the two directories, scan common
-   buckets pairwise for joined vertices, then scan out-edge list pairs
+   buckets pairwise for joined vertices, then cross the out-edge ranges
    of joined source pairs for bonded edges.  The disjunctive variant
    additionally finds edges that bonded with nothing; each of them
    fills in once per pair of vertices its source and its destination
@@ -69,9 +71,10 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from itertools import accumulate, chain
+from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain, islice
 from operator import add, attrgetter, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -96,7 +99,6 @@ __all__ = [
     "prepare",
     "prepare_files",
     "EngineIndex",
-    "OutEdge",
     "OpCounters",
     "BucketStat",
     "EngineRun",
@@ -124,75 +126,44 @@ def stable_hash(values: tuple[str, ...]) -> int:
 # phase 1: prepare
 
 
-class OutEdge:
-    __slots__ = ("eid", "dest", "element", "labels")
-
-    def __init__(self, eid: int, dest: int, element: Element, labels: frozenset):
-        self.eid = eid
-        self.dest = dest
-        self.element = element
-        self.labels = labels
-
-
 _NO_LABELS: frozenset = frozenset()
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class EngineIndex:
     """One prepared operand, in a serializable form.
 
     Vertices are numbered by ordinal in directory order (ascending
     bucket hash, then key, then element identity); ``directory`` maps
-    each bucket hash to its ordinal range.  Out-edges reference their
-    destination by ordinal and carry a flat edge id.
+    each bucket hash to its ordinal range.  ``elements``, ``key_values``
+    and ``labels`` are indexed by ordinal.  Out-edges are held in CSR
+    form, as in the file: the out-edges of ordinal ``o`` have the edge
+    ids ``edge_offsets[o]`` to ``edge_offsets[o + 1]``, ascending by
+    destination ordinal, replica and payload, and ``edge_dest``,
+    ``edge_elements`` and ``edge_labels`` are indexed by edge id.
 
-    ``elements``, ``key_values``, ``labels`` and ``out`` are indexed by
-    ordinal.  An index built in memory holds them as tuples.  One read
-    back with :meth:`from_bytes` holds sequence views instead: the first
-    access to an ordinal decodes that ordinal's whole bucket, so a join
-    pays only for the buckets it visits (``decoded_buckets`` counts
+    ``edge_offsets`` and ``edge_dest`` are int arrays, and an index
+    built in memory holds its other columns as tuples.  One read back
+    with :meth:`from_bytes` holds sequence views instead: the first
+    access to an ordinal or an edge id decodes its whole bucket, so a
+    join pays only for the buckets it visits (``decoded_buckets`` counts
     them).  ``n_edges`` and ``bucket_sizes()`` decode nothing.
     """
 
-    __slots__ = (
-        "keys",
-        "elements",
-        "key_values",
-        "labels",
-        "out",
-        "directory",
-        "vertex_universe",
-        "edge_universe",
-        "skipped_vertices",
-        "dropped_edges",
-        "_edge_offsets",
-        "_payload",
-    )
-
-    def __init__(
-        self,
-        keys,
-        elements,
-        key_values,
-        labels,
-        out,
-        directory,
-        vertex_universe,
-        edge_universe,
-        skipped_vertices,
-        dropped_edges,
-    ):
-        self.keys = keys
-        self.elements = elements
-        self.key_values = key_values
-        self.labels = labels
-        self.out = out
-        self.directory = directory
-        self.vertex_universe = vertex_universe
-        self.edge_universe = edge_universe
-        self.skipped_vertices = skipped_vertices
-        self.dropped_edges = dropped_edges
-        self._edge_offsets = None
-        self._payload = None
+    keys: tuple[str, ...]
+    elements: Sequence[Element]
+    key_values: Sequence[tuple[str, ...]]
+    labels: Sequence[frozenset]
+    edge_offsets: Sequence[int]
+    edge_dest: Sequence[int]
+    edge_elements: Sequence[Element]
+    edge_labels: Sequence[frozenset]
+    directory: tuple[tuple[int, int, int], ...]
+    vertex_universe: frozenset[int]
+    edge_universe: frozenset[int]
+    skipped_vertices: int
+    dropped_edges: int
+    _payload: Optional[_LazyPayload] = field(default=None, init=False)
 
     @property
     def n_vertices(self) -> int:
@@ -200,18 +171,11 @@ class EngineIndex:
 
     @property
     def n_edges(self) -> int:
-        return self._out_offsets()[-1]
-
-    def _out_offsets(self):
-        # CSR form: the out-edges of ordinal o have edge ids
-        # offsets[o] to offsets[o + 1]
-        if self._edge_offsets is None:
-            self._edge_offsets = list(accumulate(map(len, self.out), initial=0))
-        return self._edge_offsets
+        return len(self.edge_dest)
 
     def bucket_sizes(self) -> list[tuple[int, int, int]]:
         """(hash, vertices, total out-degree) per bucket."""
-        offsets = self._out_offsets()
+        offsets = self.edge_offsets
         return [
             (h, count, offsets[start + count] - offsets[start])
             for h, start, count in self.directory
@@ -255,17 +219,17 @@ class EngineIndex:
             return _varint(len(labels)) + b"".join([sid.get(s) or new(s) for s in sorted(labels)])
 
         keys = [sid.get(k) or new(k) for k in self.keys]
+        offsets = self.edge_offsets
+        edges = zip(self.edge_elements, self.edge_labels)
         blocks = []
-        edge_offsets = [0]
-        dest = []
-        for el, kvs, labs, outs in zip(self.elements, self.key_values, self.labels, self.out):
+        for el, kvs, labs, degree in zip(
+            self.elements, self.key_values, self.labels, map(sub, offsets[1:], offsets)
+        ):
             pieces = [_varint(el.replica)]
             pieces += [sid.get(v) or new(v) for v in kvs]
             pieces += (record(el.record.items), label_set(labs))
-            for oe in outs:
-                pieces += (_varint(oe.element.replica), record(oe.element.record.items), label_set(oe.labels))
-                dest.append(oe.dest)
-            edge_offsets.append(len(dest))
+            for ee, elabs in islice(edges, degree):
+                pieces += (_varint(ee.replica), record(ee.record.items), label_set(elabs))
             blocks.append(b"".join(pieces))
         payload = b"".join(blocks)
         vertex_at = list(accumulate(map(len, blocks), initial=0))
@@ -291,8 +255,8 @@ class EngineIndex:
                 "bucket_start": _column(starts),
                 "bucket_count": _column(counts),
                 "bucket_payload": _column(bucket_at),
-                "edge_offsets": _column(edge_offsets),
-                "edge_dest": _column(dest),
+                "edge_offsets": _column(offsets),
+                "edge_dest": _column(self.edge_dest),
                 "vertex_universe": (1, _universe_deltas(self.vertex_universe)),
                 "edge_universe": (1, _universe_deltas(self.edge_universe)),
                 "payload": (1, payload),
@@ -318,7 +282,8 @@ class EngineIndex:
         nkeys = meta[0] if meta else -1
         if len(meta) != nkeys + 3 or max(meta[1 : 1 + nkeys], default=-1) >= len(strings):
             raise ValidationError("corrupt index header fields")
-        keys = tuple([strings[i] for i in meta[1 : 1 + nkeys]])
+        # without a key, every bucket would join as a cross product
+        keys = _check_keys([strings[i] for i in meta[1 : 1 + nkeys]])
         skipped, dropped = meta[-2:]
 
         hashes, starts, counts, bucket_at = (
@@ -349,22 +314,22 @@ class EngineIndex:
         if bucket_at and (bucket_at[0] != 0 or bucket_at[-1] > len(payload) or not _ascending(bucket_at)):
             raise ValidationError("bucket payload offsets do not fit the payload")
 
-        lazy = _LazyPayload(
-            strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, dest, payload
-        )
+        lazy = _LazyPayload(strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, payload)
         index = cls(
             keys,
-            _LazyColumn(lazy, lazy.elements),
-            _LazyColumn(lazy, lazy.key_values),
-            _LazyColumn(lazy, lazy.labels),
-            _LazyColumn(lazy, lazy.out),
+            _LazyColumn(lazy, lazy.elements, lazy.decode_ordinal),
+            _LazyColumn(lazy, lazy.key_values, lazy.decode_ordinal),
+            _LazyColumn(lazy, lazy.labels, lazy.decode_ordinal),
+            edge_offsets,
+            dest,
+            _LazyColumn(lazy, lazy.edge_elements, lazy.decode_edge),
+            _LazyColumn(lazy, lazy.edge_labels, lazy.decode_edge),
             tuple(zip(hashes, starts, counts)),
             _read_universe(sec["vertex_universe"][1]),
             _read_universe(sec["edge_universe"][1]),
             skipped,
             dropped,
         )
-        index._edge_offsets = edge_offsets
         index._payload = lazy
         return index
 
@@ -520,14 +485,14 @@ def _read_universe(buf) -> frozenset[int]:
 
 
 class _LazyPayload:
-    """The ordinal columns of a deserialized index, filled one bucket
-    at a time.
+    """The ordinal and edge columns of a deserialized index, filled one
+    bucket at a time.
 
     A bucket's block holds, per vertex in ordinal order: replica, key
     value ids, the record as a binding count and (name id, value id)
     pairs, the labels as a count and ids; then per out-edge of that
     vertex, in edge id order: replica, record and labels alike.  Out-edge
-    counts and destinations come from the CSR columns.
+    counts come from the CSR offsets.
     """
 
     __slots__ = (
@@ -538,16 +503,16 @@ class _LazyPayload:
         "counts",
         "bucket_at",
         "edge_offsets",
-        "dest",
         "payload",
         "elements",
         "key_values",
         "labels",
-        "out",
+        "edge_elements",
+        "edge_labels",
         "done",
     )
 
-    def __init__(self, strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, dest, payload):
+    def __init__(self, strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, payload):
         self.strings = strings
         self.nkeys = nkeys
         self.hashes = hashes
@@ -555,19 +520,24 @@ class _LazyPayload:
         self.counts = counts
         self.bucket_at = bucket_at
         self.edge_offsets = edge_offsets
-        self.dest = dest
         self.payload = payload
         n = len(edge_offsets) - 1
         self.elements = [None] * n
         self.key_values = [None] * n
         self.labels = [None] * n
-        self.out = [None] * n
+        self.edge_elements = [None] * edge_offsets[-1]
+        self.edge_labels = [None] * edge_offsets[-1]
         self.done = bytearray(len(hashes))
 
     def decode_ordinal(self, o: int) -> None:
         # the last bucket starting at or before o; an empty bucket
         # shares its start with the next one, so it is never picked
         self.decode(bisect_right(self.starts, o) - 1)
+
+    def decode_edge(self, e: int) -> None:
+        # its source: the last ordinal whose out-edges start at or
+        # before e, so never one without out-edges
+        self.decode_ordinal(bisect_right(self.edge_offsets, e) - 1)
 
     def decode_all(self) -> None:
         for b, done in enumerate(self.done):
@@ -578,8 +548,8 @@ class _LazyPayload:
         start, count = self.starts[b], self.counts[b]
         block_end = self.bucket_at[b + 1] if b + 1 < len(self.bucket_at) else len(self.payload)
         ints = _read_varints(self.payload[self.bucket_at[b] : block_end])
-        strings, nkeys, edge_offsets, dest = self.strings, self.nkeys, self.edge_offsets, self.dest
-        elements, key_values, labels, out = [], [], [], []
+        strings, nkeys, edge_offsets = self.strings, self.nkeys, self.edge_offsets
+        elements, key_values, labels, edge_elements, edge_labels = [], [], [], [], []
         pos = 0
         try:
             for o in range(start, start + count):
@@ -589,13 +559,12 @@ class _LazyPayload:
                 labs, pos = _take_labels(ints, pos, strings)
                 elements.append(Element(rec, replica))
                 labels.append(labs)
-                oes = []
-                for eid in range(edge_offsets[o], edge_offsets[o + 1]):
+                for _ in range(edge_offsets[o], edge_offsets[o + 1]):
                     replica = ints[pos]
                     rec, pos = _take_record(ints, pos + 1, strings)
                     labs, pos = _take_labels(ints, pos, strings)
-                    oes.append(OutEdge(eid, dest[eid], Element(rec, replica), labs))
-                out.append(tuple(oes))
+                    edge_elements.append(Element(rec, replica))
+                    edge_labels.append(labs)
         except IndexError as exc:
             raise ValidationError(f"corrupt payload in bucket {b}") from exc
         if pos != len(ints):
@@ -608,7 +577,8 @@ class _LazyPayload:
         self.elements[start:end] = elements
         self.key_values[start:end] = key_values
         self.labels[start:end] = labels
-        self.out[start:end] = out
+        self.edge_elements[edge_offsets[start] : edge_offsets[end]] = edge_elements
+        self.edge_labels[edge_offsets[start] : edge_offsets[end]] = edge_labels
         self.done[b] = 1
 
 
@@ -634,26 +604,28 @@ def _take_labels(ints: list, pos: int, strings: list) -> tuple[frozenset, int]:
 
 
 class _LazyColumn(Sequence):
-    """One ordinal column of a deserialized index; reading an ordinal
-    decodes its bucket on first access."""
+    """One ordinal or edge column of a deserialized index; reading a
+    position decodes its bucket on first access.  ``decode`` decodes
+    the bucket of a position."""
 
-    __slots__ = ("_payload", "_values")
+    __slots__ = ("_payload", "_values", "_decode")
 
-    def __init__(self, payload: _LazyPayload, values: list):
+    def __init__(self, payload: _LazyPayload, values: list, decode: Callable[[int], None]):
         self._payload = payload
         self._values = values
+        self._decode = decode
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def __getitem__(self, o):
-        if isinstance(o, slice):
+    def __getitem__(self, i):
+        if isinstance(i, slice):
             self._payload.decode_all()
-            return tuple(self._values[o])
-        value = self._values[o]
+            return tuple(self._values[i])
+        value = self._values[i]
         if value is None:
-            self._payload.decode_ordinal(o % len(self._values))
-            value = self._values[o]
+            self._decode(i % len(self._values))
+            value = self._values[i]
         return value
 
     def __iter__(self):
@@ -668,58 +640,66 @@ def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
     return keys
 
 
-def _bucket_order(vertex: tuple) -> tuple:
-    return (vertex[1], vertex[2].sort_key)
-
-
-def _out_order(entry: tuple) -> tuple:
-    return (entry[0], entry[1].replica, entry[1].record.items)
-
-
 def _index_operand(
-    keys, buckets, edges, vertex_universe, edge_universe, skipped, dropped
+    keys, vertices, hashes, edges, vertex_universe, edge_universe, skipped
 ) -> EngineIndex:
-    """The index of one operand, in one walk over its buckets and one
-    over its edges.
+    """The index of one operand, in one sort of its vertices and one of
+    its edges.
 
-    ``buckets`` maps each bucket hash to the bucket's vertices as
-    ``(tag, key tuple, element, labels)``, in any order; a bucket may be
-    empty.  A tag names one vertex within the call.  ``edges`` holds
-    ``(source tag, destination tag, element, labels)`` per out-edge
-    whose endpoints both sit in a bucket.
+    ``vertices`` yields ``(tag, bucket hash, key tuple, element, labels)``
+    per vertex, in any order; a tag names one vertex within the call.
+    ``hashes`` holds bucket hashes the directory lists even when no
+    vertex falls in them.  ``edges`` yields ``(source tag, destination
+    tag, element, labels)`` per edge; an edge with an endpoint that is
+    not among ``vertices`` is dropped and counted.
 
     Ordinals follow the bucket hash, then the key tuple, then the
-    element's sort key.  Each out list sorts by destination ordinal,
-    replica and payload, and edge ids count up in ordinal order.
+    element's sort key.  Edge ids follow the source ordinal, then the
+    destination ordinal, replica and payload, then the order of
+    ``edges``.
     """
-    ordinal = {}
-    elements, key_values, labels, directory = [], [], [], []
-    for h in sorted(buckets):
-        bucket = buckets[h]
-        bucket.sort(key=_bucket_order)
-        directory.append((h, len(elements), len(bucket)))
-        for tag, kt, element, labs in bucket:
-            ordinal[tag] = len(elements)
-            elements.append(element)
-            key_values.append(kt)
-            labels.append(labs)
+    # sort keys hold only ints and strings, so the collector stops
+    # tracking them: building an index of any size leaves no pile of
+    # promoted objects that brings on a full collection later
+    tags, vertex_keys, elements, labels = [], [], [], []
+    for tag, h, kt, element, labs in vertices:
+        tags.append(tag)
+        vertex_keys.append((h, kt, element.sort_key))
+        elements.append(element)
+        labels.append(labs)
+    order = sorted(range(len(tags)), key=vertex_keys.__getitem__)
+    ordinal = {tags[v]: o for o, v in enumerate(order)}
+    sizes = Counter([h for h, _, _ in vertex_keys])
+    directory = []
+    start = 0
+    for h in sorted(sizes.keys() | hashes):
+        directory.append((h, start, sizes[h]))
+        start += sizes[h]
 
-    outs = [[] for _ in elements]
+    edge_keys, edge_elements, edge_labels = [], [], []
+    dropped = 0
+    degree = [0] * (len(tags) + 1)
     for src, dst, element, labs in edges:
-        outs[ordinal[src]].append((ordinal[dst], element, labs))
-    out = []
-    eid = 0
-    for entries in outs:
-        entries.sort(key=_out_order)
-        out.append(tuple([OutEdge(eid + i, *entry) for i, entry in enumerate(entries)]))
-        eid += len(entries)
+        so, do = ordinal.get(src), ordinal.get(dst)
+        if so is None or do is None:
+            dropped += 1
+        else:
+            edge_keys.append((so, do, element.replica, element.record.items))
+            edge_elements.append(element)
+            edge_labels.append(labs)
+            degree[so + 1] += 1
+    # stable, so ties keep the order of edges
+    edge_order = sorted(range(len(edge_keys)), key=edge_keys.__getitem__)
 
     return EngineIndex(
         keys,
-        tuple(elements),
-        tuple(key_values),
-        tuple(labels),
-        tuple(out),
+        tuple([elements[v] for v in order]),
+        tuple([vertex_keys[v][1] for v in order]),
+        tuple([labels[v] for v in order]),
+        array("Q", accumulate(degree)),
+        array("Q", [edge_keys[e][1] for e in edge_order]),
+        tuple([edge_elements[e] for e in edge_order]),
+        tuple([edge_labels[e] for e in edge_order]),
         tuple(directory),
         vertex_universe,
         edge_universe,
@@ -743,31 +723,19 @@ def prepare(
     keys = _check_keys(keys)
     hfn = hash_override if hash_override is not None else stable_hash
     db = graph.db
-
-    buckets: dict[int, list] = {}
-    keyless = set()
-    for v in graph.vertices:
-        rec = v.record
-        kt = tuple([rec.get(k) for k in keys])
-        if None in kt:
-            keyless.add(v)
-        else:
-            buckets.setdefault(hfn(kt), []).append((v, kt, v, db.vertex_labels_of(v)))
-
-    edges = []
-    for e in graph.edges:
-        src, dst = db.endpoints_of(e)
-        if src not in keyless and dst not in keyless:
-            edges.append((src, dst, e, db.edge_labels_of(e)))
-
+    key_of = [tuple([v.record.get(k) for k in keys]) for v in graph.vertices]
     return _index_operand(
         keys,
-        buckets,
-        edges,
+        (
+            (v, hfn(kt), kt, v, db.vertex_labels_of(v))
+            for v, kt in zip(graph.vertices, key_of)
+            if None not in kt
+        ),
+        (),
+        ((*db.endpoints_of(e), e, db.edge_labels_of(e)) for e in graph.edges),
         graph.vertices.universe,
         graph.edges.universe,
-        len(keyless),
-        len(graph.edges) - len(edges),
+        sum(None in kt for kt in key_of),
     )
 
 
@@ -832,27 +800,27 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
     indices = []
     for keys, bindings, edges, edge_base, replicas, key_of, hash_of, present in sides:
         rows = {row for row, h in enumerate(hash_of) if h in common}
-        out_edges = []
-        dropped = 0
-        for replica, (src, dst) in enumerate(edges, start=edge_base + 1):
-            if hash_of[src] is None or hash_of[dst] is None:
-                dropped += 1
-            elif hash_of[src] in common:
-                out_edges.append((src, dst, Element(EMPTY_RECORD, replica), _NO_LABELS))
-                rows.add(dst)
-        buckets: dict[int, list] = {h: [] for h in present}
-        for row in rows:
-            element = Element(Record(bindings[row]), replicas[row])
-            buckets[hash_of[row]].append((row, key_of[row], element, _NO_LABELS))
+        rows.update(dst for src, dst in edges if hash_of[src] in common and hash_of[dst] is not None)
+        vertices = (
+            (row, hash_of[row], key_of[row], Element(Record(bindings[row]), replicas[row]), _NO_LABELS)
+            for row in rows
+        )
+        # the edges out of common buckets, which the builder keeps, and
+        # those with a keyless end, which it counts as dropped
+        out_edges = (
+            (src, dst, Element(EMPTY_RECORD, replica), _NO_LABELS)
+            for replica, (src, dst) in enumerate(edges, start=edge_base + 1)
+            if hash_of[src] in common or hash_of[src] is None or hash_of[dst] is None
+        )
         indices.append(
             _index_operand(
                 keys,
-                buckets,
+                vertices,
+                present,
                 out_edges,
                 frozenset(replicas),
                 frozenset(range(edge_base + 1, edge_base + len(edges) + 1)),
                 hash_of.count(None),
-                dropped,
             )
         )
     return tuple(indices)
@@ -995,7 +963,7 @@ class EngineRun:
         for fs, i, j in self._fill_order():
             if fs is not last:
                 last = fs
-                items = fs.edge.element.record.items
+                items = fs.element.record.items
                 while k < len(bonded) and bonded[k][0].record.items <= items:
                     yield bonded[k][1][0]
                     k += 1
@@ -1031,7 +999,7 @@ class EngineRun:
             fill_offset = pool_start + self.counters.fill_edge_emissions
             k = pool_start
             for fs, i, j in self._fill_order():
-                real = fs.edge.element
+                real = fs.element
                 mates = b.elements if fs.side == "left" else a.elements
                 eps = Element(EMPTY_RECORD, k, synthetic=True)
                 k += 1
@@ -1044,7 +1012,7 @@ class EngineRun:
                 m = Element(real.record, idx, parts=parts)
                 result_edges.append(m)
                 endpoint_map[m] = (joined[fs.srcs[i]], joined[fs.dsts[j]])
-                edge_labels[m] = fs.edge.labels
+                edge_labels[m] = fs.labels
         vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, (xo, yo) in self._vertex_sources}
 
         rdb = self._db if self._db is not None else PropertyGraph()
@@ -1059,12 +1027,14 @@ class EngineRun:
 
 
 class _FillSet(NamedTuple):
-    """The fills of one unbonded edge, one per (source mate, destination
-    mate) pair.  Mates are ordinals of the opposite operand; ``srcs[i]``
-    is the position in the result's vertices of the vertex the edge's
-    source joined into with ``src_mates[i]``, ``dsts[j]`` likewise."""
+    """The fills of one unbonded edge, its ``element`` with its
+    ``labels``, one per (source mate, destination mate) pair.  Mates
+    are ordinals of the opposite operand; ``srcs[i]`` is the position in
+    the result's vertices of the vertex the edge's source joined into
+    with ``src_mates[i]``, ``dsts[j]`` likewise."""
 
-    edge: OutEdge
+    element: Element
+    labels: frozenset
     side: str
     src_mates: list
     dst_mates: list
@@ -1083,7 +1053,7 @@ def _fill_order(fills: list, a: EngineIndex, b: EngineIndex) -> list:
     stable, so ties keep discovery order.
     """
     mates_of = [b.elements if fs.side == "left" else a.elements for fs in fills]
-    real_rank = _ranks(fs.edge.element for fs in fills)
+    real_rank = _ranks(fs.element for fs in fills)
     mate_rank = _ranks(
         mates[o] for fs, mates in zip(fills, mates_of) for o in chain(fs.src_mates, fs.dst_mates)
     )
@@ -1091,7 +1061,7 @@ def _fill_order(fills: list, a: EngineIndex, b: EngineIndex) -> list:
     keys = []
     cells = []
     for fs, mates in zip(fills, mates_of):
-        base = real_rank[fs.edge.element] * width
+        base = real_rank[fs.element] * width
         dst_ranks = [mate_rank[mates[o]] for o in fs.dst_mates]
         for i, src in enumerate(fs.src_mates):
             row = (base + mate_rank[mates[src]]) * width
@@ -1163,8 +1133,8 @@ def _vertex_scan(a, b, common, offset_v):
 
 
 def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
-    """Cross out-edge lists of every joined source pair; a dest-pair
-    hit means the edges bond.  Bonded edges whose payloads agree are
+    """Cross the out-edges of every joined source pair; a dest-pair hit
+    means the edges bond.  Bonded edges whose payloads agree are
     merged; returns them as (merged edge, ((source, destination)
     positions, labels)), the bonded edge ids of each side and the
     comparison count."""
@@ -1172,34 +1142,35 @@ def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
     bonded_a = set()
     bonded_b = set()
     comparisons = 0
-    a_out, b_out = a.out, b.out
+    a_offsets, b_offsets = a.edge_offsets, b.edge_offsets
+    a_dest, b_dest = a.edge_dest, b.edge_dest
+    a_edges, b_edges = a.edge_elements, b.edge_elements
+    a_labels, b_labels = a.edge_labels, b.edge_labels
     get_pair = pair_pos.get
     for pairs in bucket_pairs:
         for xo, yo in pairs:
-            outs_x = a_out[xo]
-            if not outs_x:
-                continue
-            outs_y = b_out[yo]
-            if not outs_y:
+            outs_x = range(a_offsets[xo], a_offsets[xo + 1])
+            outs_y = range(b_offsets[yo], b_offsets[yo + 1])
+            if not (outs_x and outs_y):
                 continue
             src = pair_pos[(xo, yo)]
-            for oe in outs_x:
-                od = oe.dest
-                for of in outs_y:
+            for ex in outs_x:
+                dx = a_dest[ex]
+                for ey in outs_y:
                     comparisons += 1
-                    dst = get_pair((od, of.dest))
+                    dst = get_pair((dx, b_dest[ey]))
                     if dst is None:
                         continue
-                    bonded_a.add(oe.eid)
-                    bonded_b.add(of.eid)
-                    ee, fe = oe.element, of.element
+                    bonded_a.add(ex)
+                    bonded_b.add(ey)
+                    ee, fe = a_edges[ex], b_edges[ey]
                     if ee.record.agrees_with(fe.record):
                         merged = Element(
                             ee.record.combine(fe.record),
                             _pair_index(ee.replica, fe.replica, offset_e),
                             parts=(ee, fe),
                         )
-                        cand.append((merged, ((src, dst), oe.labels | of.labels)))
+                        cand.append((merged, ((src, dst), a_labels[ex] | b_labels[ey])))
     return cand, bonded_a, bonded_b, comparisons
 
 
@@ -1213,16 +1184,20 @@ def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills
     per vertex it joined into, positions naming the result's vertices.
     Each unbonded edge scans the opposite bucket for the partners of
     its source; its destination's come from ``mates``."""
-    unbonded = [(o, oe) for o in own_range for oe in own.out[o] if oe.eid not in bonded]
-    for o, oe in unbonded:
+    offsets = own.edge_offsets
+    unbonded = [
+        (o, e) for o in own_range for e in range(offsets[o], offsets[o + 1]) if e not in bonded
+    ]
+    for o, e in unbonded:
         counters.disjunction_scans += len(other_range)
         src_row = mates.get(o, {})
         src_mates = [p for p in other_range if p in src_row]
-        dst_row = mates.get(oe.dest)
+        dst_row = mates.get(own.edge_dest[e])
         if src_mates and dst_row:
             fills.append(
                 _FillSet(
-                    oe,
+                    own.edge_elements[e],
+                    own.edge_labels[e],
                     side,
                     src_mates,
                     list(dst_row),
@@ -1300,6 +1275,7 @@ def run_join(
         for (xo, yo), p in pair_pos.items():
             mates_a.setdefault(xo, {})[yo] = p
             mates_b.setdefault(yo, {})[xo] = p
+    a_offsets, b_offsets = a.edge_offsets, b.edge_offsets
     for (ha, sa, ca), (hb, sb, cb) in common:
         range_a, range_b = range(sa, sa + ca), range(sb, sb + cb)
         unbonded_a = unbonded_b = 0
@@ -1314,8 +1290,8 @@ def run_join(
                 ha,
                 ca,
                 cb,
-                sum(len(a.out[o]) for o in range_a),
-                sum(len(b.out[o]) for o in range_b),
+                a_offsets[sa + ca] - a_offsets[sa],
+                b_offsets[sb + cb] - b_offsets[sb],
                 unbonded_a,
                 unbonded_b,
             )

@@ -191,9 +191,15 @@ def _leaf_token(leaf: Element) -> str:
     return f"{tag}{digest}:{leaf.replica}"
 
 
-def provenance_token(element: Element) -> str:
-    """Compact description of an element's operand tree leaves."""
-    return "+".join(_leaf_token(l) for l in element.leaves())
+def provenance_token(element: Element, tokens: dict | None = None) -> str:
+    """Compact description of an element's operand tree leaves.
+    ``tokens`` memoizes leaf tokens by leaf identity; a caller passing it
+    keeps the leaves alive while it holds it."""
+    tokens = {} if tokens is None else tokens
+    for leaf in element.leaves():
+        if id(leaf) not in tokens:
+            tokens[id(leaf)] = _leaf_token(leaf)
+    return "+".join([tokens[id(leaf)] for leaf in element.leaves()])
 
 
 def write_join_result(result, out_dir) -> tuple[str, str]:
@@ -215,6 +221,8 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
                 f"attribute name {reserved!r} collides with a reserved column"
             )
     ids = {v: i for i, v in enumerate(result.vertices)}
+    # joined vertices share leaves, which result.vertices keeps alive
+    tokens: dict = {}
     with open(vertex_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + attrs + ["_provenance"])
@@ -223,7 +231,7 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
             w.writerow(
                 [ids[v]]
                 + [rec.get(a, "") for a in attrs]
-                + [provenance_token(v)]
+                + [provenance_token(v, tokens)]
             )
     edge_rows = getattr(result, "edge_rows", None)
     if edge_rows is not None:

@@ -6,6 +6,8 @@ from the phase definitions."""
 
 import hashlib
 import struct
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,6 @@ import graphjoin
 import graphjoin.engine
 from graphjoin.engine import (
     EngineIndex,
-    OutEdge,
     _SECTIONS,
     _pack_sections,
     _unpack_sections,
@@ -41,6 +42,11 @@ from graphjoin.relational import ThetaPredicate
 from graphjoin.verify import build_pair, check_oracle_engine, raw_signature
 
 NAME_EQ = ThetaPredicate.equalities([("Name", "1Author")])
+
+
+def out_edges(index, o):
+    """The edge ids of ordinal ``o``'s out-edges."""
+    return range(index.edge_offsets[o], index.edge_offsets[o + 1])
 
 
 def oracle_join(left, right, pairs, semantics):
@@ -91,10 +97,10 @@ def test_load_buckets_by_key_hash(citation_instance):
     assert count == 1
     assert idx.key_values[alice] == ("Alice",)
     assert idx.labels[alice] == frozenset({"User"})
-    (oe,) = idx.out[alice]
-    assert idx.elements[oe.dest].record == Record({"Name": "Bob"})
-    assert oe.element.record == Record({"Since": "2020"})
-    assert oe.labels == frozenset({"Follows"})
+    (e,) = out_edges(idx, alice)
+    assert idx.elements[idx.edge_dest[e]].record == Record({"Name": "Bob"})
+    assert idx.edge_elements[e].record == Record({"Since": "2020"})
+    assert idx.edge_labels[e] == frozenset({"Follows"})
 
 
 def test_load_skips_keyless_vertices_and_their_edges():
@@ -111,8 +117,8 @@ def test_load_skips_keyless_vertices_and_their_edges():
     assert sorted(idx.key_values) == [("1",), ("2",)]
     # only the edge between the two keyed vertices stays
     assert idx.n_edges == 1
-    ((src, (oe,)),) = [(o, outs) for o, outs in enumerate(idx.out) if outs]
-    assert (idx.key_values[src], idx.key_values[oe.dest]) == (("1",), ("2",))
+    ((src, (e,)),) = [(o, out_edges(idx, o)) for o in range(idx.n_vertices) if out_edges(idx, o)]
+    assert (idx.key_values[src], idx.key_values[idx.edge_dest[e]]) == (("1",), ("2",))
 
 
 def test_load_rejects_bad_key_sequences(citation_instance):
@@ -141,9 +147,22 @@ def test_index_directory_is_sorted_and_contiguous():
 
 def test_index_edge_ids_are_dense_in_ordinal_order(citation_instance):
     db, researcher, citation = citation_instance
-    idx = prepare(researcher, ["Name"])
-    eids = [oe.eid for outs in idx.out for oe in outs]
-    assert eids == list(range(idx.n_edges))
+    operands = [prepare(researcher, ["Name"]), prepare(citation, ["1Author"])]
+    for seed in range(20):
+        db, left, right, pairs = build_pair(seed)
+        operands += [prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]])]
+    for idx in operands:
+        offsets = list(idx.edge_offsets)
+        assert len(offsets) == idx.n_vertices + 1
+        assert offsets[0] == 0 and offsets == sorted(offsets)
+        assert offsets[-1] == idx.n_edges == len(idx.edge_dest) == len(idx.edge_elements)
+        assert len(idx.edge_labels) == idx.n_edges
+        for o in range(idx.n_vertices):
+            order = [
+                (idx.edge_dest[e], idx.edge_elements[e].replica, idx.edge_elements[e].record.items)
+                for e in out_edges(idx, o)
+            ]
+            assert all(x < y for x, y in zip(order, order[1:]))
 
 
 def test_index_counts_and_bucket_sizes(citation_instance):
@@ -236,7 +255,8 @@ def test_from_bytes_rejects_broken_directories(citation_instance):
         for i, (h, start, count) in enumerate(idx.directory)
     )
     tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels, idx.out,
+        idx.keys, idx.elements, idx.key_values, idx.labels,
+        idx.edge_offsets, idx.edge_dest, idx.edge_elements, idx.edge_labels,
         gap, idx.vertex_universe, idx.edge_universe, 0, 0,
     )
     with pytest.raises(ValidationError, match="contiguous"):
@@ -249,7 +269,8 @@ def test_from_bytes_rejects_broken_directories(citation_instance):
     # the undercounting directory also leaves the last vertex row
     # unread, so coverage is checked before the payload is parsed
     tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels, idx.out,
+        idx.keys, idx.elements, idx.key_values, idx.labels,
+        idx.edge_offsets, idx.edge_dest, idx.edge_elements, idx.edge_labels,
         short, idx.vertex_universe, idx.edge_universe, 0, 0,
     )
     with pytest.raises(ValidationError, match="cover"):
@@ -268,7 +289,8 @@ def test_from_bytes_rejects_unsorted_directory_hashes():
     (h0, s0, c0), (h1, s1, c1) = d[0], d[1]
     d[0], d[1] = (h1, s0, c0), (h0, s1, c1)
     tampered = EngineIndex(
-        a.keys, a.elements, a.key_values, a.labels, a.out,
+        a.keys, a.elements, a.key_values, a.labels,
+        a.edge_offsets, a.edge_dest, a.edge_elements, a.edge_labels,
         tuple(d), a.vertex_universe, a.edge_universe, 0, 0,
     )
     with pytest.raises(ValidationError, match="ascend"):
@@ -284,12 +306,10 @@ def test_from_bytes_rejects_out_of_range_destinations():
     )
     idx = prepare(g, ["k"])
     assert idx.n_vertices == 3
-    out = tuple(
-        tuple(OutEdge(oe.eid, 10**6, oe.element, oe.labels) for oe in outs)
-        for outs in idx.out
-    )
+    assert idx.n_edges == 1
     tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels, out,
+        idx.keys, idx.elements, idx.key_values, idx.labels,
+        idx.edge_offsets, array("Q", [10**6]), idx.edge_elements, idx.edge_labels,
         idx.directory, idx.vertex_universe, idx.edge_universe, 0, 0,
     )
     with pytest.raises(ValidationError, match="outside the vertex table"):
@@ -333,7 +353,7 @@ def test_index_round_trips_replicas_beyond_u64():
     back = EngineIndex.from_bytes(raw)
     assert back.to_bytes() == raw
     assert big in {el.replica for el in back.elements}
-    assert big in {oe.element.replica for outs in back.out for oe in outs}
+    assert big in {el.replica for el in back.edge_elements}
     for semantics in (CONJUNCTIVE, DISJUNCTIVE):
         live = run_join(a, b, semantics)
         thawed = run_join(back, EngineIndex.from_bytes(b.to_bytes()), semantics)
@@ -408,6 +428,8 @@ def damage(name, change):
 STRUCTURAL_DAMAGE = {
     "string-text-not-utf8": (damage("string_text", lambda b, w: b"\xff" + b[1:]), "not UTF-8"),
     "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
+    # meta: key count, key ids, skipped, dropped; now no key
+    "meta-no-join-keys": (damage("meta", lambda b, w: b"\x00" + b[2:]), "join keys"),
     "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
     "payload-offset-not-zero": (
@@ -554,7 +576,7 @@ def assert_matches_full_load(out_dir, left_pair, right_pair, keys_a, keys_b, sem
         assert p.edge_universe == f.edge_universe
         assert (p.skipped_vertices, p.dropped_edges) == (f.skipped_vertices, f.dropped_edges)
         assert p.n_vertices <= f.n_vertices
-        assert all(oe.dest < p.n_vertices for outs in p.out for oe in outs)
+        assert all(d < p.n_vertices for d in p.edge_dest)
         # a deserialized operand passes the reader's own checks
         EngineIndex.from_bytes(p.to_bytes())
 
@@ -889,22 +911,23 @@ def test_fills_of_one_edge_on_both_sides_number_in_reference_order(tmp_path):
 
 
 def reversed_buckets(index):
-    """``index`` with the vertices of every bucket in reverse order.  A
-    file read back is not checked for that order, so a join must not
-    depend on it."""
+    """``index`` with the vertices of every bucket in reverse order, their
+    out-edges moved along.  A file read back is not checked for that
+    order, so a join must not depend on it."""
     moved = list(range(index.n_vertices))
     for _, start, count in index.directory:
         moved[start : start + count] = reversed(moved[start : start + count])
     # reversing is its own inverse: ordinal o now holds moved[o]
+    edges = [e for o in moved for e in out_edges(index, o)]
     return EngineIndex(
         index.keys,
         tuple(index.elements[o] for o in moved),
         tuple(index.key_values[o] for o in moved),
         tuple(index.labels[o] for o in moved),
-        tuple(
-            tuple(OutEdge(e.eid, moved[e.dest], e.element, e.labels) for e in index.out[o])
-            for o in moved
-        ),
+        array("Q", accumulate((len(out_edges(index, o)) for o in moved), initial=0)),
+        array("Q", [moved[index.edge_dest[e]] for e in edges]),
+        tuple(index.edge_elements[e] for e in edges),
+        tuple(index.edge_labels[e] for e in edges),
         index.directory,
         index.vertex_universe,
         index.edge_universe,
