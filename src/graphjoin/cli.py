@@ -416,6 +416,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # argparse checks choices only on the command line, so a value that
+    # breaks them came from the config file
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    for action in commands[args.command]._actions:
+        if action.choices is not None and getattr(args, action.dest) not in action.choices:
+            allowed = ", ".join(action.choices)
+            print(f"error: config key {action.dest!r} expects one of: {allowed}", file=sys.stderr)
+            return 2
 
     try:
         if args.command == "generate":

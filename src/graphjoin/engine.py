@@ -13,10 +13,11 @@ each independently usable:
    skipped endpoint are dropped (they can never bond and never find a
    joined partner, so the result is unaffected).  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 2 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 3 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
    keeps every string once, the directory and the same CSR offsets and
-   destinations as int columns, and one checksummed section per part.
+   destinations as int columns, and one checksummed section per part;
+   it stores nothing its reader can derive.
    Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
    at once but decodes a bucket's vertices and edges only when the join
    first touches that bucket.
@@ -58,8 +59,8 @@ the measured counters against the cost model themselves
 
 Determinism: identical inputs produce identical results, counters, and
 serialized bytes.  Replica indices for merged elements are computed
-from the operands' full index universes, which the index stores
-explicitly (skipped vertices and dropped edges still occupy their
+from the largest replica of each operand's full index universes, which
+the index stores (skipped vertices and dropped edges still occupy their
 indices).
 """
 
@@ -75,7 +76,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, islice
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphio import read_graph_rows
@@ -148,6 +149,10 @@ class EngineIndex:
     access to an ordinal or an edge id decodes its whole bucket, so a
     join pays only for the buckets it visits (``decoded_buckets`` counts
     them).  ``n_edges`` and ``bucket_sizes()`` decode nothing.
+
+    ``vertex_max`` and ``edge_max`` are the largest replicas of the
+    operand's vertex and edge index universes, 0 for an empty one; the
+    universes cover skipped vertices and dropped edges too.
     """
 
     keys: tuple[str, ...]
@@ -159,8 +164,8 @@ class EngineIndex:
     edge_elements: Sequence[Element]
     edge_labels: Sequence[frozenset]
     directory: tuple[tuple[int, int, int], ...]
-    vertex_universe: frozenset[int]
-    edge_universe: frozenset[int]
+    vertex_max: int
+    edge_max: int
     skipped_vertices: int
     dropped_edges: int
     _payload: Optional[_LazyPayload] = field(default=None, init=False)
@@ -189,10 +194,10 @@ class EngineIndex:
             return len(self.directory)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 2
+    # -- serialization, format GJIX version 3
 
     MAGIC = b"GJIX"
-    VERSION = 2
+    VERSION = 3
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
@@ -222,28 +227,22 @@ class EngineIndex:
         offsets = self.edge_offsets
         edges = zip(self.edge_elements, self.edge_labels)
         blocks = []
-        for el, kvs, labs, degree in zip(
-            self.elements, self.key_values, self.labels, map(sub, offsets[1:], offsets)
-        ):
-            pieces = [_varint(el.replica)]
-            pieces += [sid.get(v) or new(v) for v in kvs]
-            pieces += (record(el.record.items), label_set(labs))
+        for el, labs, degree in zip(self.elements, self.labels, map(sub, offsets[1:], offsets)):
+            pieces = [_varint(el.replica), record(el.record.items), label_set(labs)]
             for ee, elabs in islice(edges, degree):
                 pieces += (_varint(ee.replica), record(ee.record.items), label_set(elabs))
             blocks.append(b"".join(pieces))
         payload = b"".join(blocks)
         vertex_at = list(accumulate(map(len, blocks), initial=0))
 
-        hashes = [h for h, _, _ in self.directory]
-        starts = [s for _, s, _ in self.directory]
-        counts = [c for _, _, c in self.directory]
         # a bucket's block runs from its first vertex to the next
         # bucket's; starts past the table only occur in tampered indices
-        bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in starts]
+        bucket_at = [
+            vertex_at[s] if s < len(vertex_at) else len(payload) for _, s, _ in self.directory
+        ]
 
-        meta = b"".join(
-            [_varint(len(keys)), *keys, _varint(self.skipped_vertices), _varint(self.dropped_edges)]
-        )
+        tallies = (self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max)
+        meta = b"".join([_varint(len(keys)), *keys, *map(_varint, tallies)])
         text = "".join(strings)
         string_offsets = list(accumulate(map(len, strings), initial=0))
         return _pack_sections(
@@ -251,14 +250,11 @@ class EngineIndex:
                 "meta": (1, meta),
                 "string_offsets": _column(string_offsets),
                 "string_text": (1, text.encode("utf-8")),
-                "bucket_hash": _column(hashes),
-                "bucket_start": _column(starts),
-                "bucket_count": _column(counts),
+                "bucket_hash": _column([h for h, _, _ in self.directory]),
+                "bucket_count": _column([c for _, _, c in self.directory]),
                 "bucket_payload": _column(bucket_at),
                 "edge_offsets": _column(offsets),
                 "edge_dest": _column(self.edge_dest),
-                "vertex_universe": (1, _universe_deltas(self.vertex_universe)),
-                "edge_universe": (1, _universe_deltas(self.edge_universe)),
                 "payload": (1, payload),
             }
         )
@@ -280,29 +276,25 @@ class EngineIndex:
 
         meta = _read_varints(sec["meta"][1])
         nkeys = meta[0] if meta else -1
-        if len(meta) != nkeys + 3 or max(meta[1 : 1 + nkeys], default=-1) >= len(strings):
+        if len(meta) != nkeys + 5 or max(meta[1 : 1 + nkeys], default=-1) >= len(strings):
             raise ValidationError("corrupt index header fields")
         # without a key, every bucket would join as a cross product
         keys = _check_keys([strings[i] for i in meta[1 : 1 + nkeys]])
-        skipped, dropped = meta[-2:]
+        skipped, dropped, vertex_max, edge_max = meta[-4:]
 
-        hashes, starts, counts, bucket_at = (
-            _read_column(sec, name)
-            for name in ("bucket_hash", "bucket_start", "bucket_count", "bucket_payload")
+        hashes, counts, bucket_at = (
+            _read_column(sec, name) for name in ("bucket_hash", "bucket_count", "bucket_payload")
         )
         edge_offsets = _read_column(sec, "edge_offsets")
         dest = _read_column(sec, "edge_dest")
         payload = bytes(sec["payload"][1])
-        if not len(hashes) == len(starts) == len(counts) == len(bucket_at):
+        if not len(hashes) == len(counts) == len(bucket_at):
             raise ValidationError("directory columns differ in length")
         if not edge_offsets:
             raise ValidationError("edge offsets are missing")
         nverts = len(edge_offsets) - 1
 
-        ends = list(map(add, starts, counts))
-        if list(starts) != ([0] + ends)[: len(ends)]:
-            raise ValidationError("directory ranges are not contiguous")
-        if (ends[-1] if ends else 0) != nverts:
+        if sum(counts) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
         if list(hashes) != sorted(set(hashes)):
@@ -314,7 +306,8 @@ class EngineIndex:
         if bucket_at and (bucket_at[0] != 0 or bucket_at[-1] > len(payload) or not _ascending(bucket_at)):
             raise ValidationError("bucket payload offsets do not fit the payload")
 
-        lazy = _LazyPayload(strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, payload)
+        maxima = (vertex_max, edge_max)
+        lazy = _LazyPayload(strings, keys, maxima, hashes, counts, bucket_at, edge_offsets, payload)
         index = cls(
             keys,
             _LazyColumn(lazy, lazy.elements, lazy.decode_ordinal),
@@ -324,9 +317,9 @@ class EngineIndex:
             dest,
             _LazyColumn(lazy, lazy.edge_elements, lazy.decode_edge),
             _LazyColumn(lazy, lazy.edge_labels, lazy.decode_edge),
-            tuple(zip(hashes, starts, counts)),
-            _read_universe(sec["vertex_universe"][1]),
-            _read_universe(sec["edge_universe"][1]),
+            tuple(zip(hashes, lazy.starts, counts)),
+            vertex_max,
+            edge_max,
             skipped,
             dropped,
         )
@@ -343,22 +336,19 @@ class EngineIndex:
             return cls.from_bytes(fh.read())
 
 
-# GJIX v2 layout: magic, u16 version, one (width, length, CRC32) entry
+# GJIX v3 layout: magic, u16 version, one (width, length, CRC32) entry
 # per section in this order, a CRC32 of everything before it, then the
 # section bodies back to back.  Width 1 marks a byte section; 4 and 8
 # mark a little-endian unsigned int column of that item size.
 _SECTIONS = (
-    "meta",  # varints: key count, key string ids, skipped, dropped
+    "meta",  # varints: key count, key string ids, skipped, dropped, vertex max, edge max
     "string_offsets",  # column: code-point offsets into string_text
     "string_text",  # every distinct string once, in order of first use, as UTF-8
     "bucket_hash",  # column per bucket, strictly ascending
-    "bucket_start",  # column per bucket: first ordinal
     "bucket_count",  # column per bucket: vertex count
     "bucket_payload",  # column per bucket: byte offset of its block in payload
     "edge_offsets",  # column per ordinal, plus one: CSR out-edge offsets
     "edge_dest",  # column per edge id: destination ordinal
-    "vertex_universe",  # varints: the least member, then the gap to each next
-    "edge_universe",  # same
     "payload",  # varints: one block per bucket, see _LazyPayload.decode
 )
 _ENTRY = struct.Struct("<BQI")
@@ -472,32 +462,21 @@ def _read_varints(buf) -> list[int]:
     return values
 
 
-def _universe_deltas(universe) -> bytes:
-    values = sorted(universe)
-    return b"".join(map(_varint, map(sub, values, [0] + values)))
-
-
-def _read_universe(buf) -> frozenset[int]:
-    # one varint per member, so a universe costs memory in proportion
-    # to its bytes; runs of consecutive ints would let a few bytes
-    # declare billions of members
-    return frozenset(accumulate(_read_varints(buf)))
-
-
 class _LazyPayload:
     """The ordinal and edge columns of a deserialized index, filled one
     bucket at a time.
 
-    A bucket's block holds, per vertex in ordinal order: replica, key
-    value ids, the record as a binding count and (name id, value id)
-    pairs, the labels as a count and ids; then per out-edge of that
-    vertex, in edge id order: replica, record and labels alike.  Out-edge
-    counts come from the CSR offsets.
+    A bucket's block holds, per vertex in ordinal order: replica, the
+    record as a binding count and (name id, value id) pairs, the labels
+    as a count and ids; then per out-edge of that vertex, in edge id
+    order: replica, record and labels alike.  Out-edge counts come from
+    the CSR offsets, and a vertex's key values from its record.
     """
 
     __slots__ = (
         "strings",
-        "nkeys",
+        "keys",
+        "maxima",
         "hashes",
         "starts",
         "counts",
@@ -512,11 +491,13 @@ class _LazyPayload:
         "done",
     )
 
-    def __init__(self, strings, nkeys, hashes, starts, counts, bucket_at, edge_offsets, payload):
+    def __init__(self, strings, keys, maxima, hashes, counts, bucket_at, edge_offsets, payload):
         self.strings = strings
-        self.nkeys = nkeys
+        self.keys = keys
+        self.maxima = maxima
         self.hashes = hashes
-        self.starts = starts
+        # each bucket starts where the ones before it end
+        self.starts = array("Q", map(sub, accumulate(counts), counts))
         self.counts = counts
         self.bucket_at = bucket_at
         self.edge_offsets = edge_offsets
@@ -548,15 +529,15 @@ class _LazyPayload:
         start, count = self.starts[b], self.counts[b]
         block_end = self.bucket_at[b + 1] if b + 1 < len(self.bucket_at) else len(self.payload)
         ints = _read_varints(self.payload[self.bucket_at[b] : block_end])
-        strings, nkeys, edge_offsets = self.strings, self.nkeys, self.edge_offsets
+        strings, keys, edge_offsets = self.strings, self.keys, self.edge_offsets
         elements, key_values, labels, edge_elements, edge_labels = [], [], [], [], []
         pos = 0
         try:
             for o in range(start, start + count):
                 replica = ints[pos]
-                key_values.append(tuple([strings[i] for i in ints[pos + 1 : pos + 1 + nkeys]]))
-                rec, pos = _take_record(ints, pos + 1 + nkeys, strings)
+                rec, pos = _take_record(ints, pos + 1, strings)
                 labs, pos = _take_labels(ints, pos, strings)
+                key_values.append(tuple([rec[k] for k in keys]))
                 elements.append(Element(rec, replica))
                 labels.append(labs)
                 for _ in range(edge_offsets[o], edge_offsets[o + 1]):
@@ -567,8 +548,17 @@ class _LazyPayload:
                     edge_labels.append(labs)
         except IndexError as exc:
             raise ValidationError(f"corrupt payload in bucket {b}") from exc
+        except KeyError as exc:
+            raise ValidationError(f"a record in bucket {b} lacks join key {exc.args[0]!r}") from exc
         if pos != len(ints):
             raise ValidationError(f"corrupt payload in bucket {b}")
+        # a replica past its universe's maximum would fold into another
+        # merged element's replica
+        vertex_max, edge_max = self.maxima
+        if any(e.replica > vertex_max for e in elements) or any(
+            e.replica > edge_max for e in edge_elements
+        ):
+            raise ValidationError(f"a replica in bucket {b} exceeds its universe's maximum")
         h = self.hashes[b]
         for kvs in set(key_values):
             if stable_hash(kvs) != h:
@@ -640,9 +630,7 @@ def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
     return keys
 
 
-def _index_operand(
-    keys, vertices, hashes, edges, vertex_universe, edge_universe, skipped
-) -> EngineIndex:
+def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped) -> EngineIndex:
     """The index of one operand, in one sort of its vertices and one of
     its edges.
 
@@ -701,8 +689,8 @@ def _index_operand(
         tuple([edge_elements[e] for e in edge_order]),
         tuple([edge_labels[e] for e in edge_order]),
         tuple(directory),
-        vertex_universe,
-        edge_universe,
+        vertex_max,
+        edge_max,
         skipped,
         dropped,
     )
@@ -733,8 +721,8 @@ def prepare(
         ),
         (),
         ((*db.endpoints_of(e), e, db.edge_labels_of(e)) for e in graph.edges),
-        graph.vertices.universe,
-        graph.edges.universe,
+        max(graph.vertices.universe, default=0),
+        max(graph.edges.universe, default=0),
         sum(None in kt for kt in key_of),
     )
 
@@ -753,10 +741,11 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
 
     :func:`run_join` on the pair gives the result, counters and bucket
     statistics it gives on ``prepare`` of both pairs loaded into one
-    database.  Replicas are counted database-wide, left rows first;
-    universes, skipped and dropped counts cover every row; every bucket
-    hash of a side stays in its directory, with count 0 unless it holds
-    an out-edge destination.
+    database.  Replicas are counted database-wide, left rows first; the
+    largest vertex and edge replicas and the skipped and dropped counts
+    cover every row of a side (its edge maximum is 0 when it has no edge
+    rows); every bucket hash of a side stays in its directory, with
+    count 0 unless it holds an out-edge destination.
 
     Each operand lacks what the other makes irrelevant, so neither is
     fit for saving or for a join with a third operand; use
@@ -818,8 +807,8 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
                 vertices,
                 present,
                 out_edges,
-                frozenset(replicas),
-                frozenset(range(edge_base + 1, edge_base + len(edges) + 1)),
+                max(replicas, default=0),
+                edge_base + len(edges) if edges else 0,
                 hash_of.count(None),
             )
         )
@@ -994,7 +983,7 @@ class EngineRun:
         if self._fills:
             # placeholder numbering is side-blind, matching the reference
             pool_start = fresh_fill_start(
-                a.edge_universe, b.edge_universe, (m.replica for m in result_edges)
+                (a.edge_max, b.edge_max), (m.replica for m in result_edges)
             )
             fill_offset = pool_start + self.counters.fill_edge_emissions
             k = pool_start
@@ -1235,12 +1224,10 @@ def run_join(
     common = _merge_directories(a.directory, b.directory, counters)
     counters.bucket_visits = len(common)
 
-    offset_v = 0
-    if a.vertex_universe and b.vertex_universe:
-        offset_v = max(max(a.vertex_universe), max(b.vertex_universe)) + 1
-    offset_e = 0
-    if a.edge_universe and b.edge_universe:
-        offset_e = max(max(a.edge_universe), max(b.edge_universe)) + 1
+    # past both universes; with one of them empty, nothing of that kind
+    # merges
+    offset_v = max(a.vertex_max, b.vertex_max) + 1
+    offset_e = max(a.edge_max, b.edge_max) + 1
 
     # vertex phase
     v_cands, bucket_pairs, counters.vertex_comparisons = _vertex_scan(a, b, common, offset_v)

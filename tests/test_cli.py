@@ -295,6 +295,22 @@ def test_config_errors(tmp_path, capsys):
     malformed.write_text("just words\n", encoding="utf-8")
     assert run_cli("--config", str(malformed), "generate", "--scale", "2") == 3
 
+    # a config value outside the choices of the chosen subcommand
+    join_args = ["--left-vertices", "lv", "--left-edges", "le", "--right-vertices", "rv"]
+    join_args += ["--right-edges", "re", "--on", "k=k", "--out", str(tmp_path / "out")]
+    for text, command in (
+        ("semantics=both", ["join", *join_args]),
+        ("engine=fast", ["join", *join_args]),
+        ("semantics=sideways", ["bench", "--scales", "2", "--out", str(tmp_path / "bench")]),
+    ):
+        bad_choice = tmp_path / "bad_choice.cfg"
+        bad_choice.write_text(text + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("--config", str(bad_choice), *command) == 2
+        key = text.partition("=")[0]
+        assert f"error: config key {key!r} expects one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "bench").exists()
+
 
 def test_help_and_unknown_commands(capsys):
     assert run_cli("--help") == 0

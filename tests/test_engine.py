@@ -7,6 +7,7 @@ from the phase definitions."""
 import hashlib
 import struct
 from array import array
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -225,7 +226,7 @@ def test_from_bytes_rejects_bad_magic(citation_instance):
 def test_from_bytes_rejects_unknown_version(citation_instance):
     db, researcher, _ = citation_instance
     raw = prepare(researcher, ["Name"]).to_bytes()
-    bumped = raw[:4] + struct.pack("<H", 3) + raw[6:]
+    bumped = raw[:4] + struct.pack("<H", EngineIndex.VERSION + 1) + raw[6:]
     with pytest.raises(ValidationError, match="version"):
         EngineIndex.from_bytes(bumped)
 
@@ -233,8 +234,12 @@ def test_from_bytes_rejects_unknown_version(citation_instance):
 def test_from_bytes_rejects_a_version_1_index():
     # the head of a version 1 file: magic, version, one key "k"
     v1 = b"GJIX" + struct.pack("<HHI", 1, 1, 1) + b"k" + bytes(16)
-    with pytest.raises(ValidationError, match="unsupported index version 1"):
-        EngineIndex.from_bytes(v1)
+    # the head of a version 2 file: magic, version, its first section
+    # entry (width, length, CRC32)
+    v2 = b"GJIX" + struct.pack("<HBQI", 2, 1, 5, 0) + bytes(16)
+    for raw, version in ((v1, 1), (v2, 2)):
+        with pytest.raises(ValidationError, match=f"unsupported index version {version}"):
+            EngineIndex.from_bytes(raw)
 
 
 def test_from_bytes_rejects_truncation_and_trailing_bytes(citation_instance):
@@ -249,30 +254,13 @@ def test_from_bytes_rejects_truncation_and_trailing_bytes(citation_instance):
 def test_from_bytes_rejects_broken_directories(citation_instance):
     db, researcher, _ = citation_instance
     idx = prepare(researcher, ["Name"])
-
-    gap = tuple(
-        (h, start + (1 if i else 0), count)
-        for i, (h, start, count) in enumerate(idx.directory)
-    )
-    tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels,
-        idx.edge_offsets, idx.edge_dest, idx.edge_elements, idx.edge_labels,
-        gap, idx.vertex_universe, idx.edge_universe, 0, 0,
-    )
-    with pytest.raises(ValidationError, match="contiguous"):
-        EngineIndex.from_bytes(tampered.to_bytes())
-
     short = tuple(
         (h, start, count - (1 if i == len(idx.directory) - 1 else 0))
         for i, (h, start, count) in enumerate(idx.directory)
     )
     # the undercounting directory also leaves the last vertex row
     # unread, so coverage is checked before the payload is parsed
-    tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels,
-        idx.edge_offsets, idx.edge_dest, idx.edge_elements, idx.edge_labels,
-        short, idx.vertex_universe, idx.edge_universe, 0, 0,
-    )
+    tampered = replace(idx, directory=short)
     with pytest.raises(ValidationError, match="cover"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -288,11 +276,7 @@ def test_from_bytes_rejects_unsorted_directory_hashes():
     d = list(a.directory)
     (h0, s0, c0), (h1, s1, c1) = d[0], d[1]
     d[0], d[1] = (h1, s0, c0), (h0, s1, c1)
-    tampered = EngineIndex(
-        a.keys, a.elements, a.key_values, a.labels,
-        a.edge_offsets, a.edge_dest, a.edge_elements, a.edge_labels,
-        tuple(d), a.vertex_universe, a.edge_universe, 0, 0,
-    )
+    tampered = replace(a, directory=tuple(d))
     with pytest.raises(ValidationError, match="ascend"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -307,11 +291,7 @@ def test_from_bytes_rejects_out_of_range_destinations():
     idx = prepare(g, ["k"])
     assert idx.n_vertices == 3
     assert idx.n_edges == 1
-    tampered = EngineIndex(
-        idx.keys, idx.elements, idx.key_values, idx.labels,
-        idx.edge_offsets, array("Q", [10**6]), idx.edge_elements, idx.edge_labels,
-        idx.directory, idx.vertex_universe, idx.edge_universe, 0, 0,
-    )
+    tampered = replace(idx, edge_dest=array("Q", [10**6]))
     with pytest.raises(ValidationError, match="outside the vertex table"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -401,17 +381,30 @@ def test_bucket_decode_rejects_a_key_that_does_not_hash_to_its_bucket():
     g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
     width, payload = sections["payload"]
-    # per vertex: replica, key value id, one binding (name id, value
-    # id), no labels; string ids in order of first use: k, then the
-    # first vertex's value, then the second's
-    assert bytes(payload) == bytes([1, 1, 1, 0, 1, 0, 1, 2, 1, 0, 2, 0])
-    # the first vertex now claims the second one's key value
-    sections["payload"] = (width, bytes([1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 2, 0]))
+    # per vertex: replica, one binding (name id, value id), no labels;
+    # string ids in order of first use: k, then the first vertex's
+    # value, then the second's
+    assert bytes(payload) == bytes([1, 1, 0, 1, 0, 1, 1, 0, 2, 0])
+    # the first vertex now binds the second one's key value
+    sections["payload"] = (width, bytes([1, 1, 0, 2, 0, 1, 1, 0, 2, 0]))
     patched = EngineIndex.from_bytes(_pack_sections(sections))
     assert patched.key_values[1] == (patched.elements[1].record["k"],)
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
         patched.elements[0]
     assert patched.decoded_buckets == 1
+
+
+def test_bucket_decode_rejects_key_values_that_disagree_with_the_records():
+    # key values that disagree with their records, filed under the hash
+    # of the claimed key; joined on them, the vertex {k=a} would merge
+    # with a vertex {k2=b}
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a"})], [])
+    idx = prepare(g, ["k"])
+    hostile = replace(idx, key_values=(("b",),), directory=((stable_hash(("b",)), 0, 1),))
+    back = EngineIndex.from_bytes(hostile.to_bytes())
+    with pytest.raises(ValidationError, match="does not hash to its bucket"):
+        back.key_values[0]
 
 
 def damage(name, change):
@@ -430,6 +423,10 @@ STRUCTURAL_DAMAGE = {
     "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
     # meta: key count, key ids, skipped, dropped; now no key
     "meta-no-join-keys": (damage("meta", lambda b, w: b"\x00" + b[2:]), "join keys"),
+    # ... vertex maximum, edge maximum; now below the replica 1 of the
+    # vertex, of its self-loop
+    "meta-vertex-max-too-small": (damage("meta", lambda b, w: b[:-2] + b"\x00" + b[-1:]), "maximum"),
+    "meta-edge-max-too-small": (damage("meta", lambda b, w: b[:-1] + b"\x00"), "maximum"),
     "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
     "payload-offset-not-zero": (
@@ -443,6 +440,11 @@ STRUCTURAL_DAMAGE = {
         damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 0, 3]))),
         "corrupt record",
     ),
+    # the record {k=a, x=b} is now {b=a, x=b}
+    "record-lacks-join-key": (
+        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 3, 1, 2, 3]))),
+        "join key 'k'",
+    ),
 }
 
 
@@ -451,9 +453,9 @@ def test_structural_damage_behind_valid_checksums_is_rejected(case):
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
-    # vertex: replica, key id, two bindings, no labels; its self-loop:
-    # replica, no bindings, no labels
-    assert bytes(sections["payload"][1]) == bytes([1, 1, 2, 0, 1, 2, 3, 0, 1, 0, 0])
+    # vertex: replica, two bindings, no labels; its self-loop: replica,
+    # no bindings, no labels
+    assert bytes(sections["payload"][1]) == bytes([1, 2, 0, 1, 2, 3, 0, 1, 0, 0])
     apply, message = STRUCTURAL_DAMAGE[case]
     apply(sections)
     with pytest.raises(ValidationError, match=message):
@@ -572,8 +574,7 @@ def assert_matches_full_load(out_dir, left_pair, right_pair, keys_a, keys_b, sem
     assert pruned.bucket_stats == full.bucket_stats
     for p, f in zip(pruned_ops, full_ops):
         assert [h for h, _, _ in p.directory] == [h for h, _, _ in f.directory]
-        assert p.vertex_universe == f.vertex_universe
-        assert p.edge_universe == f.edge_universe
+        assert (p.vertex_max, p.edge_max) == (f.vertex_max, f.edge_max)
         assert (p.skipped_vertices, p.dropped_edges) == (f.skipped_vertices, f.dropped_edges)
         assert p.n_vertices <= f.n_vertices
         assert all(d < p.n_vertices for d in p.edge_dest)
@@ -640,38 +641,38 @@ def test_prepare_files_rejects_bad_keys(tmp_path):
 # out-edges differently fails here.
 FROZEN_PREPARE_DIGESTS = {
     0: (
-        "966d6c6f0596533e857b0b53447a0320ba656232b1adc5a74b733ad8d6d53525",
-        "f9c826b43437748a6777a492a9110ca5dd4025cb5e8c93b67b9894e775b959c8",
+        "a60b90d718879721bbbcf014045afe1e82a7750658d5cc3f48a8121aec6d6fdd",
+        "d1489caf213c6f9da14d5e5897be32df3c041bd0e8f0bd6db6c62f14f5b55890",
     ),
     1: (
-        "cd48adf5f68ace4ae0319c9442313e7137a2681150e952b06110c643b9cc927d",
-        "69c0c98fd11c8dc5da99be7b57e27acda488270a79833d5dbd79797ebe0add21",
+        "2165987784edbd57ad799b93a978e64674b34aa3ab876c8a9e8937ae63303eb7",
+        "0d58f4f2b6469ff04f17504b045646420379aa48357909a5879f3e00594af894",
     ),
     2: (
-        "55624fc50d0f59c7fecc4d518f3af1633751f00b8a921c71600135ec39802d23",
-        "533cc92daf4f3e4492b4f5a5e7c575e10493fa1663508ad8111e939e00e68f0b",
+        "ede01caabc679e69a3a412097c16fee394f365a73b31b8824f70d08ba89b73d9",
+        "28493ca6a7691463dbb7bc63413f39550d761ff632edf34277bd572c7dc0eaf6",
     ),
     3: (
-        "3cb6c68bf5db6378ebf5385a7e58fcd418325cdfbfb6879c6df136150face1b7",
-        "16bb33846179837120b1a8eca1a01e95c3f292f18aab7f00b8e8642eb4c91a68",
+        "6d71d717df81fa04825a900d482743d6151086f2aa20269db90785b4101787fc",
+        "84536a5facf36862b60c6e172e11130b4e10805d7e8574deb54f1a4963daac66",
     ),
     4: (
-        "2bfc9a31932a94c35a7d3e2bf1fc750e1018a616247941de391a1a9aafa2bb38",
-        "61aa67bc7bec2db179246f39ce60f42c97d87a1eaf0f2c20d8e27b2255981319",
+        "a4fe5175decba356020db57021f2aec1bd4fac12bc7cbe1ffc526e631ffe1e83",
+        "537da53d940c9274444ef8680339c8e4057d27c4a2afa9a445ec66e243f67ae7",
     ),
 }
 FROZEN_PREPARE_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "9748a3372ec718bc4e88a4eb65b10b28264baf0501b674d775373b5792f9495f",
-        "5096cf3eb6e1c5edebd3b2a81894c3f60ce78c7df8b71da22d36af421463bd0d",
+        "1eae9448569d14f156bc30b0f322bc225d86888de2c8fa09f10af475ef10917e",
+        "28db9dea063989e591374f7fe437b7167091c541088f13baed52514259944e83",
     ),
     "no-common-bucket": (
-        "b63b77a20032b1d0d39b31bc017d18ebc0ee60e79d3ddc1df16f71b7e8152d5c",
-        "e3f5d1c1e714432c6cdf0659f97d539f1ac96b80833bdb9fea1390630cec3ed8",
+        "f313bee2a29e96f37e864837f1ea6fc1ebd1814c33e0e83b054072ad2f66c6fa",
+        "2e1ea5f1cea75c88c3b5132275b07d579959ef54597bccd1519de0cad5c5255a",
     ),
     "shared-names": (
-        "99720bf1d4c52bc9677d0aff8327fbc62adcda5d81a8e45388577ab7d5915ecd",
-        "94354b450f95c0aad37c0c6a6bcf56f41427262beebbe948d5e15b245aa577bb",
+        "4c5568e43f5b2464b234e2bc2975b633fb68a6aa9985f0edaa3fc812dd7ef728",
+        "ce4503978e13080dbf724367da4e3b3a4c0399edf12a134a86320cf97e6bb466",
     ),
 }
 
@@ -919,20 +920,15 @@ def reversed_buckets(index):
         moved[start : start + count] = reversed(moved[start : start + count])
     # reversing is its own inverse: ordinal o now holds moved[o]
     edges = [e for o in moved for e in out_edges(index, o)]
-    return EngineIndex(
-        index.keys,
-        tuple(index.elements[o] for o in moved),
-        tuple(index.key_values[o] for o in moved),
-        tuple(index.labels[o] for o in moved),
-        array("Q", accumulate((len(out_edges(index, o)) for o in moved), initial=0)),
-        array("Q", [moved[index.edge_dest[e]] for e in edges]),
-        tuple(index.edge_elements[e] for e in edges),
-        tuple(index.edge_labels[e] for e in edges),
-        index.directory,
-        index.vertex_universe,
-        index.edge_universe,
-        index.skipped_vertices,
-        index.dropped_edges,
+    return replace(
+        index,
+        elements=tuple(index.elements[o] for o in moved),
+        key_values=tuple(index.key_values[o] for o in moved),
+        labels=tuple(index.labels[o] for o in moved),
+        edge_offsets=array("Q", accumulate((len(out_edges(index, o)) for o in moved), initial=0)),
+        edge_dest=array("Q", [moved[index.edge_dest[e]] for e in edges]),
+        edge_elements=tuple(index.edge_elements[e] for e in edges),
+        edge_labels=tuple(index.edge_labels[e] for e in edges),
     )
 
 
