@@ -43,6 +43,13 @@ fill and placeholder elements, the edge set and the result's database
 component are built only when a caller first asks for ``edges``,
 ``db``, ``graph`` or ``component_id``.
 
+The writer and materialization take the fills in placeholder order
+from one stream that holds nothing per fill: the fill sets sorted by real edge, and
+within a set the product of its source mates and its destination
+mates, each sorted once.  Sets that share a real edge are merged on
+their mates as they are read.  Writing a result therefore takes memory
+per fill set, not per fill.
+
 Every unit of work the join performs is counted in
 :class:`OpCounters`:
 
@@ -67,6 +74,7 @@ indices).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import struct
 import sys
 import zlib
@@ -75,8 +83,8 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, islice
-from operator import attrgetter, sub
+from itertools import accumulate, chain, groupby, islice, product
+from operator import attrgetter, itemgetter, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphio import read_graph_rows
@@ -661,8 +669,9 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
     directory = []
     start = 0
     for h in sorted(sizes.keys() | hashes):
-        directory.append((h, start, sizes[h]))
-        start += sizes[h]
+        size = sizes.get(h, 0)
+        directory.append((h, start, size))
+        start += size
 
     edge_keys, edge_elements, edge_labels = [], [], []
     dropped = 0
@@ -863,7 +872,10 @@ class EngineRun:
     fills of each unbonded edge as the lists of vertices its source
     and its destination joined with, so their number is known before
     any fill exists.  :meth:`edge_rows` streams the edges' endpoints
-    from that form and builds nothing.
+    from that form and builds nothing.  It and materializing take the
+    fills in placeholder order from one stream over the fill sets,
+    sorted by real edge (:func:`_fill_order`); the order holds no list,
+    key or tuple per fill.
 
     ``edges``, ``db``, ``graph`` and ``component_id`` materialize the
     result on first access: fill and placeholder elements are built,
@@ -900,7 +912,6 @@ class EngineRun:
         # per bonded edge
         self._bonded = bonded
         self._fills = fills
-        self._order = None
         self._db = target_db
         self._component_id = None
         self._edges = None
@@ -929,11 +940,6 @@ class EngineRun:
     def graph(self) -> Graph:
         return self.db.get_graph(self.component_id)
 
-    def _fill_order(self) -> list:
-        if self._order is None:
-            self._order = _fill_order(self._fills, self.left, self.right)
-        return self._order
-
     def edge_rows(self) -> Iterable[tuple[int, int]]:
         """(source, destination) per result edge as positions in
         ``vertices``, in the canonical order of ``edges``, without
@@ -945,20 +951,55 @@ class EngineRun:
         first.  So the canonical order is the fills in fill order,
         merged by payload with the sorted bonded edges, bonded first on
         a tie.
+
+        The rows are chained from one iterator per group of fill sets
+        with an equal real edge (see :func:`_fill_order`), each preceded
+        by the bonded edges that sort before it; a group of one set is
+        the product of its source and destination positions, so the
+        stream holds nothing per fill.
         """
+        return chain.from_iterable(self._row_runs())
+
+    def _row_runs(self):
         bonded = sorted(self._bonded, key=lambda t: t[0].sort_key)
+        payloads = [m.record.items for m, _ in bonded]
+        rows = [ends for _, (ends, _) in bonded]
         k = 0
-        last = None
-        for fs, i, j in self._fill_order():
-            if fs is not last:
-                last = fs
-                items = fs.element.record.items
-                while k < len(bonded) and bonded[k][0].record.items <= items:
-                    yield bonded[k][1][0]
-                    k += 1
-            yield fs.srcs[i], fs.dsts[j]
-        for _, (ends, _) in bonded[k:]:
-            yield ends
+        for group in _fill_order(self._fills):
+            stop = bisect_right(payloads, group[0].element.record.items, k)
+            yield rows[k:stop]
+            k = stop
+            if len(group) == 1:
+                yield product(group[0].srcs, group[0].dsts)
+            else:
+                yield ((fs.srcs[i], fs.dsts[j]) for fs, i, j in self._merged(group))
+        yield rows[k:]
+
+    def _merged(self, group: list) -> Iterable[tuple]:
+        """The fills of fill sets with an equal real edge as ``(fill
+        set, i, j)``, the fill of ``src_mates[i]`` and ``dst_mates[j]``,
+        in placeholder order: by (source mate, destination mate) sort
+        keys, side-blind, ties in the order of ``group``."""
+
+        def keyed(fs):
+            mates = self.right.elements if fs.side == "left" else self.left.elements
+            dst_keys = [mates[o].sort_key for o in fs.dst_mates]
+            for i, o in enumerate(fs.src_mates):
+                src_key = mates[o].sort_key
+                for j, dst_key in enumerate(dst_keys):
+                    yield (src_key, dst_key), (fs, i, j)
+
+        return map(itemgetter(1), heapq.merge(*map(keyed, group), key=itemgetter(0)))
+
+    def _fills_in_order(self) -> Iterable[tuple]:
+        """Every fill as ``(fill set, i, j)`` in placeholder order."""
+        for group in _fill_order(self._fills):
+            if len(group) == 1:
+                fs = group[0]
+                cells = product(range(len(fs.srcs)), range(len(fs.dsts)))
+                yield from ((fs, i, j) for i, j in cells)
+            else:
+                yield from self._merged(group)
 
     def _materialize(self) -> None:
         if self._edges is not None:
@@ -987,7 +1028,7 @@ class EngineRun:
             )
             fill_offset = pool_start + self.counters.fill_edge_emissions
             k = pool_start
-            for fs, i, j in self._fill_order():
+            for fs, i, j in self._fills_in_order():
                 real = fs.element
                 mates = b.elements if fs.side == "left" else a.elements
                 eps = Element(EMPTY_RECORD, k, synthetic=True)
@@ -1018,9 +1059,12 @@ class EngineRun:
 class _FillSet(NamedTuple):
     """The fills of one unbonded edge, its ``element`` with its
     ``labels``, one per (source mate, destination mate) pair.  Mates
-    are ordinals of the opposite operand; ``srcs[i]`` is the position in
-    the result's vertices of the vertex the edge's source joined into
-    with ``src_mates[i]``, ``dsts[j]`` likewise."""
+    are ordinals of the opposite operand, each list sorted by the
+    mates' sort keys, ties in ordinal order; ``srcs[i]`` is the
+    position in the result's vertices of the vertex the edge's source
+    joined into with ``src_mates[i]``, ``dsts[j]`` likewise.  In that
+    order the product of the two lists is the set's placeholder order,
+    as mates of one set are distinct elements of one operand."""
 
     element: Element
     labels: frozenset
@@ -1031,38 +1075,19 @@ class _FillSet(NamedTuple):
     dsts: list
 
 
-def _fill_order(fills: list, a: EngineIndex, b: EngineIndex) -> list:
-    """The order in which the reference numbers placeholders: fills
-    sorted by the sort keys of (real edge, source mate, destination
-    mate), ties in discovery order, side-blind.
+def _fill_order(fills: list) -> list:
+    """The fill sets in the order in which the reference numbers their
+    placeholders, in groups of sets with an equal real edge.
 
-    Returned as ``(fill set, i, j)`` per fill, the fill of
-    ``src_mates[i]`` and ``dst_mates[j]``.  Each fill's key packs the
-    int ranks of those three elements into one int; the sort is
-    stable, so ties keep discovery order.
+    The reference sorts fills by the sort keys of (real edge, source
+    mate, destination mate), ties in discovery order, side-blind.  The
+    sets sort stably by real edge here, and a set's own fills come in
+    that order already (see :class:`_FillSet`).  Only operands from two
+    databases share a real edge, one set per side; the fills of such a
+    group are merged on their mates when read (``EngineRun._merged``).
     """
-    mates_of = [b.elements if fs.side == "left" else a.elements for fs in fills]
-    real_rank = _ranks(fs.element for fs in fills)
-    mate_rank = _ranks(
-        mates[o] for fs, mates in zip(fills, mates_of) for o in chain(fs.src_mates, fs.dst_mates)
-    )
-    width = len(mate_rank)
-    keys = []
-    cells = []
-    for fs, mates in zip(fills, mates_of):
-        base = real_rank[fs.element] * width
-        dst_ranks = [mate_rank[mates[o]] for o in fs.dst_mates]
-        for i, src in enumerate(fs.src_mates):
-            row = (base + mate_rank[mates[src]]) * width
-            keys.extend([row + d for d in dst_ranks])
-            cells.extend([(fs, i, j) for j in range(len(dst_ranks))])
-    return [cells[p] for p in sorted(range(len(keys)), key=keys.__getitem__)]
-
-
-def _ranks(elements) -> dict:
-    """Element -> rank in sort-key order.  Equal elements are exactly
-    those with equal sort keys, so they share a rank."""
-    return {e: r for r, e in enumerate(sorted(set(elements), key=attrgetter("sort_key")))}
+    ordered = sorted(fills, key=lambda fs: fs.element.sort_key)
+    return [list(group) for _, group in groupby(ordered, key=attrgetter("element"))]
 
 
 def _merge_directories(da, db_, counters: OpCounters):
@@ -1163,17 +1188,24 @@ def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
     return cand, bonded_a, bonded_b, comparisons
 
 
-def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills):
+def _fill_sets(side, own, other, own_range, other_range, bonded, mates, counters, fills):
     """Append to ``fills`` the fill sets of one side's unbonded edges in
     one common bucket, and return how many edges there are unbonded.
 
-    ``own`` is that side's operand, ``own_range`` and ``other_range``
-    the bucket's ordinals on this and the opposite side.  ``mates``
-    maps an own ordinal to ``{opposite ordinal: position}``, one entry
-    per vertex it joined into, positions naming the result's vertices.
-    Each unbonded edge scans the opposite bucket for the partners of
-    its source; its destination's come from ``mates``."""
+    ``own`` and ``other`` are that side's operand and the opposite one,
+    ``own_range`` and ``other_range`` the bucket's ordinals on each.
+    ``mates`` maps an own ordinal to ``{opposite ordinal: position}``,
+    one entry per vertex it joined into, positions naming the result's
+    vertices.  Each unbonded edge scans the opposite bucket for the
+    partners of its source; its destination's come from ``mates``.
+    Buckets read from a file are not checked for order, so mates are
+    sorted here by their elements' sort keys."""
     offsets = own.edge_offsets
+    elements = other.elements
+
+    def mate_key(o):
+        return elements[o].sort_key
+
     unbonded = [
         (o, e) for o in own_range for e in range(offsets[o], offsets[o + 1]) if e not in bonded
     ]
@@ -1183,15 +1215,17 @@ def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills
         src_mates = [p for p in other_range if p in src_row]
         dst_row = mates.get(own.edge_dest[e])
         if src_mates and dst_row:
+            src_mates.sort(key=mate_key)
+            dst_mates = sorted(dst_row, key=mate_key)
             fills.append(
                 _FillSet(
                     own.edge_elements[e],
                     own.edge_labels[e],
                     side,
                     src_mates,
-                    list(dst_row),
+                    dst_mates,
                     [src_row[p] for p in src_mates],
-                    list(dst_row.values()),
+                    [dst_row[p] for p in dst_mates],
                 )
             )
             counters.fill_edge_emissions += len(src_mates) * len(dst_row)
@@ -1268,8 +1302,12 @@ def run_join(
         unbonded_a = unbonded_b = 0
         if disjunctive:
             # left fills first, then right: fills keep discovery order
-            unbonded_a = _fill_sets("left", a, range_a, range_b, bonded_a, mates_a, counters, fills)
-            unbonded_b = _fill_sets("right", b, range_b, range_a, bonded_b, mates_b, counters, fills)
+            unbonded_a = _fill_sets(
+                "left", a, b, range_a, range_b, bonded_a, mates_a, counters, fills
+            )
+            unbonded_b = _fill_sets(
+                "right", b, a, range_b, range_a, bonded_b, mates_b, counters, fills
+            )
             counters.el_peak += unbonded_a
             counters.er_peak += unbonded_b
         bucket_stats.append(

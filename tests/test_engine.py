@@ -6,6 +6,7 @@ from the phase definitions."""
 
 import hashlib
 import struct
+import tracemalloc
 from array import array
 from dataclasses import replace
 from itertools import accumulate
@@ -27,7 +28,13 @@ from graphjoin.engine import (
     run_join,
     stable_hash,
 )
-from graphjoin.graphio import load_graph_pair, write_graph, write_join_result
+from graphjoin.graphio import (
+    GeneratorParams,
+    build_graph,
+    load_graph_pair,
+    write_graph,
+    write_join_result,
+)
 from graphjoin.logical import CONJUNCTIVE, DISJUNCTIVE, JoinSpec, graph_join
 from graphjoin.model import (
     EMPTY_RECORD,
@@ -40,7 +47,7 @@ from graphjoin.model import (
     component_from_payloads,
 )
 from graphjoin.relational import ThetaPredicate
-from graphjoin.verify import build_pair, check_oracle_engine, raw_signature
+from graphjoin.verify import build_pair, build_triple, check_oracle_engine, raw_signature
 
 NAME_EQ = ThetaPredicate.equalities([("Name", "1Author")])
 
@@ -979,6 +986,43 @@ def test_fills_with_equal_sort_keys_number_in_discovery_order(tmp_path):
     ]
     assert written(run, tmp_path)[1] == b"".join(b"%d\t%d\r\n" % row for row in rows)
     assert_writes_what_it_materializes(run, tmp_path / "again")
+
+
+def test_fill_order_takes_memory_per_fill_set_not_per_fill():
+    # the dense-disj data: generated 2^10 graphs with 30x8 key values
+    db = PropertyGraph()
+    params = [
+        GeneratorParams(10, s, dob_values=30, company_values=8, attr_suffix=str(s)) for s in (1, 2)
+    ]
+    a, b = (prepare(build_graph(db, p), [f"dob{s}", f"company{s}"]) for p, s in zip(params, (1, 2)))
+    run = run_join(a, b, DISJUNCTIVE)
+    n_sets, n_fills = len(run._fills), run.counters.fill_edge_emissions
+    assert (n_sets, n_fills) == (3933, 70396)
+    tracemalloc.start()
+    try:
+        next(iter(run.edge_rows()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n_sets
+    assert peak < 64 * n_fills
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_disjunctive_chains_write_what_they_materialize(tmp_path, semantics):
+    # the left operand of the second join holds fill edges of the first
+    refilled = 0
+    for seed in range(60):
+        _, a, b, c = build_triple(seed)
+        ab = run_join(prepare(a, ["k"]), prepare(b, ["k"]), DISJUNCTIVE)
+        run = run_join(prepare(ab.graph, ["k"]), prepare(c, ["k"]), semantics)
+        assert_writes_what_it_materializes(run, tmp_path / str(seed))
+        _, a, b, c = build_triple(seed)
+        ab = oracle_join(a, b, [("k", "k")], DISJUNCTIVE)
+        oracle = oracle_join(ab.graph, c, [("k", "k")], semantics)
+        assert raw_signature(run) == raw_signature(oracle)
+        refilled += sum(any(p.synthetic for p in fs.element.parts or ()) for fs in run._fills)
+    assert refilled > 0 if semantics == DISJUNCTIVE else refilled == 0
 
 
 def test_writing_and_sizing_a_result_does_not_materialize_it(tmp_path):
