@@ -83,7 +83,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, groupby, islice, product
+from itertools import accumulate, chain, count, groupby, islice, product
 from operator import attrgetter, itemgetter, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -117,17 +117,21 @@ __all__ = [
 ]
 
 _HASH_KEY = b"graphjoin.bucket.v1"
+# every hash starts from a copy of this keyed state, which is never updated
+_HASH_STATE = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+_U32 = struct.Struct("<I").pack
 
 
 def stable_hash(values: tuple[str, ...]) -> int:
     """Keyed 64-bit hash of a key-value tuple, stable across runs and
     platforms.  Values are length-prefixed so ("ab","c") and ("a","bc")
     differ."""
-    h = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+    data = b""
     for v in values:
         raw = v.encode("utf-8")
-        h.update(struct.pack("<I", len(raw)))
-        h.update(raw)
+        data += _U32(len(raw)) + raw
+    h = _HASH_STATE.copy()
+    h.update(data)
     return int.from_bytes(h.digest(), "little")
 
 
@@ -741,12 +745,17 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
     straight from the files and pruned to each other (a semi-join
     reduction: only buckets whose hash occurs on both sides can join).
 
-    Pass 1 reads and validates the four files in the order left
-    vertices, left edges, right vertices, right edges, raising what
-    :func:`graphio.load_graph_pair` raises, and hashes each distinct key
-    tuple once.  Pass 2 builds, with vertices tagged by row number, only
-    the vertices of buckets found on both sides, the destinations of
-    their out-edges and those out-edges.
+    Pass 1 streams the four files through the reader
+    :func:`graphio.load_graph_pair` uses, in the order left vertices,
+    left edges, right vertices, right edges, so it raises what that
+    raises.  It hashes each distinct key tuple once and keeps per
+    vertex row only the reader's payload identity (a shared tuple of
+    names and a tuple of interned cells), its replica in an int array
+    and its bucket hash, an int shared by the rows of its key; each
+    edge file becomes two int arrays of row positions.  Pass 2 builds,
+    with vertices tagged by row number, only the vertices of buckets
+    found on both sides, the destinations of their out-edges and those
+    out-edges, each vertex's record from its payload identity.
 
     :func:`run_join` on the pair gives the result, counters and bucket
     statistics it gives on ``prepare`` of both pairs loaded into one
@@ -765,63 +774,76 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
     if len(keys_a) != len(keys_b):
         raise SpecMismatch(f"key widths differ: {keys_a} vs {keys_b}")
 
-    # pass 1: validate every row, number replicas, hash key tuples
+    # pass 1: validate every row, number replicas, hash key tuples;
+    # keep per row its payload identity, its replica and its bucket hash
     hashes: dict[tuple[str, ...], int] = {}
     vertex_mu: dict[tuple, int] = {}
     sides = []
     edge_base = 0
     for (vertex_path, edge_path), keys in ((left_pair, keys_a), (right_pair, keys_b)):
-        bindings, edges = read_graph_rows(vertex_path, edge_path)
-        replicas, key_of, hash_of = [], [], []
-        for b in bindings:
-            # the identity a Record gives the same bindings
-            payload = tuple(sorted(b.items()))
+        payloads, replicas, hash_of = [], array("Q"), []
+        ends = array("Q"), array("Q")
+        # per payload shape, the positions of the keys, () without one
+        key_at: dict[tuple[str, ...], tuple[int, ...]] = {}
+        for payload in read_graph_rows(vertex_path, edge_path, ends):
             r = vertex_mu.get(payload, 0) + 1
             vertex_mu[payload] = r
+            payloads.append(payload)
             replicas.append(r)
-            kt = tuple([b.get(k) for k in keys])
-            if None in kt:
-                kt = h = None
-            else:
+            names, values = payload
+            at = key_at.get(names)
+            if at is None:
+                keyless = not set(keys) <= set(names)
+                at = key_at[names] = () if keyless else tuple(map(names.index, keys))
+            if at:
+                kt = tuple([values[i] for i in at])
                 h = hashes.get(kt)
                 if h is None:
                     h = hashes[kt] = stable_hash(kt)
-            key_of.append(kt)
+            else:
+                h = None
             hash_of.append(h)
         present = set(hash_of)
         present.discard(None)
-        sides.append((keys, bindings, edges, edge_base, replicas, key_of, hash_of, present))
-        edge_base += len(edges)
+        sides.append((keys, payloads, replicas, hash_of, ends, edge_base, present))
+        edge_base += len(ends[0])
+    # pass 2 needs neither, so they go before it allocates
+    del hashes, vertex_mu
     common = sides[0][-1] & sides[1][-1]
 
     # pass 2: build what can take part in the join
     indices = []
-    for keys, bindings, edges, edge_base, replicas, key_of, hash_of, present in sides:
+    for keys, payloads, replicas, hash_of, (src, dst), edge_base, present in sides:
         rows = {row for row, h in enumerate(hash_of) if h in common}
-        rows.update(dst for src, dst in edges if hash_of[src] in common and hash_of[dst] is not None)
-        vertices = (
-            (row, hash_of[row], key_of[row], Element(Record(bindings[row]), replicas[row]), _NO_LABELS)
-            for row in rows
-        )
+        rows.update(d for s, d in zip(src, dst) if hash_of[s] in common and hash_of[d] is not None)
         # the edges out of common buckets, which the builder keeps, and
         # those with a keyless end, which it counts as dropped
         out_edges = (
-            (src, dst, Element(EMPTY_RECORD, replica), _NO_LABELS)
-            for replica, (src, dst) in enumerate(edges, start=edge_base + 1)
-            if hash_of[src] in common or hash_of[src] is None or hash_of[dst] is None
+            (s, d, Element(EMPTY_RECORD, replica), _NO_LABELS)
+            for replica, s, d in zip(count(edge_base + 1), src, dst)
+            if hash_of[s] in common or hash_of[s] is None or hash_of[d] is None
         )
         indices.append(
             _index_operand(
                 keys,
-                vertices,
+                _file_vertices(keys, rows, payloads, replicas, hash_of),
                 present,
                 out_edges,
                 max(replicas, default=0),
-                edge_base + len(edges) if edges else 0,
+                edge_base + len(src) if src else 0,
                 hash_of.count(None),
             )
         )
     return tuple(indices)
+
+
+def _file_vertices(keys, rows, payloads, replicas, hash_of):
+    """The builder's vertices for the given rows of one side of
+    :func:`prepare_files`, each built from its payload identity."""
+    for row in rows:
+        rec = Record(zip(*payloads[row]))
+        kt = tuple([rec[k] for k in keys])
+        yield row, hash_of[row], kt, Element(rec, replicas[row]), _NO_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1086,9 @@ class _FillSet(NamedTuple):
     position in the result's vertices of the vertex the edge's source
     joined into with ``src_mates[i]``, ``dsts[j]`` likewise.  In that
     order the product of the two lists is the set's placeholder order,
-    as mates of one set are distinct elements of one operand."""
+    as mates of one set are distinct elements of one operand.  Sets
+    whose edges share an end share that end's lists, which nothing
+    changes after :func:`_mates` built them."""
 
     element: Element
     labels: frozenset
@@ -1188,48 +1212,55 @@ def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
     return cand, bonded_a, bonded_b, comparisons
 
 
-def _fill_sets(side, own, other, own_range, other_range, bonded, mates, counters, fills):
+def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills):
     """Append to ``fills`` the fill sets of one side's unbonded edges in
     one common bucket, and return how many edges there are unbonded.
 
-    ``own`` and ``other`` are that side's operand and the opposite one,
-    ``own_range`` and ``other_range`` the bucket's ordinals on each.
-    ``mates`` maps an own ordinal to ``{opposite ordinal: position}``,
-    one entry per vertex it joined into, positions naming the result's
-    vertices.  Each unbonded edge scans the opposite bucket for the
-    partners of its source; its destination's come from ``mates``.
-    Buckets read from a file are not checked for order, so mates are
-    sorted here by their elements' sort keys."""
+    ``own`` is that side's operand, ``own_range`` and ``other_range``
+    the bucket's ordinals on it and on the opposite one.  ``mates`` maps
+    an own ordinal to the opposite ordinals it joined with, in the order
+    of :class:`_FillSet`, and the positions of the result's vertices
+    they joined into (see :func:`_mates`).  Each unbonded edge scans the
+    opposite bucket for the partners of its source, which are all of
+    the source's mates; its destination's come from ``mates`` too."""
     offsets = own.edge_offsets
-    elements = other.elements
-
-    def mate_key(o):
-        return elements[o].sort_key
-
     unbonded = [
         (o, e) for o in own_range for e in range(offsets[o], offsets[o + 1]) if e not in bonded
     ]
     for o, e in unbonded:
         counters.disjunction_scans += len(other_range)
-        src_row = mates.get(o, {})
-        src_mates = [p for p in other_range if p in src_row]
+        src_row = mates.get(o)
         dst_row = mates.get(own.edge_dest[e])
-        if src_mates and dst_row:
-            src_mates.sort(key=mate_key)
-            dst_mates = sorted(dst_row, key=mate_key)
+        if src_row and dst_row:
+            (src_mates, srcs), (dst_mates, dsts) = src_row, dst_row
             fills.append(
                 _FillSet(
-                    own.edge_elements[e],
-                    own.edge_labels[e],
-                    side,
-                    src_mates,
-                    dst_mates,
-                    [src_row[p] for p in src_mates],
-                    [dst_row[p] for p in dst_mates],
+                    own.edge_elements[e], own.edge_labels[e], side, src_mates, dst_mates, srcs, dsts
                 )
             )
-            counters.fill_edge_emissions += len(src_mates) * len(dst_row)
+            counters.fill_edge_emissions += len(src_mates) * len(dst_mates)
     return len(unbonded)
+
+
+def _mates(pair_pos: dict, side: int, other) -> dict:
+    """Per ordinal of one side that joined, ``(mates, positions)``: the
+    opposite ordinals it joined with, sorted by their elements' sort
+    keys, and the positions in the result's vertices of the vertices
+    each pair joined into.  ``side`` is 0 for the left operand and 1 for
+    the right, ``other`` the opposite operand.
+
+    Buckets read from a file are not checked for order, so the mates
+    are sorted here, once per ordinal; ties keep ordinal order, which
+    is the order of ``pair_pos`` (the vertex scan's)."""
+    rows: dict[int, list] = {}
+    for pair, p in pair_pos.items():
+        rows.setdefault(pair[side], []).append((pair[1 - side], p))
+    elements = other.elements
+    mates = {}
+    for o, row in rows.items():
+        row.sort(key=lambda mate: elements[mate[0]].sort_key)
+        mates[o] = ([m for m, _ in row], [p for _, p in row])
+    return mates
 
 
 def run_join(
@@ -1290,24 +1321,15 @@ def run_join(
     bucket_stats = []
     disjunctive = semantics == DISJUNCTIVE
     if disjunctive:
-        # in scan order, so opposite ordinals ascend
-        mates_a: dict[int, dict[int, int]] = {}
-        mates_b: dict[int, dict[int, int]] = {}
-        for (xo, yo), p in pair_pos.items():
-            mates_a.setdefault(xo, {})[yo] = p
-            mates_b.setdefault(yo, {})[xo] = p
+        mates_a, mates_b = _mates(pair_pos, 0, b), _mates(pair_pos, 1, a)
     a_offsets, b_offsets = a.edge_offsets, b.edge_offsets
     for (ha, sa, ca), (hb, sb, cb) in common:
         range_a, range_b = range(sa, sa + ca), range(sb, sb + cb)
         unbonded_a = unbonded_b = 0
         if disjunctive:
             # left fills first, then right: fills keep discovery order
-            unbonded_a = _fill_sets(
-                "left", a, b, range_a, range_b, bonded_a, mates_a, counters, fills
-            )
-            unbonded_b = _fill_sets(
-                "right", b, a, range_b, range_a, bonded_b, mates_b, counters, fills
-            )
+            unbonded_a = _fill_sets("left", a, range_a, range_b, bonded_a, mates_a, counters, fills)
+            unbonded_b = _fill_sets("right", b, range_b, range_a, bonded_b, mates_b, counters, fills)
             counters.el_peak += unbonded_a
             counters.er_peak += unbonded_b
         bucket_stats.append(

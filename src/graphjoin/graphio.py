@@ -21,8 +21,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from array import array
 from dataclasses import dataclass
 from datetime import date
+from sys import intern
 from typing import Iterable
 
 from .model import (
@@ -78,17 +80,26 @@ def _parse_id(cell: str, line: int) -> int:
     return value
 
 
-def read_graph_rows(vertex_path, edge_path, *, keep_id: bool = False):
-    """Read and validate one vertex/edge file pair without building any
-    model object.
+def read_graph_rows(vertex_path, edge_path, ends, *, keep_id: bool = False):
+    """Read and validate one vertex/edge file pair row by row, without
+    building any model object.
 
-    Returns ``(bindings, edges)``.  ``bindings[i]`` maps attribute names
-    to values for vertex row ``i``, with empty cells left out.  ``edges``
-    lists one ``(src, dst)`` pair of vertex row positions per edge row,
-    in file order.  Malformed rows, repeated vertex ids and dangling
-    endpoints raise line-numbered :class:`DataFormatError` subclasses;
-    the vertex file is read, and checked, before the edge file.
+    Yields one payload identity ``(names, values)`` per vertex row, in
+    file order: ``names`` is the sorted tuple of the row's attribute
+    names with a non-empty cell, shared by every row of that shape, and
+    ``values`` the tuple of their cells, each interned.  Where a name
+    repeats in the header, its last non-empty cell counts.  Two rows'
+    identities are equal exactly when their bindings are, in any two
+    files, and ``Record(zip(names, values))`` is the row's record.
+
+    Once the last vertex row is taken, the edge file is read: ``ends``
+    is a pair of int arrays, and each edge row appends its source's and
+    its destination's vertex row position to them, in file order.
+    Malformed rows, repeated vertex ids and dangling endpoints raise
+    line-numbered :class:`DataFormatError` subclasses; the vertex file
+    is read, and checked, before the edge file.
     """
+    position: dict[int, int] = {}
     with open(vertex_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -98,37 +109,45 @@ def read_graph_rows(vertex_path, edge_path, *, keep_id: bool = False):
         if len(header) < 1 or any(not c for c in header):
             raise MalformedRowError("empty column name in header", 1)
         width = len(header)
-        attr_names = header[1:] if not keep_id else header[:]
         first = 0 if keep_id else 1
-        position: dict[int, int] = {}
-        bindings = []
+        attrs = list(enumerate(header))[first:]
+        # a row without an empty cell binds every name to its last cell
+        last_cell = {name: i for i, name in attrs}
+        full_names = tuple(sorted(last_cell))
+        full_cells = [last_cell[name] for name in full_names]
+        shapes = {full_names: full_names}
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise MalformedRowError(f"expected {width} cells, found {len(row)}", line)
             vid = _parse_id(row[0], line)
             if vid in position:
                 raise DuplicateIdError(f"vertex id {vid} repeats", line)
-            position[vid] = len(bindings)
-            bindings.append(
-                {name: cell for name, cell in zip(attr_names, row[first:]) if cell}
-            )
+            position[vid] = len(position)
+            if all(row):
+                yield full_names, tuple([intern(row[i]) for i in full_cells])
+            else:
+                bindings = {name: row[i] for i, name in attrs if row[i]}
+                names = tuple(sorted(bindings))
+                names = shapes.setdefault(names, names)
+                yield names, tuple([intern(bindings[name]) for name in names])
 
+    src, dst = ends
     with open(edge_path, newline="", encoding="utf-8") as fh:
-        edges = []
         for line, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
             if len(row) != 2:
                 raise MalformedRowError(f"expected 2 cells, found {len(row)}", line)
             try:
                 # fast path: no negative id is ever a key of ``position``
-                edges.append((position[int(row[0])], position[int(row[1])]))
-                continue
+                s, d = position[int(row[0])], position[int(row[1])]
             except (ValueError, KeyError):
-                pass
-            # both ids parse before either may be reported as dangling
-            for vid in [_parse_id(cell, line) for cell in row]:
-                if vid not in position:
-                    raise DanglingEndpointError(f"unknown vertex id {vid}", line)
-    return bindings, edges
+                s = None
+            if s is None:
+                # both ids parse before either may be reported as dangling
+                for vid in [_parse_id(cell, line) for cell in row]:
+                    if vid not in position:
+                        raise DanglingEndpointError(f"unknown vertex id {vid}", line)
+            src.append(s)
+            dst.append(d)
 
 
 def load_graph_pair(
@@ -141,13 +160,17 @@ def load_graph_pair(
     keep_id: bool = False,
 ) -> Graph:
     """Load one vertex/edge file pair as a new component of ``db``."""
-    bindings, edges = read_graph_rows(vertex_path, edge_path, keep_id=keep_id)
+    src, dst = ends = array("Q"), array("Q")
+    records = [
+        Record(zip(names, values))
+        for names, values in read_graph_rows(vertex_path, edge_path, ends, keep_id=keep_id)
+    ]
     return component_from_payloads(
         db,
-        [Record(b) for b in bindings],
-        [(src, dst, EMPTY_RECORD) for src, dst in edges],
-        vertex_labels=[frozenset(vertex_labels)] * len(bindings),
-        edge_labels=[frozenset(edge_labels)] * len(edges),
+        records,
+        [(s, d, EMPTY_RECORD) for s, d in zip(src, dst)],
+        vertex_labels=[frozenset(vertex_labels)] * len(records),
+        edge_labels=[frozenset(edge_labels)] * len(src),
     )
 
 

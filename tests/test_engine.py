@@ -31,6 +31,7 @@ from graphjoin.engine import (
 from graphjoin.graphio import (
     GeneratorParams,
     build_graph,
+    generate,
     load_graph_pair,
     write_graph,
     write_join_result,
@@ -560,6 +561,36 @@ FILE_CASES = {
         ("k1",),
         ("k2",),
     ),
+    # the right header orders the same names differently, so its
+    # (k=a, c=x) and (k=b, c=y) rows still continue the left's replicas
+    "reordered-columns": (
+        "id,k,c\n0,a,x\n1,a,x\n2,b,y\n3,c,z\n",
+        "0\t1\n1\t2\n2\t3\n3\t0\n",
+        "id,c,k\n0,x,a\n1,y,b\n2,x,a\n3,w,d\n",
+        "0\t2\n2\t1\n1\t0\n3\t3\n",
+        ("k",),
+        ("k",),
+    ),
+    # the right file's extra column is empty on some rows, whose
+    # payloads then equal left payloads and continue their replicas
+    "extra-column-empty-on-some-rows": (
+        "id,k,c\n0,a,x\n1,b,y\n2,a,x\n",
+        "0\t1\n1\t2\n",
+        "id,k,c,note\n0,a,x,\n1,a,x,n1\n2,b,y,\n3,b,,\n",
+        "0\t1\n1\t3\n2\t0\n",
+        ("k",),
+        ("k",),
+    ),
+    # a repeated column name binds its last non-empty cell: left row 0
+    # has k=b, and rows 1 and 2 are both (k=a, c=x)
+    "repeated-column-name": (
+        "id,k,c,k\n0,a,x,b\n1,a,x,\n2,,x,a\n3,c,,\n",
+        "0\t1\n2\t0\n3\t2\n",
+        "id,k\n0,a\n1,b\n2,c\n",
+        "0\t1\n1\t2\n",
+        ("k",),
+        ("k",),
+    ),
 }
 
 
@@ -613,6 +644,24 @@ def test_prepare_files_matches_full_load(tmp_path, case, semantics):
         assert (a.n_vertices, b.n_vertices) == (5, 4)
         assert sum(1 for _, _, count in a.directory if count == 0) == 1
         assert Element(Record({"k": "a", "c": "x"}), 4) in b.elements
+    elif case == "reordered-columns":
+        assert len(run.vertices) == 5
+        a, b = ops
+        assert (a.n_vertices, b.n_vertices) == (4, 3)
+        assert Element(Record({"k": "a", "c": "x"}), 4) in b.elements
+        assert Element(Record({"k": "b", "c": "y"}), 2) in b.elements
+    elif case == "extra-column-empty-on-some-rows":
+        assert len(run.vertices) == 6
+        a, b = ops
+        assert (a.n_vertices, b.n_vertices) == (3, 4)
+        assert Element(Record({"k": "a", "c": "x"}), 3) in b.elements
+        assert Element(Record({"k": "b", "c": "y"}), 2) in b.elements
+    elif case == "repeated-column-name":
+        assert len(run.vertices) == 4
+        a, b = ops
+        assert (a.n_vertices, b.n_vertices) == (4, 3)
+        assert Element(Record({"k": "b", "c": "x"}), 1) in a.elements
+        assert Element(Record({"k": "a", "c": "x"}), 2) in a.elements
     else:
         assert len(run.vertices) == 0
         assert all(op.n_vertices == 0 for op in ops)
@@ -640,6 +689,24 @@ def test_prepare_files_rejects_bad_keys(tmp_path):
         prepare_files(left_pair, right_pair, [], ["k"])
     with pytest.raises(SpecMismatch):
         prepare_files(left_pair, right_pair, ["k", "c"], ["k"])
+
+
+def test_prepare_files_takes_less_than_1_kib_per_vertex_row(tmp_path):
+    # the sparse-oneshot key domains, 365x512 key values, at 2^12: most
+    # rows are never built, so what the first pass keeps per row sets
+    # the peak
+    pairs = [
+        generate(GeneratorParams(12, s, attr_suffix=str(s)), tmp_path, f"side{s}") for s in (1, 2)
+    ]
+    tracemalloc.start()
+    try:
+        a, b = prepare_files(*pairs, ["dob1", "company1"], ["dob2", "company2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (a.skipped_vertices, b.skipped_vertices) == (0, 0)
+    assert a.n_vertices + b.n_vertices < 2 * 4096 // 4
+    assert peak < 1024 * 2 * 4096
 
 
 # SHA-256 of to_bytes() for both operands: prepare on build_pair seeds
@@ -676,6 +743,18 @@ FROZEN_PREPARE_FILES_DIGESTS = {
     "no-common-bucket": (
         "f313bee2a29e96f37e864837f1ea6fc1ebd1814c33e0e83b054072ad2f66c6fa",
         "2e1ea5f1cea75c88c3b5132275b07d579959ef54597bccd1519de0cad5c5255a",
+    ),
+    "reordered-columns": (
+        "e056fb8c31c40a7d679d5a4fb26a02a8fa1eafa26cee2261701f38f65b90605e",
+        "f9aaba87de4da9736a587408f2a3ee4f00b2428501594f9bac4e0b5542948cfb",
+    ),
+    "extra-column-empty-on-some-rows": (
+        "020ce86d08f85e9974099196a5e1b7da9f093d43dbf2ffefe794cb3804438d09",
+        "8bebd0d5e99c395e8802a9b1ab74871ef5d36bb9822401a6291c19084687be95",
+    ),
+    "repeated-column-name": (
+        "0b657b10f03e45e8a56996ca9058761df786149e4c45ab060bc75bb6f9eacbe2",
+        "58ec3775a77265909fdf4a88976f4ba499371239505784a53db3261dc09ca741",
     ),
     "shared-names": (
         "4c5568e43f5b2464b234e2bc2975b633fb68a6aa9985f0edaa3fc812dd7ef728",

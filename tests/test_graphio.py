@@ -6,6 +6,7 @@ import csv
 
 import pytest
 
+from graphjoin.engine import prepare_files
 from graphjoin.graphio import (
     DanglingEndpointError,
     DuplicateIdError,
@@ -97,17 +98,23 @@ def test_replica_numbering_continues_across_loads(tmp_path):
     db.validate()
 
 
-@pytest.mark.parametrize(
-    "vertex_text,line,excT",
-    [
-        ("", 1, MalformedRowError),
-        ("id,,k\n", 1, MalformedRowError),
-        ("id,k\n0,a,extra\n", 2, MalformedRowError),
-        ("id,k\nseven,a\n", 2, MalformedRowError),
-        ("id,k\n-1,a\n", 2, MalformedRowError),
-        ("id,k\n0,a\n0,b\n", 3, DuplicateIdError),
-    ],
-)
+VERTEX_FILE_ERRORS = [
+    ("", 1, MalformedRowError),
+    ("id,,k\n", 1, MalformedRowError),
+    ("id,k\n0,a,extra\n", 2, MalformedRowError),
+    ("id,k\nseven,a\n", 2, MalformedRowError),
+    ("id,k\n-1,a\n", 2, MalformedRowError),
+    ("id,k\n0,a\n0,b\n", 3, DuplicateIdError),
+]
+EDGE_FILE_ERRORS = [
+    ("0\t1\t2\n", 1, MalformedRowError),
+    ("0\t1\n0\t9\n", 2, DanglingEndpointError),
+    ("x\t1\n", 1, MalformedRowError),
+]
+GOOD_VERTICES = "id,k\n0,a\n1,b\n"
+
+
+@pytest.mark.parametrize("vertex_text,line,excT", VERTEX_FILE_ERRORS)
 def test_vertex_file_errors_carry_line_numbers(tmp_path, vertex_text, line, excT):
     vp, ep = write_files(tmp_path, vertex_text, "")
     with pytest.raises(excT) as ei:
@@ -116,19 +123,34 @@ def test_vertex_file_errors_carry_line_numbers(tmp_path, vertex_text, line, excT
     assert f"line {line}:" in str(ei.value)
 
 
-@pytest.mark.parametrize(
-    "edge_text,line,excT",
-    [
-        ("0\t1\t2\n", 1, MalformedRowError),
-        ("0\t1\n0\t9\n", 2, DanglingEndpointError),
-        ("x\t1\n", 1, MalformedRowError),
-    ],
-)
+@pytest.mark.parametrize("edge_text,line,excT", EDGE_FILE_ERRORS)
 def test_edge_file_errors_carry_line_numbers(tmp_path, edge_text, line, excT):
-    vp, ep = write_files(tmp_path, "id,k\n0,a\n1,b\n", edge_text)
+    vp, ep = write_files(tmp_path, GOOD_VERTICES, edge_text)
     with pytest.raises(excT) as ei:
         load_graph_pair(PropertyGraph(), vp, ep)
     assert ei.value.line == line
+
+
+@pytest.mark.parametrize("bad_side", ["left", "right"])
+@pytest.mark.parametrize(
+    "vertex_text,edge_text,line,excT",
+    [(text, "", line, excT) for text, line, excT in VERTEX_FILE_ERRORS]
+    + [(GOOD_VERTICES, text, line, excT) for text, line, excT in EDGE_FILE_ERRORS],
+)
+def test_prepare_files_raises_what_load_graph_pair_raises(
+    tmp_path, bad_side, vertex_text, edge_text, line, excT
+):
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "good").mkdir()
+    bad = write_files(tmp_path / "bad", vertex_text, edge_text)
+    good = write_files(tmp_path / "good", GOOD_VERTICES, "0\t1\n1\t1\n")
+    with pytest.raises(excT) as loaded:
+        load_graph_pair(PropertyGraph(), *bad)
+    pairs = (bad, good) if bad_side == "left" else (good, bad)
+    with pytest.raises(excT) as prepared:
+        prepare_files(*pairs, ["k"], ["k"])
+    assert type(prepared.value) is type(loaded.value)
+    assert prepared.value.line == loaded.value.line == line
 
 
 # ---------------------------------------------------------------------------
