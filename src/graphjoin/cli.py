@@ -165,8 +165,9 @@ def cmd_join(args) -> int:
         run = run_join(ia, ib, semantics)
         timings["join"] = time.perf_counter() - t1
         result = run
-        # the engine knows its result size before the edges exist
-        n_edges = run.n_edges
+        # the engine knows its result size before the vertices and edges
+        # exist
+        n_vertices, n_edges = run.n_vertices, run.n_edges
         counters = run.counters.as_dict()
         if args.explain:
             print(explain(run).render())
@@ -181,7 +182,7 @@ def cmd_join(args) -> int:
         t1 = time.perf_counter()
         result = graph_join(left, right, JoinSpec(theta, semantics))
         timings["join"] = time.perf_counter() - t1
-        n_edges = len(result.edges)
+        n_vertices, n_edges = len(result.vertices), len(result.edges)
 
     vertex_path, edge_path = write_join_result(result, args.out)
 
@@ -193,7 +194,7 @@ def cmd_join(args) -> int:
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "counters": counters,
         "result": {
-            "vertices": len(result.vertices),
+            "vertices": n_vertices,
             "edges": n_edges,
             "vertex_file": vertex_path,
             "edge_file": edge_path,
@@ -208,7 +209,7 @@ def cmd_join(args) -> int:
         ("engine", args.engine),
         ("semantics", semantics),
         ("on", report["on"]),
-        ("result vertices", len(result.vertices)),
+        ("result vertices", n_vertices),
         ("result edges", n_edges),
         ("report", report_path),
     ]

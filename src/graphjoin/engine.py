@@ -34,13 +34,17 @@ each independently usable:
    reference implementation.
 
 The join result is late-materialized.  :func:`run_join` returns with
-every phase done and every counter final, the joined vertices and the
-bonded edges built as elements, and the fills factorized: per
-unbonded edge, the ints that name its source and destination mates.
-The edge count is exact at that point, and the result writer streams
-edge rows from the factorized form (:meth:`EngineRun.edge_rows`).  The
-fill and placeholder elements, the edge set and the result's database
-component are built only when a caller first asks for ``edges``,
+every phase done and every counter final, the bonded edges built as
+elements, and the rest as ints: each joined vertex as its left
+ordinal, right ordinal and replica, in canonical order, and the fills
+factorized, per unbonded edge, as the ints that name its source and
+destination mates.  The vertex and edge counts are exact at that
+point.  The result writer writes each vertex row from the vertex's two
+operand records and streams edge rows from the factorized form
+(:meth:`EngineRun.vertex_operands`, :meth:`EngineRun.edge_rows`).  The
+merged vertices are built only when a caller first asks for
+``vertices``; the fill and placeholder elements, the edge set and the
+result's database component only when it first asks for ``edges``,
 ``db``, ``graph`` or ``component_id``.
 
 The writer and materialization take the fills in placeholder order
@@ -57,8 +61,10 @@ Every unit of work the join performs is counted in
   two bucket sizes multiplied;
 * ``edge_comparisons`` counts out-edge pairs inspected under joined
   source pairs, bounded by the per-bucket product of total out-degrees;
-* ``disjunction_scans`` counts the opposite-bucket scans the
-  disjunctive pass runs for unbonded edges.
+* ``disjunction_scans`` charges, per unbonded edge, the size of the
+  opposite bucket: the cost model's scan for the edge's mates.  The
+  disjunctive pass itself looks the mates up, so this is the modelled
+  cost, not work the pass performs.
 
 Per-bucket sizes are reported in ``bucket_stats`` so callers can check
 the measured counters against the cost model themselves
@@ -83,8 +89,8 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, count, groupby, islice, product
-from operator import attrgetter, itemgetter, sub
+from itertools import accumulate, chain, compress, count, groupby, islice, product
+from operator import attrgetter, itemgetter, ne, not_, or_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graphio import read_graph_rows
@@ -886,11 +892,15 @@ class BucketStat:
 class EngineRun:
     """Everything one engine join produced.
 
-    Set when :func:`run_join` returns: ``vertices`` (the joined
-    vertices, as elements), ``counters``, ``bucket_stats``,
-    ``semantics``, the operands ``left`` and ``right``, and ``n_edges``.
+    Set when :func:`run_join` returns: ``counters``, ``bucket_stats``,
+    ``semantics``, the operands ``left`` and ``right``, ``n_vertices``
+    and ``n_edges``.
 
-    The edges are kept factorized: bonded edges as elements, and the
+    The joined vertices are kept as ints, ``(left ordinal, right
+    ordinal, replica)`` each, in canonical order;
+    :meth:`vertex_operands` reads their two operand elements, and
+    ``vertices`` builds the merged elements on first access.  The edges
+    are kept factorized: bonded edges as elements, and the
     fills of each unbonded edge as the lists of vertices its source
     and its destination joined with, so their number is known before
     any fill exists.  :meth:`edge_rows` streams the edges' endpoints
@@ -910,7 +920,6 @@ class EngineRun:
 
     def __init__(
         self,
-        vertices: IndexedSet,
         vertex_sources: list,
         bonded: list,
         fills: list,
@@ -921,15 +930,17 @@ class EngineRun:
         right: EngineIndex,
         target_db: Optional[PropertyGraph],
     ):
-        self.vertices = vertices
         self.counters = counters
         self.bucket_stats = bucket_stats
         self.semantics = semantics
         self.left = left
         self.right = right
+        self.n_vertices = len(vertex_sources)
         self.n_edges = len(bonded) + counters.fill_edge_emissions
-        # (merged vertex, (left ordinal, right ordinal)) per result vertex
+        # (left ordinal, right ordinal, replica) per result vertex, in
+        # canonical order
         self._vertex_sources = vertex_sources
+        self._vertices = None
         # (edge, ((source, destination) positions in vertices, labels))
         # per bonded edge
         self._bonded = bonded
@@ -938,6 +949,24 @@ class EngineRun:
         self._component_id = None
         self._edges = None
         self._failure = None
+
+    @property
+    def vertices(self) -> IndexedSet:
+        """The joined vertices as merged elements, built on first
+        access."""
+        if self._vertices is None:
+            a, b = self.left.elements, self.right.elements
+            self._vertices = IndexedSet(
+                Element(a[xo].record.combine(b[yo].record), replica, parts=(a[xo], b[yo]))
+                for xo, yo, replica in self._vertex_sources
+            )
+        return self._vertices
+
+    def vertex_operands(self) -> Iterable[tuple[Element, Element]]:
+        """(left element, right element) per result vertex, in the order
+        of ``vertices``, without building the merged vertices."""
+        a, b = self.left.elements, self.right.elements
+        return ((a[xo], b[yo]) for xo, yo, _ in self._vertex_sources)
 
     @property
     def materialized(self) -> bool:
@@ -1065,7 +1094,9 @@ class EngineRun:
                 result_edges.append(m)
                 endpoint_map[m] = (joined[fs.srcs[i]], joined[fs.dsts[j]])
                 edge_labels[m] = fs.labels
-        vertex_labels = {m: a.labels[xo] | b.labels[yo] for m, (xo, yo) in self._vertex_sources}
+        vertex_labels = {
+            m: a.labels[xo] | b.labels[yo] for m, (xo, yo, _) in zip(joined, self._vertex_sources)
+        }
 
         rdb = self._db if self._db is not None else PropertyGraph()
         if placeholder_entries:
@@ -1137,45 +1168,85 @@ def _merge_directories(da, db_, counters: OpCounters):
 def _vertex_scan(a, b, common, offset_v):
     """Scan every common bucket: all left x right vertex pairs, key
     equality plus payload agreement.  Returns the candidate merges as
-    (merged vertex, (left ordinal, right ordinal)), the per-bucket pair
-    lists and the comparison count."""
-    cand = []
-    bucket_pairs = []
+    (left ordinal, right ordinal) pairs in scan order, the payload items
+    and the replica of the value each merges into, and the comparison
+    count.
+
+    The payload items are those of ``Record.combine``, as a list of the
+    operands' own pairs: the two pairs of a shared name are equal, as
+    the records agree, and one of them is dropped."""
+    pairs = []
+    payloads = []
+    replicas = []
     comparisons = 0
     a_elems, b_elems = a.elements, b.elements
     a_keys, b_keys = a.key_values, b.key_values
     for (ha, sa, ca), (hb, sb, cb) in common:
         comparisons += ca * cb
-        pairs = []
         for xo in range(sa, sa + ca):
             xk = a_keys[xo]
-            xe = a_elems[xo]
-            xrec = xe.record
-            xrep = xe.replica
+            x = a_elems[xo]
+            xrec = x.record
+            names, xitems = xrec._map.keys(), xrec.items
             for yo in range(sb, sb + cb):
                 if xk != b_keys[yo]:
                     continue
-                ye = b_elems[yo]
-                if not xrec.agrees_with(ye.record):
+                y = b_elems[yo]
+                yrec = y.record
+                if names.isdisjoint(yrec._map):
+                    # two sorted runs, which the sort merges
+                    items = sorted(xitems + yrec.items)
+                elif xrec.agrees_with(yrec):
+                    items = sorted({*xitems, *yrec.items})
+                else:
                     continue
-                merged = Element(
-                    xrec.combine(ye.record),
-                    _pair_index(xrep, ye.replica, offset_v),
-                    parts=(xe, ye),
-                )
-                pair = (xo, yo)
-                cand.append((merged, pair))
-                pairs.append(pair)
-        bucket_pairs.append(pairs)
-    return cand, bucket_pairs, comparisons
+                pairs.append((xo, yo))
+                payloads.append(items)
+                replicas.append(_pair_index(x.replica, y.replica, offset_v))
+    return pairs, payloads, replicas, comparisons
 
 
-def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
-    """Cross the out-edges of every joined source pair; a dest-pair hit
-    means the edges bond.  Bonded edges whose payloads agree are
-    merged; returns them as (merged edge, ((source, destination)
-    positions, labels)), the bonded edge ids of each side and the
-    comparison count."""
+def _canonical_vertices(a, b, pairs, payloads, replicas):
+    """One result vertex per (payload, replica) value the candidate
+    ``pairs`` merge into, as ``(left ordinal, right ordinal, replica)``
+    in canonical order, and each candidate pair's position among them.
+
+    The candidates are ranked by value in two stable sorts, by replica
+    and then by payload items, and equal neighbours are one vertex.  Of
+    those, the least :meth:`Element.decomposition_key` wins, the first
+    in scan order on a tie, as :func:`pick_canonical` picks."""
+    # sorting on the payload lists alone compares each common prefix
+    # once; a (payload, replica) key would compare it twice
+    order = sorted(range(len(pairs)), key=replicas.__getitem__)
+    order.sort(key=payloads.__getitem__)
+    ranked = [payloads[c] for c in order]
+    reps = [replicas[c] for c in order]
+    # a candidate starts a vertex unless it merges into its neighbour's
+    fresh = list(map(or_, map(ne, ranked, [None, *ranked]), map(ne, reps, [None, *reps])))
+    positions = list(accumulate(fresh, initial=-1))[1:]
+    sources = [(*pairs[c], r) for c, r in compress(zip(order, reps), fresh)]
+    a_elems, b_elems = a.elements, b.elements
+    for c, p in compress(zip(order, positions), map(not_, fresh)):
+        (xo, yo), kept = pairs[c], sources[p]
+        if _decomposition_key(a_elems[xo], b_elems[yo]) < _decomposition_key(
+            a_elems[kept[0]], b_elems[kept[1]]
+        ):
+            sources[p] = (xo, yo, kept[2])
+    return sources, dict(zip(map(pairs.__getitem__, order), positions))
+
+
+def _decomposition_key(x: Element, y: Element) -> tuple:
+    """The :meth:`Element.decomposition_key` of the merge of ``x`` and
+    ``y``, without building it."""
+    return tuple(sorted(leaf.sort_key for leaf in chain(x.leaves(), y.leaves())))
+
+
+def _edge_scan(a, b, pairs, pair_pos, offset_e):
+    """Cross the out-edges of every joined source pair, in scan order;
+    a dest-pair hit means the edges bond.  Bonded edges whose payloads
+    agree are merged; returns them as (merged edge, ((source,
+    destination) positions, labels)), the bonded edge ids of each side
+    and the comparison count."""
     cand = []
     bonded_a = set()
     bonded_b = set()
@@ -1185,30 +1256,29 @@ def _edge_scan(a, b, bucket_pairs, pair_pos, offset_e):
     a_edges, b_edges = a.edge_elements, b.edge_elements
     a_labels, b_labels = a.edge_labels, b.edge_labels
     get_pair = pair_pos.get
-    for pairs in bucket_pairs:
-        for xo, yo in pairs:
-            outs_x = range(a_offsets[xo], a_offsets[xo + 1])
-            outs_y = range(b_offsets[yo], b_offsets[yo + 1])
-            if not (outs_x and outs_y):
-                continue
-            src = pair_pos[(xo, yo)]
-            for ex in outs_x:
-                dx = a_dest[ex]
-                for ey in outs_y:
-                    comparisons += 1
-                    dst = get_pair((dx, b_dest[ey]))
-                    if dst is None:
-                        continue
-                    bonded_a.add(ex)
-                    bonded_b.add(ey)
-                    ee, fe = a_edges[ex], b_edges[ey]
-                    if ee.record.agrees_with(fe.record):
-                        merged = Element(
-                            ee.record.combine(fe.record),
-                            _pair_index(ee.replica, fe.replica, offset_e),
-                            parts=(ee, fe),
-                        )
-                        cand.append((merged, ((src, dst), a_labels[ex] | b_labels[ey])))
+    for xo, yo in pairs:
+        outs_x = range(a_offsets[xo], a_offsets[xo + 1])
+        outs_y = range(b_offsets[yo], b_offsets[yo + 1])
+        if not (outs_x and outs_y):
+            continue
+        src = pair_pos[(xo, yo)]
+        for ex in outs_x:
+            dx = a_dest[ex]
+            for ey in outs_y:
+                comparisons += 1
+                dst = get_pair((dx, b_dest[ey]))
+                if dst is None:
+                    continue
+                bonded_a.add(ex)
+                bonded_b.add(ey)
+                ee, fe = a_edges[ex], b_edges[ey]
+                if ee.record.agrees_with(fe.record):
+                    merged = Element(
+                        ee.record.combine(fe.record),
+                        _pair_index(ee.replica, fe.replica, offset_e),
+                        parts=(ee, fe),
+                    )
+                    cand.append((merged, ((src, dst), a_labels[ex] | b_labels[ey])))
     return cand, bonded_a, bonded_b, comparisons
 
 
@@ -1220,9 +1290,10 @@ def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills
     the bucket's ordinals on it and on the opposite one.  ``mates`` maps
     an own ordinal to the opposite ordinals it joined with, in the order
     of :class:`_FillSet`, and the positions of the result's vertices
-    they joined into (see :func:`_mates`).  Each unbonded edge scans the
-    opposite bucket for the partners of its source, which are all of
-    the source's mates; its destination's come from ``mates`` too."""
+    they joined into (see :func:`_mates`).  An unbonded edge's source
+    and destination mates are both looked up there; no bucket is
+    scanned.  ``disjunction_scans`` still charges the size of the
+    opposite bucket per unbonded edge, the cost model's scan."""
     offsets = own.edge_offsets
     unbonded = [
         (o, e) for o in own_range for e in range(offsets[o], offsets[o + 1]) if e not in bonded
@@ -1242,7 +1313,7 @@ def _fill_sets(side, own, own_range, other_range, bonded, mates, counters, fills
     return len(unbonded)
 
 
-def _mates(pair_pos: dict, side: int, other) -> dict:
+def _mates(pairs: list, pair_pos: dict, side: int, other) -> dict:
     """Per ordinal of one side that joined, ``(mates, positions)``: the
     opposite ordinals it joined with, sorted by their elements' sort
     keys, and the positions in the result's vertices of the vertices
@@ -1251,10 +1322,10 @@ def _mates(pair_pos: dict, side: int, other) -> dict:
 
     Buckets read from a file are not checked for order, so the mates
     are sorted here, once per ordinal; ties keep ordinal order, which
-    is the order of ``pair_pos`` (the vertex scan's)."""
+    is the order of ``pairs`` (the vertex scan's)."""
     rows: dict[int, list] = {}
-    for pair, p in pair_pos.items():
-        rows.setdefault(pair[side], []).append((pair[1 - side], p))
+    for pair in pairs:
+        rows.setdefault(pair[side], []).append((pair[1 - side], pair_pos[pair]))
     elements = other.elements
     mates = {}
     for o, row in rows.items():
@@ -1273,10 +1344,11 @@ def run_join(
     """Join two prepared operands.
 
     Every phase runs here and every counter is final on return; the
-    result's edges stay factorized until first asked for (see
-    :class:`EngineRun`).  The result lands in ``target_db`` when given
-    (operands built from live graphs in that database keep one shared
-    element namespace) or in a fresh database otherwise.
+    result's vertices stay ints and its edges factorized until first
+    asked for (see :class:`EngineRun`).  The result lands in
+    ``target_db`` when given (operands built from live graphs in that
+    database keep one shared element namespace) or in a fresh database
+    otherwise.
     """
     if semantics not in (CONJUNCTIVE, DISJUNCTIVE):
         raise ValidationError(f"unknown semantics {semantics!r}")
@@ -1295,33 +1367,30 @@ def run_join(
     offset_e = max(a.edge_max, b.edge_max) + 1
 
     # vertex phase
-    v_cands, bucket_pairs, counters.vertex_comparisons = _vertex_scan(a, b, common, offset_v)
+    pairs, payloads, replicas, counters.vertex_comparisons = _vertex_scan(a, b, common, offset_v)
 
     # one canonical vertex per (payload, replica) value, least operand
-    # tree wins
-    v_best = pick_canonical(v_cands)
-    vertices = IndexedSet(m for m, _ in v_best.values())
-    # every contributing pair resolves to its canonical vertex, named by
-    # its position in the result's vertices
-    position = {v: i for i, v in enumerate(vertices)}
-    pair_pos = {pair: position[m] for m, pair in v_cands}
+    # tree wins; every contributing pair resolves to its canonical
+    # vertex, named by its position in the result's vertices
+    sources, pair_pos = _canonical_vertices(a, b, pairs, payloads, replicas)
+    del payloads, replicas
 
     # edge phase
     e_cands, bonded_a, bonded_b, counters.edge_comparisons = _edge_scan(
-        a, b, bucket_pairs, pair_pos, offset_e
+        a, b, pairs, pair_pos, offset_e
     )
     e_best = pick_canonical(e_cands)
 
-    # disjunctive pass: unbonded edges scan the opposite bucket for
-    # joined source partners; destination partners come from the vertex
-    # phase.  Each unbonded edge's fills stay factorized as its source
-    # mates times its destination mates, with the joined vertices as
-    # positions in the result.
+    # disjunctive pass: unbonded edges look up the mates of their source
+    # and of their destination, which the vertex phase found.  Each
+    # unbonded edge's fills stay factorized as its source mates times
+    # its destination mates, with the joined vertices as positions in
+    # the result.
     fills = []
     bucket_stats = []
     disjunctive = semantics == DISJUNCTIVE
     if disjunctive:
-        mates_a, mates_b = _mates(pair_pos, 0, b), _mates(pair_pos, 1, a)
+        mates_a, mates_b = _mates(pairs, pair_pos, 0, b), _mates(pairs, pair_pos, 1, a)
     a_offsets, b_offsets = a.edge_offsets, b.edge_offsets
     for (ha, sa, ca), (hb, sb, cb) in common:
         range_a, range_b = range(sa, sa + ca), range(sb, sb + cb)
@@ -1345,8 +1414,7 @@ def run_join(
         )
 
     return EngineRun(
-        vertices=vertices,
-        vertex_sources=list(v_best.values()),
+        vertex_sources=sources,
         bonded=list(e_best.values()),
         fills=fills,
         counters=counters,

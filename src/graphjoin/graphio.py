@@ -24,6 +24,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain
 from sys import intern
 from typing import Iterable
 
@@ -219,10 +220,13 @@ def provenance_token(element: Element, tokens: dict | None = None) -> str:
     ``tokens`` memoizes leaf tokens by leaf identity; a caller passing it
     keeps the leaves alive while it holds it."""
     tokens = {} if tokens is None else tokens
+    parts = []
     for leaf in element.leaves():
-        if id(leaf) not in tokens:
-            tokens[id(leaf)] = _leaf_token(leaf)
-    return "+".join([tokens[id(leaf)] for leaf in element.leaves()])
+        token = tokens.get(id(leaf))
+        if token is None:
+            token = tokens[id(leaf)] = _leaf_token(leaf)
+        parts.append(token)
+    return "+".join(parts)
 
 
 def write_join_result(result, out_dir) -> tuple[str, str]:
@@ -231,35 +235,47 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
     src/dst ids.  Returns the two paths.
 
     A vertex's id is its position in ``result.vertices``.  A result
-    that offers ``edge_rows`` (an engine run) streams its edges' rows
-    from there without materializing the edges; any other result (a
-    reference result, a graph) is read through its database."""
+    that offers ``vertex_operands`` and ``edge_rows`` (an engine run)
+    writes each vertex row from the vertex's two operands, whose records
+    merge as :meth:`Record.combine` merges them and whose leaves make
+    its provenance, and streams its edges' rows, without building a
+    merged vertex or an edge; any other result (a reference result, a
+    graph) is read through its elements and its database."""
     os.makedirs(out_dir, exist_ok=True)
     vertex_path = os.path.join(out_dir, "vertices.csv")
     edge_path = os.path.join(out_dir, "edges.tsv")
-    attrs = _attr_union(result.vertices)
+    engine_run = hasattr(result, "vertex_operands")
+
+    def operands():
+        # per vertex, the elements whose records merge into its record,
+        # later ones winning on a shared name, and whose leaves in turn
+        # make its provenance
+        if engine_run:
+            return result.vertex_operands()
+        return ((v,) for v in result.vertices)
+
+    attrs = _attr_union(chain.from_iterable(operands()))
     for reserved in ("id", "_provenance"):
         if reserved in attrs:
             raise DataFormatError(
                 f"attribute name {reserved!r} collides with a reserved column"
             )
-    ids = {v: i for i, v in enumerate(result.vertices)}
-    # joined vertices share leaves, which result.vertices keeps alive
+    # vertices share leaves, which the result keeps alive
     tokens: dict = {}
     with open(vertex_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + attrs + ["_provenance"])
-        for v in result.vertices:
-            rec = v.record
+        for i, parts in enumerate(operands()):
+            cells = dict(chain.from_iterable(p.record.items for p in parts))
             w.writerow(
-                [ids[v]]
-                + [rec.get(a, "") for a in attrs]
-                + [provenance_token(v, tokens)]
+                [i]
+                + [cells.get(a, "") for a in attrs]
+                + ["+".join([provenance_token(p, tokens) for p in parts])]
             )
-    edge_rows = getattr(result, "edge_rows", None)
-    if edge_rows is not None:
-        rows = edge_rows()
+    if engine_run:
+        rows = result.edge_rows()
     else:
+        ids = {v: i for i, v in enumerate(result.vertices)}
         rows = ((ids[src], ids[dst]) for src, dst in map(result.db.endpoints_of, result.edges))
     with open(edge_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, delimiter="\t").writerows(rows)

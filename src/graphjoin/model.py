@@ -144,7 +144,12 @@ class Record:
         merged.update(other._map)
         rec = Record.__new__(Record)
         rec._map = merged
-        rec._items = tuple(sorted(merged.items()))
+        if len(merged) == len(self._map) + len(other._map):
+            # no shared name: the two sorted runs of the operands' own
+            # pairs, which the sort merges
+            rec._items = tuple(sorted(self._items + other._items))
+        else:
+            rec._items = tuple(sorted(merged.items()))
         rec._hash = hash(rec._items)
         return rec
 

@@ -929,10 +929,12 @@ def written(run_or_graph, out_dir):
 def assert_writes_what_it_materializes(run, out_dir):
     """A fresh run writes the bytes it writes once materialized, and the
     bytes its materialized graph writes through endpoint lookups; the
-    size it reports up front is the materialized size."""
-    n_vertices, n_edges = len(run.vertices), run.n_edges
+    size it reports up front is the materialized size.  The fresh write
+    builds no merged vertex."""
+    n_vertices, n_edges = run.n_vertices, run.n_edges
     fresh = written(run, out_dir / "fresh")
     assert not run.materialized
+    assert run._vertices is None
     graph = run.graph
     assert run.materialized
     assert written(run, out_dir / "forced") == fresh
@@ -1087,6 +1089,63 @@ def test_fill_order_takes_memory_per_fill_set_not_per_fill():
     assert peak < 64 * n_fills
 
 
+def test_join_takes_memory_per_result_vertex_not_per_merged_record():
+    # the dense-disj data: generated 2^10 graphs with 30x8 key values
+    db = PropertyGraph()
+    params = [
+        GeneratorParams(10, s, dob_values=30, company_values=8, attr_suffix=str(s)) for s in (1, 2)
+    ]
+    a, b = (prepare(build_graph(db, p), [f"dob{s}", f"company{s}"]) for p, s in zip(params, (1, 2)))
+    tracemalloc.start()
+    try:
+        run = run_join(a, b, DISJUNCTIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.n_vertices == 4371
+    assert peak < 1024 * run.n_vertices
+
+
+def colliding_pairs():
+    """Operands whose vertices both hold one payload twice, replicas 1
+    and 2, so the pairs (x1, y2) and (x2, y1) merge into one (payload,
+    replica) value, with edges and labels that tell the two apart."""
+    db = PropertyGraph()
+    left = component_from_payloads(
+        db,
+        [Record({"k": "a", "l": "x"})] * 2 + [Record({"k": "b", "l": "x"})],
+        [(0, 1, EMPTY_RECORD), (1, 2, EMPTY_RECORD), (2, 0, Record({"w": "p"}))],
+        vertex_labels=[["L1"], ["L2"], ["L3"]],
+        edge_labels=[["E"], ["F"], ["G"]],
+    )
+    right = component_from_payloads(
+        db,
+        [Record({"k": "a", "r": "y"})] * 2 + [Record({"k": "b"})],
+        [(1, 0, EMPTY_RECORD), (0, 2, EMPTY_RECORD), (2, 2, EMPTY_RECORD)],
+        vertex_labels=[["R1"], ["R2"], ["R3"]],
+    )
+    return left, right
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_colliding_merges_keep_the_least_operand_tree(tmp_path, semantics):
+    left, right = colliding_pairs()
+    a, b = prepare(left, ["k"]), prepare(right, ["k"])
+    run = run_join(a, b, semantics)
+    back = run_join(reversed_buckets(a), reversed_buckets(b), semantics)
+    for r in (run, back):
+        # (x1, y1), (x2, y2), one of (x1, y2) and (x2, y1), and (x3, y3)
+        assert (r.n_vertices, r.counters.vertex_comparisons) == (4, 5)
+        # the least decomposition key keeps (x1, y2), in either scan order
+        kept = [(x.replica, y.replica) for x, y in r.vertex_operands()]
+        assert sorted(kept) == [(1, 1), (1, 1), (1, 2), (2, 2)]
+    assert_writes_what_it_materializes(run, tmp_path / "run")
+    assert_writes_what_it_materializes(back, tmp_path / "back")
+    assert written(back, tmp_path / "back-again") == written(run, tmp_path / "run-again")
+    assert raw_signature(run) == raw_signature(oracle_join(left, right, [("k", "k")], semantics))
+    assert raw_signature(back) == raw_signature(run)
+
+
 @pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
 def test_disjunctive_chains_write_what_they_materialize(tmp_path, semantics):
     # the left operand of the second join holds fill edges of the first
@@ -1127,7 +1186,7 @@ def test_cost_report_bounds_hold_and_vertex_bound_is_tight():
     report = explain(run)
     assert report.within_bounds()
     # the vertex phase scans every bucket pair exhaustively, and the
-    # disjunction pass scans exactly the opposite bucket per unbonded
+    # disjunction pass charges exactly the opposite bucket per unbonded
     # edge, so those two bounds are met with equality
     assert report.measured["vertex_comparisons"] == report.vertex_bound
     assert report.measured["disjunction_scans"] == report.scan_bound
