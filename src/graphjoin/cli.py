@@ -16,7 +16,6 @@ import argparse
 import gc
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -32,7 +31,6 @@ from .graphio import (
 from .logical import CONJUNCTIVE, DISJUNCTIVE, JoinSpec, graph_join
 from .model import DataFormatError, GraphJoinError, PropertyGraph
 from .relational import ThetaPredicate
-from .verify import run_suites
 
 _SEMANTICS = {
     "conjunctive": CONJUNCTIVE,
@@ -221,6 +219,9 @@ def cmd_join(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here so that the other commands never load it
+    from .verify import run_suites
+
     if args.trials <= 0:
         print("warning: 0 trials requested; nothing was checked", file=sys.stderr)
         print("PASS (vacuous)")
@@ -278,6 +279,10 @@ def _bench_cell(left, right, semantics):
 
 
 def cmd_bench(args) -> int:
+    # imported here: it loads decimal, fractions and random, which no
+    # other command uses
+    import statistics
+
     try:
         scales = [int(s) for s in args.scales.split(",") if s.strip()]
     except ValueError:

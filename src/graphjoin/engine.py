@@ -19,8 +19,9 @@ each independently usable:
    destinations as int columns, and one checksummed section per part;
    it stores nothing its reader can derive.
    Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
-   at once but decodes a bucket's vertices and edges only when the join
-   first touches that bucket.
+   at once and keeps the file's int columns, string text and payload as
+   they are; it decodes a bucket's vertices and edges, and the strings
+   they use, only when the join first touches that bucket.
 
    :func:`prepare_files` is the pruned variant for a one-off join of two
    file pairs: it reads both pairs, intersects their bucket hashes, and
@@ -79,7 +80,6 @@ indices).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import struct
 import sys
@@ -90,8 +90,14 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, compress, count, groupby, islice, product
-from operator import attrgetter, itemgetter, ne, not_, or_, sub
+from operator import attrgetter, itemgetter, le, lt, ne, not_, or_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
+
+try:
+    # the module hashlib takes it from, without loading OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - a build without the module
+    from hashlib import blake2b
 
 from .graphio import read_graph_rows
 from .logical import CONJUNCTIVE, DISJUNCTIVE
@@ -124,7 +130,7 @@ __all__ = [
 
 _HASH_KEY = b"graphjoin.bucket.v1"
 # every hash starts from a copy of this keyed state, which is never updated
-_HASH_STATE = hashlib.blake2b(digest_size=8, key=_HASH_KEY)
+_HASH_STATE = blake2b(digest_size=8, key=_HASH_KEY)
 _U32 = struct.Struct("<I").pack
 
 
@@ -153,20 +159,28 @@ class EngineIndex:
     """One prepared operand, in a serializable form.
 
     Vertices are numbered by ordinal in directory order (ascending
-    bucket hash, then key, then element identity); ``directory`` maps
-    each bucket hash to its ordinal range.  ``elements``, ``key_values``
-    and ``labels`` are indexed by ordinal.  Out-edges are held in CSR
-    form, as in the file: the out-edges of ordinal ``o`` have the edge
-    ids ``edge_offsets[o]`` to ``edge_offsets[o + 1]``, ascending by
-    destination ordinal, replica and payload, and ``edge_dest``,
-    ``edge_elements`` and ``edge_labels`` are indexed by edge id.
+    bucket hash, then key, then element identity).  The directory is
+    held as int columns, one item per bucket: ``bucket_hash``, strictly
+    ascending, and ``bucket_count``, its vertex count; a bucket's first
+    ordinal, ``bucket_start``, is the sum of the counts before it.
+    ``directory`` reads the columns as ``(hash, start, count)``
+    triples.  ``elements``, ``key_values`` and ``labels`` are indexed by
+    ordinal.  Out-edges are held in CSR form, as in the file: the
+    out-edges of ordinal ``o`` have the edge ids ``edge_offsets[o]`` to
+    ``edge_offsets[o + 1]``, ascending by destination ordinal, replica
+    and payload, and ``edge_dest``, ``edge_elements`` and
+    ``edge_labels`` are indexed by edge id.
 
-    ``edge_offsets`` and ``edge_dest`` are int arrays, and an index
-    built in memory holds its other columns as tuples.  One read back
-    with :meth:`from_bytes` holds sequence views instead: the first
-    access to an ordinal or an edge id decodes its whole bucket, so a
-    join pays only for the buckets it visits (``decoded_buckets`` counts
-    them).  ``n_edges`` and ``bucket_sizes()`` decode nothing.
+    The directory, ``edge_offsets`` and ``edge_dest`` are int arrays,
+    and an index built in memory holds its other columns as tuples.
+    One read back with :meth:`from_bytes` keeps the file's int columns
+    as they are, its string table as one text and an offsets column,
+    and its payload bytes; its other columns are sequence views.  The
+    first access to an ordinal or an edge id decodes its whole bucket
+    into elements, key tuples and label sets, and slices out the
+    strings they use, each once, so a join pays only for the buckets it
+    visits (``decoded_buckets`` counts them).  ``n_edges``,
+    ``bucket_sizes()`` and ``directory`` decode nothing.
 
     ``vertex_max`` and ``edge_max`` are the largest replicas of the
     operand's vertex and edge index universes, 0 for an empty one; the
@@ -181,11 +195,13 @@ class EngineIndex:
     edge_dest: Sequence[int]
     edge_elements: Sequence[Element]
     edge_labels: Sequence[frozenset]
-    directory: tuple[tuple[int, int, int], ...]
+    bucket_hash: Sequence[int]
+    bucket_count: Sequence[int]
     vertex_max: int
     edge_max: int
     skipped_vertices: int
     dropped_edges: int
+    _bucket_start: Optional[array] = field(default=None, init=False)
     _payload: Optional[_LazyPayload] = field(default=None, init=False)
 
     @property
@@ -196,12 +212,25 @@ class EngineIndex:
     def n_edges(self) -> int:
         return len(self.edge_dest)
 
+    @property
+    def bucket_start(self) -> array:
+        """First ordinal per bucket, derived from ``bucket_count``."""
+        if self._bucket_start is None:
+            self._bucket_start = _starts(self.bucket_count)
+        return self._bucket_start
+
+    @property
+    def directory(self) -> Sequence[tuple[int, int, int]]:
+        """A read-only view of the directory columns as ``(hash, start,
+        count)`` per bucket."""
+        return _Directory(self.bucket_hash, self.bucket_start, self.bucket_count)
+
     def bucket_sizes(self) -> list[tuple[int, int, int]]:
         """(hash, vertices, total out-degree) per bucket."""
         offsets = self.edge_offsets
         return [
             (h, count, offsets[start + count] - offsets[start])
-            for h, start, count in self.directory
+            for h, start, count in zip(self.bucket_hash, self.bucket_start, self.bucket_count)
         ]
 
     @property
@@ -209,7 +238,7 @@ class EngineIndex:
         """Buckets whose payload has been decoded; every bucket of an
         index built in memory."""
         if self._payload is None:
-            return len(self.directory)
+            return len(self.bucket_hash)
         return self._payload.done.count(1)
 
     # -- serialization, format GJIX version 3
@@ -255,9 +284,7 @@ class EngineIndex:
 
         # a bucket's block runs from its first vertex to the next
         # bucket's; starts past the table only occur in tampered indices
-        bucket_at = [
-            vertex_at[s] if s < len(vertex_at) else len(payload) for _, s, _ in self.directory
-        ]
+        bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in self.bucket_start]
 
         tallies = (self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max)
         meta = b"".join([_varint(len(keys)), *keys, *map(_varint, tallies)])
@@ -268,8 +295,8 @@ class EngineIndex:
                 "meta": (1, meta),
                 "string_offsets": _column(string_offsets),
                 "string_text": (1, text.encode("utf-8")),
-                "bucket_hash": _column([h for h, _, _ in self.directory]),
-                "bucket_count": _column([c for _, _, c in self.directory]),
+                "bucket_hash": _column(self.bucket_hash),
+                "bucket_count": _column(self.bucket_count),
                 "bucket_payload": _column(bucket_at),
                 "edge_offsets": _column(offsets),
                 "edge_dest": _column(self.edge_dest),
@@ -290,11 +317,11 @@ class EngineIndex:
             raise ValidationError("string table is not UTF-8") from exc
         if not offsets or offsets[0] != 0 or offsets[-1] != len(text) or not _ascending(offsets):
             raise ValidationError("string table offsets do not fit the string text")
-        strings = [text[a:b] for a, b in zip(offsets, offsets[1:])]
+        strings = _Strings(text, offsets)
 
         meta = _read_varints(sec["meta"][1])
         nkeys = meta[0] if meta else -1
-        if len(meta) != nkeys + 5 or max(meta[1 : 1 + nkeys], default=-1) >= len(strings):
+        if len(meta) != nkeys + 5 or max(meta[1 : 1 + nkeys], default=-1) >= len(offsets) - 1:
             raise ValidationError("corrupt index header fields")
         # without a key, every bucket would join as a cross product
         keys = _check_keys([strings[i] for i in meta[1 : 1 + nkeys]])
@@ -315,7 +342,7 @@ class EngineIndex:
         if sum(counts) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
-        if list(hashes) != sorted(set(hashes)):
+        if not all(map(lt, hashes, islice(hashes, 1, None))):
             raise ValidationError("directory hashes do not strictly ascend")
         if edge_offsets[0] != 0 or edge_offsets[-1] != len(dest) or not _ascending(edge_offsets):
             raise ValidationError("edge offsets do not fit the edge table")
@@ -324,23 +351,27 @@ class EngineIndex:
         if bucket_at and (bucket_at[0] != 0 or bucket_at[-1] > len(payload) or not _ascending(bucket_at)):
             raise ValidationError("bucket payload offsets do not fit the payload")
 
+        starts = _starts(counts)
         maxima = (vertex_max, edge_max)
-        lazy = _LazyPayload(strings, keys, maxima, hashes, counts, bucket_at, edge_offsets, payload)
+        lazy = _LazyPayload(strings, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload)
+        ndest = len(dest)
         index = cls(
             keys,
-            _LazyColumn(lazy, lazy.elements, lazy.decode_ordinal),
-            _LazyColumn(lazy, lazy.key_values, lazy.decode_ordinal),
-            _LazyColumn(lazy, lazy.labels, lazy.decode_ordinal),
+            _LazyColumn(lazy, lazy.elements, nverts, lazy.decode_ordinal),
+            _LazyColumn(lazy, lazy.key_values, nverts, lazy.decode_ordinal),
+            _LazyColumn(lazy, lazy.labels, nverts, lazy.decode_ordinal),
             edge_offsets,
             dest,
-            _LazyColumn(lazy, lazy.edge_elements, lazy.decode_edge),
-            _LazyColumn(lazy, lazy.edge_labels, lazy.decode_edge),
-            tuple(zip(hashes, lazy.starts, counts)),
+            _LazyColumn(lazy, lazy.edge_elements, ndest, lazy.decode_edge),
+            _LazyColumn(lazy, lazy.edge_labels, ndest, lazy.decode_edge),
+            hashes,
+            counts,
             vertex_max,
             edge_max,
             skipped,
             dropped,
         )
+        index._bucket_start = starts
         index._payload = lazy
         return index
 
@@ -444,8 +475,49 @@ def _read_column(sections: dict, name: str) -> array:
 
 
 def _ascending(col) -> bool:
-    values = list(col)
-    return values == sorted(values)
+    return all(map(le, col, islice(col, 1, None)))
+
+
+def _starts(counts) -> array:
+    """Each bucket's first ordinal: where the ones before it end."""
+    return array("Q", map(sub, accumulate(counts), counts))
+
+
+class _Directory(Sequence):
+    """``(hash, start, count)`` per bucket, read from an index's
+    directory columns."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, hashes, starts, counts):
+        self._columns = (hashes, starts, counts)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(*(col[i] for col in self._columns)))
+        return tuple([col[i] for col in self._columns])
+
+    def __iter__(self):
+        return zip(*self._columns)
+
+
+class _Strings(dict):
+    """The string table of an index read back: string id to string, each
+    sliced out of the text on first use and shared after that.  An id
+    past the table raises ``IndexError``."""
+
+    __slots__ = ("text", "offsets")
+
+    def __init__(self, text: str, offsets: array):
+        self.text = text
+        self.offsets = offsets
+
+    def __missing__(self, i: int) -> str:
+        s = self[i] = self.text[self.offsets[i] : self.offsets[i + 1]]
+        return s
 
 
 _SMALL_VARINTS = [bytes((v,)) for v in range(0x80)]
@@ -509,23 +581,19 @@ class _LazyPayload:
         "done",
     )
 
-    def __init__(self, strings, keys, maxima, hashes, counts, bucket_at, edge_offsets, payload):
+    def __init__(self, strings, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload):
         self.strings = strings
         self.keys = keys
         self.maxima = maxima
         self.hashes = hashes
-        # each bucket starts where the ones before it end
-        self.starts = array("Q", map(sub, accumulate(counts), counts))
+        self.starts = starts
         self.counts = counts
         self.bucket_at = bucket_at
         self.edge_offsets = edge_offsets
         self.payload = payload
-        n = len(edge_offsets) - 1
-        self.elements = [None] * n
-        self.key_values = [None] * n
-        self.labels = [None] * n
-        self.edge_elements = [None] * edge_offsets[-1]
-        self.edge_labels = [None] * edge_offsets[-1]
+        # decoded values by ordinal or edge id, only of decoded buckets
+        self.elements, self.key_values, self.labels = {}, {}, {}
+        self.edge_elements, self.edge_labels = {}, {}
         self.done = bytearray(len(hashes))
 
     def decode_ordinal(self, o: int) -> None:
@@ -581,16 +649,17 @@ class _LazyPayload:
         for kvs in set(key_values):
             if stable_hash(kvs) != h:
                 raise ValidationError(f"key {kvs!r} does not hash to its bucket {h:#x}")
-        end = start + count
-        self.elements[start:end] = elements
-        self.key_values[start:end] = key_values
-        self.labels[start:end] = labels
-        self.edge_elements[edge_offsets[start] : edge_offsets[end]] = edge_elements
-        self.edge_labels[edge_offsets[start] : edge_offsets[end]] = edge_labels
+        ordinals = range(start, start + count)
+        self.elements.update(zip(ordinals, elements))
+        self.key_values.update(zip(ordinals, key_values))
+        self.labels.update(zip(ordinals, labels))
+        edge_ids = range(edge_offsets[start], edge_offsets[start + count])
+        self.edge_elements.update(zip(edge_ids, edge_elements))
+        self.edge_labels.update(zip(edge_ids, edge_labels))
         self.done[b] = 1
 
 
-def _take_record(ints: list, pos: int, strings: list) -> tuple[Record, int]:
+def _take_record(ints: list, pos: int, strings: _Strings) -> tuple[Record, int]:
     n = ints[pos]
     if not n:
         return EMPTY_RECORD, pos + 1
@@ -601,7 +670,7 @@ def _take_record(ints: list, pos: int, strings: list) -> tuple[Record, int]:
     return rec, pos + 1 + 2 * n
 
 
-def _take_labels(ints: list, pos: int, strings: list) -> tuple[frozenset, int]:
+def _take_labels(ints: list, pos: int, strings: _Strings) -> tuple[frozenset, int]:
     n = ints[pos]
     if not n:
         return _NO_LABELS, pos + 1
@@ -612,33 +681,37 @@ def _take_labels(ints: list, pos: int, strings: list) -> tuple[frozenset, int]:
 
 
 class _LazyColumn(Sequence):
-    """One ordinal or edge column of a deserialized index; reading a
-    position decodes its bucket on first access.  ``decode`` decodes
-    the bucket of a position."""
+    """One ordinal or edge column of a deserialized index, of length
+    ``n``; reading a position decodes its bucket on first access.
+    ``values`` holds the decoded positions, and ``decode`` decodes the
+    bucket of a position."""
 
-    __slots__ = ("_payload", "_values", "_decode")
+    __slots__ = ("_payload", "_values", "_n", "_decode")
 
-    def __init__(self, payload: _LazyPayload, values: list, decode: Callable[[int], None]):
+    def __init__(self, payload: _LazyPayload, values: dict, n: int, decode: Callable[[int], None]):
         self._payload = payload
         self._values = values
+        self._n = n
         self._decode = decode
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            self._payload.decode_all()
-            return tuple(self._values[i])
-        value = self._values[i]
+            return tuple(map(self.__getitem__, range(self._n)[i]))
+        value = self._values.get(i)
         if value is None:
-            self._decode(i % len(self._values))
+            if not -self._n <= i < self._n:
+                raise IndexError("index column position out of range")
+            i %= self._n
+            self._decode(i)
             value = self._values[i]
         return value
 
     def __iter__(self):
         self._payload.decode_all()
-        return iter(self._values)
+        return map(self._values.__getitem__, range(self._n))
 
 
 def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
@@ -676,12 +749,7 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
     order = sorted(range(len(tags)), key=vertex_keys.__getitem__)
     ordinal = {tags[v]: o for o, v in enumerate(order)}
     sizes = Counter([h for h, _, _ in vertex_keys])
-    directory = []
-    start = 0
-    for h in sorted(sizes.keys() | hashes):
-        size = sizes.get(h, 0)
-        directory.append((h, start, size))
-        start += size
+    bucket_hash = array("Q", sorted(sizes.keys() | hashes))
 
     edge_keys, edge_elements, edge_labels = [], [], []
     dropped = 0
@@ -707,7 +775,8 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
         array("Q", [edge_keys[e][1] for e in edge_order]),
         tuple([edge_elements[e] for e in edge_order]),
         tuple([edge_labels[e] for e in edge_order]),
-        tuple(directory),
+        bucket_hash,
+        array("Q", [sizes[h] for h in bucket_hash]),
         vertex_max,
         edge_max,
         skipped,
@@ -725,8 +794,9 @@ def prepare(
 
     Vertices are bucketed by the hash of their key values; a vertex
     missing one is skipped, and an edge touching a skipped vertex is
-    dropped.  ``hash_override`` substitutes the bucket hash function;
-    it exists to force collisions in tests."""
+    dropped.  ``hash_override`` substitutes the bucket hash function,
+    which must return an unsigned 64-bit int as :func:`stable_hash`
+    does; it exists to force collisions in tests."""
     keys = _check_keys(keys)
     hfn = hash_override if hash_override is not None else stable_hash
     db = graph.db
@@ -956,7 +1026,8 @@ class EngineRun:
         access."""
         if self._vertices is None:
             a, b = self.left.elements, self.right.elements
-            self._vertices = IndexedSet(
+            # the sources are in canonical order already
+            self._vertices = IndexedSet._canonical(
                 Element(a[xo].record.combine(b[yo].record), replica, parts=(a[xo], b[yo]))
                 for xo, yo, replica in self._vertex_sources
             )
@@ -1145,24 +1216,27 @@ def _fill_order(fills: list) -> list:
     return [list(group) for _, group in groupby(ordered, key=attrgetter("element"))]
 
 
-def _merge_directories(da, db_, counters: OpCounters):
-    common = []
+def _merge_directories(a: EngineIndex, b: EngineIndex, counters: OpCounters) -> list:
+    """The buckets both operands hold, in hash order, as a pair of
+    ``(hash, start, count)`` triples each, found by one walk of the two
+    hash columns; each step moves past one bucket of one side."""
+    ha, hb = a.bucket_hash, b.bucket_hash
+    na, nb = len(ha), len(hb)
+    matches = []
     i = j = 0
-    na, nb = len(da), len(db_)
     while i < na and j < nb:
-        ha, hb = da[i][0], db_[j][0]
-        if ha == hb:
-            common.append((da[i], db_[j]))
-            counters.directory_steps += 2
+        x, y = ha[i], hb[j]
+        if x == y:
+            matches.append((i, j))
             i += 1
             j += 1
-        elif ha < hb:
-            counters.directory_steps += 1
+        elif x < y:
             i += 1
         else:
-            counters.directory_steps += 1
             j += 1
-    return common
+    counters.directory_steps += i + j
+    sa, ca, sb, cb = a.bucket_start, a.bucket_count, b.bucket_start, b.bucket_count
+    return [((ha[i], sa[i], ca[i]), (hb[j], sb[j], cb[j])) for i, j in matches]
 
 
 def _vertex_scan(a, b, common, offset_v):
@@ -1358,7 +1432,7 @@ def run_join(
         )
 
     counters = OpCounters()
-    common = _merge_directories(a.directory, b.directory, counters)
+    common = _merge_directories(a, b, counters)
     counters.bucket_visits = len(common)
 
     # past both universes; with one of them empty, nothing of that kind

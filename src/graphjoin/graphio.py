@@ -19,14 +19,18 @@ collide on (payload, replica).
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 from array import array
 from dataclasses import dataclass
-from datetime import date
-from itertools import chain
+from itertools import chain, islice
 from sys import intern
 from typing import Iterable
+
+try:
+    # the module hashlib takes it from, without loading OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - a build without the module
+    from hashlib import blake2b
 
 from .model import (
     EMPTY_RECORD,
@@ -208,9 +212,7 @@ def write_graph(graph: Graph, vertex_path, edge_path) -> None:
 
 
 def _leaf_token(leaf: Element) -> str:
-    digest = hashlib.blake2b(
-        repr(leaf.record.items).encode("utf-8"), digest_size=4
-    ).hexdigest()
+    digest = blake2b(repr(leaf.record.items).encode("utf-8"), digest_size=4).hexdigest()
     tag = "~" if leaf.synthetic else ""
     return f"{tag}{digest}:{leaf.replica}"
 
@@ -240,7 +242,9 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
     merge as :meth:`Record.combine` merges them and whose leaves make
     its provenance, and streams its edges' rows, without building a
     merged vertex or an edge; any other result (a reference result, a
-    graph) is read through its elements and its database."""
+    graph) is read through its elements and its database.  Each
+    operand's provenance token is computed once, and edge rows are
+    written in blocks of formatted text."""
     os.makedirs(out_dir, exist_ok=True)
     vertex_path = os.path.join(out_dir, "vertices.csv")
     edge_path = os.path.join(out_dir, "edges.tsv")
@@ -260,25 +264,40 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
             raise DataFormatError(
                 f"attribute name {reserved!r} collides with a reserved column"
             )
-    # vertices share leaves, which the result keeps alive
-    tokens: dict = {}
+    # a row is the id, a cell per attribute, then the provenance
+    header = ["id"] + attrs + ["_provenance"]
+    column = {name: i for i, name in enumerate(header)}
+    blank = [""] * len(header)
+    # vertices share operands and leaves, which the result keeps alive
+    operand_tokens: dict = {}
+    leaf_tokens: dict = {}
     with open(vertex_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["id"] + attrs + ["_provenance"])
+        w.writerow(header)
         for i, parts in enumerate(operands()):
-            cells = dict(chain.from_iterable(p.record.items for p in parts))
-            w.writerow(
-                [i]
-                + [cells.get(a, "") for a in attrs]
-                + ["+".join([provenance_token(p, tokens) for p in parts])]
-            )
+            row = blank.copy()
+            row[0] = i
+            tokens = []
+            for p in parts:
+                for name, value in p.record.items:
+                    row[column[name]] = value
+                token = operand_tokens.get(id(p))
+                if token is None:
+                    token = operand_tokens[id(p)] = provenance_token(p, leaf_tokens)
+                tokens.append(token)
+            row[-1] = "+".join(tokens)
+            w.writerow(row)
     if engine_run:
         rows = result.edge_rows()
     else:
         ids = {v: i for i, v in enumerate(result.vertices)}
         rows = ((ids[src], ids[dst]) for src, dst in map(result.db.endpoints_of, result.edges))
+    # edge rows hold only ints, formatted as the CSV writer would write
+    # them; a block of 256 rows per write keeps the text held small
+    row_text = "%d\t%d\r\n".__mod__
     with open(edge_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, delimiter="\t").writerows(rows)
+        while block := "".join(map(row_text, islice(rows, 256))):
+            fh.write(block)
     return vertex_path, edge_path
 
 
@@ -339,7 +358,9 @@ _RMAT_P = (0.57, 0.19, 0.19, 0.05)
 def generate_rows(params: GeneratorParams):
     """All file content in memory: (header, vertex rows, edge pairs).
     Deterministic for fixed params."""
-    # imported here so that reading and joining files never pays for it
+    # imported here so that reading and joining files never pays for them
+    from datetime import date
+
     import numpy as np
 
     n = 1 << params.scale

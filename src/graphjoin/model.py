@@ -22,7 +22,7 @@ equality and no numeric coercion ever happens.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -293,7 +293,17 @@ class IndexedSet:
     __slots__ = ("elements", "universe", "_members")
 
     def __init__(self, elements: Iterable[Element] = (), universe: Optional[Iterable[int]] = None):
-        elems = sorted(elements, key=lambda e: (e.record._items, e.replica))
+        self._fill(sorted(elements, key=lambda e: (e.record._items, e.replica)), universe)
+
+    @classmethod
+    def _canonical(cls, elements: Iterable[Element]) -> "IndexedSet":
+        """Build from elements already in canonical order, without
+        sorting them again; duplicates are still rejected."""
+        s = cls.__new__(cls)
+        s._fill(tuple(elements), None)
+        return s
+
+    def _fill(self, elems: Sequence[Element], universe: Optional[Iterable[int]]) -> None:
         members = frozenset(elems)
         if len(members) != len(elems):
             raise ValidationError("duplicate (payload, replica) pair in indexed set")

@@ -3,9 +3,12 @@ and parity between the two join engines as invoked through the CLI."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import graphjoin
 from graphjoin.cli import main
 
 
@@ -50,6 +53,45 @@ def join_args(file_pairs, out_dir, *extra):
         "--out", str(out_dir),
         *extra,
     )
+
+
+# ---------------------------------------------------------------------------
+# what a join loads
+
+# modules a file-to-file join never runs: OpenSSL's hashlib backend, the
+# bench command's statistics, the verify command, and the generator's
+# dependencies
+UNUSED_BY_JOIN = ("_hashlib", "statistics", "graphjoin.verify", "datetime", "numpy")
+
+FOOTPRINT_PROBE = """
+import json, sys
+unused = json.loads(sys.argv[1])
+import graphjoin
+loaded = [[m for m in unused if m in sys.modules]]
+from graphjoin.cli import main
+code = main(json.loads(sys.argv[2]))
+loaded.append([m for m in unused if m in sys.modules])
+print(json.dumps([code, loaded]))
+"""
+
+
+def test_a_join_loads_only_what_it_runs(tmp_path, file_pairs):
+    # a fresh interpreter: this one has loaded everything the suite uses
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(graphjoin.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = join_args(file_pairs, tmp_path / "out", "--semantics", "disjunctive")
+    probe = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(UNUSED_BY_JOIN), json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, loaded = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0
+    assert (tmp_path / "out" / "edges.tsv").exists()
+    assert loaded == [[], []]
 
 
 # ---------------------------------------------------------------------------

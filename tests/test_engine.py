@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import graphjoin
 import graphjoin.engine
+import graphjoin.graphio
 from graphjoin.engine import (
     EngineIndex,
     _SECTIONS,
@@ -81,6 +82,12 @@ def test_stable_hash_length_prefixes_values():
 
 def test_stable_hash_is_order_sensitive():
     assert stable_hash(("x", "y")) != stable_hash(("y", "x"))
+
+
+def test_bucket_hash_uses_the_blake2b_of_hashlib():
+    # taken from the module hashlib takes it from, which loads no OpenSSL
+    assert graphjoin.engine.blake2b is hashlib.blake2b
+    assert graphjoin.graphio.blake2b is hashlib.blake2b
 
 
 def test_export_lists_resolve():
@@ -262,13 +269,12 @@ def test_from_bytes_rejects_truncation_and_trailing_bytes(citation_instance):
 def test_from_bytes_rejects_broken_directories(citation_instance):
     db, researcher, _ = citation_instance
     idx = prepare(researcher, ["Name"])
-    short = tuple(
-        (h, start, count - (1 if i == len(idx.directory) - 1 else 0))
-        for i, (h, start, count) in enumerate(idx.directory)
-    )
+    short = array("Q", idx.bucket_count)
+    short[-1] -= 1
     # the undercounting directory also leaves the last vertex row
     # unread, so coverage is checked before the payload is parsed
-    tampered = replace(idx, directory=short)
+    tampered = replace(idx, bucket_count=short)
+    assert [start for _, start, _ in tampered.directory] == list(idx.bucket_start)
     with pytest.raises(ValidationError, match="cover"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -281,10 +287,9 @@ def test_from_bytes_rejects_unsorted_directory_hashes():
 
     # the directory merge assumes ascending hashes; with two swapped it
     # would walk past every match and join nothing
-    d = list(a.directory)
-    (h0, s0, c0), (h1, s1, c1) = d[0], d[1]
-    d[0], d[1] = (h1, s0, c0), (h0, s1, c1)
-    tampered = replace(a, directory=tuple(d))
+    hashes = array("Q", a.bucket_hash)
+    hashes[0], hashes[1] = hashes[1], hashes[0]
+    tampered = replace(a, bucket_hash=hashes)
     with pytest.raises(ValidationError, match="ascend"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -372,6 +377,40 @@ def test_loaded_index_decodes_only_the_buckets_a_join_visits(tmp_path):
     assert a.decoded_buckets == len(a.directory)
 
 
+def test_loaded_columns_read_like_the_built_ones():
+    db, left, right, pairs = build_pair(5)
+    idx = prepare(left, [pairs[0][0]])
+    assert (idx.n_vertices, idx.n_edges) == (11, 9)
+    back = EngineIndex.from_bytes(idx.to_bytes())
+    assert back.elements[-1] == idx.elements[-1]
+    assert back.edge_labels[-1] == idx.edge_labels[-1]
+    assert back.key_values[1:3] == idx.key_values[1:3]
+    for column, n in ((back.elements, idx.n_vertices), (back.edge_elements, idx.n_edges)):
+        for past in (n, -n - 1):
+            with pytest.raises(IndexError):
+                column[past]
+    assert list(back.labels) == list(idx.labels)
+    assert list(back.edge_elements) == list(idx.edge_elements)
+
+
+def test_loading_a_saved_index_takes_memory_per_file_byte(tmp_path):
+    # a sparse-reuse operand: a generated 2^13 graph with 365x512 key
+    # values; loading keeps its int columns, string text and payload
+    # bytes, and builds no string, element or tuple per bucket
+    path = tmp_path / "a.gjix"
+    graph = build_graph(PropertyGraph(), GeneratorParams(13, 1, attr_suffix="1"))
+    prepare(graph, ["dob1", "company1"]).save(path)
+    del graph
+    tracemalloc.start()
+    try:
+        index = EngineIndex.load_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (index.n_vertices, index.decoded_buckets) == (8192, 0)
+    assert peak < 3 * path.stat().st_size
+
+
 def test_from_bytes_rejects_checksum_mismatches(citation_instance):
     db, researcher, _ = citation_instance
     raw = prepare(researcher, ["Name"]).to_bytes()
@@ -409,7 +448,13 @@ def test_bucket_decode_rejects_key_values_that_disagree_with_the_records():
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a"})], [])
     idx = prepare(g, ["k"])
-    hostile = replace(idx, key_values=(("b",),), directory=((stable_hash(("b",)), 0, 1),))
+    hostile = replace(
+        idx,
+        key_values=(("b",),),
+        bucket_hash=array("Q", [stable_hash(("b",))]),
+        bucket_count=array("Q", [1]),
+    )
+    assert tuple(hostile.directory) == ((stable_hash(("b",)), 0, 1),)
     back = EngineIndex.from_bytes(hostile.to_bytes())
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
         back.key_values[0]
@@ -447,6 +492,11 @@ STRUCTURAL_DAMAGE = {
     "record-duplicate-name": (
         damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 0, 3]))),
         "corrupt record",
+    ),
+    # the record {k=a, x=b} binds x to string id 9, past the 4 strings
+    "record-string-id-past-table": (
+        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 2, 9]))),
+        "corrupt payload in bucket",
     ),
     # the record {k=a, x=b} is now {b=a, x=b}
     "record-lacks-join-key": (
@@ -679,6 +729,28 @@ def test_prepare_files_matches_full_load_on_random_pairs(tmp_path, semantics):
             write_graph(graph, vp, ep)
             file_pairs.append((vp, ep))
         assert_matches_full_load(d, *file_pairs, [pairs[0][0]], [pairs[0][1]], semantics)
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_directory_triples_read_the_columns(tmp_path, case):
+    lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    db = PropertyGraph()
+    full = (
+        prepare(load_graph_pair(db, *left_pair), keys_a),
+        prepare(load_graph_pair(db, *right_pair), keys_b),
+    )
+    pruned = prepare_files(left_pair, right_pair, keys_a, keys_b)
+    for f, p in zip(full, pruned):
+        for op in (f, p):
+            counts = list(op.bucket_count)
+            triples = list(zip(op.bucket_hash, accumulate(counts, initial=0), counts))
+            assert list(op.directory) == [op.directory[i] for i in range(len(counts))] == triples
+            assert list(EngineIndex.from_bytes(op.to_bytes()).directory) == triples
+        # pruning keeps every bucket and only drops vertices
+        assert list(p.bucket_hash) == list(f.bucket_hash)
+        assert all(map(int.__le__, p.bucket_count, f.bucket_count))
 
 
 def test_prepare_files_rejects_bad_keys(tmp_path):
@@ -1036,6 +1108,21 @@ def test_vertex_order_within_buckets_does_not_change_the_result(tmp_path, semant
             len(fs.src_mates) > 1 or len(fs.dst_mates) > 1 for fs in run._fills
         )
     assert multi_mate_fills > 0 if semantics == DISJUNCTIVE else multi_mate_fills == 0
+
+
+@pytest.mark.parametrize("semantics", [CONJUNCTIVE, DISJUNCTIVE])
+def test_joined_vertices_are_built_in_canonical_order(semantics):
+    # they skip the indexed set's sort, so the sorting constructor must
+    # find them in its order already
+    for seed in range(40):
+        db, left, right, pairs = build_pair(seed)
+        run = run_join(prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]), semantics)
+        merged = run.vertices.elements
+        assert run.vertices == IndexedSet(reversed(merged))
+        assert IndexedSet._canonical(merged) == IndexedSet(merged)
+        if merged:
+            with pytest.raises(ValidationError, match="duplicate"):
+                IndexedSet._canonical(merged + merged[:1])
 
 
 def test_a_failed_materialization_raises_its_error_again():
