@@ -367,12 +367,14 @@ def generate_rows(params: GeneratorParams):
     m = params.edge_factor * n
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    sex_pick = rng.integers(0, 2, size=n)
-    name_pick = rng.integers(0, params.name_values, size=n)
-    surname_pick = rng.integers(0, params.surname_values, size=n)
-    dob_pick = rng.integers(0, params.dob_values, size=n)
-    company_pick = rng.integers(0, params.company_values, size=n)
-    residence_pick = rng.integers(0, params.residence_values, size=n)
+    # as lists of ints: the row loop below indexes and formats them, which
+    # is several times slower on numpy scalars
+    sex_pick = rng.integers(0, 2, size=n).tolist()
+    name_pick = rng.integers(0, params.name_values, size=n).tolist()
+    surname_pick = rng.integers(0, params.surname_values, size=n).tolist()
+    dob_pick = rng.integers(0, params.dob_values, size=n).tolist()
+    company_pick = rng.integers(0, params.company_values, size=n).tolist()
+    residence_pick = rng.integers(0, params.residence_values, size=n).tolist()
 
     dob_pool = [date.fromordinal(710000 + k).isoformat() for k in range(params.dob_values)]
 
@@ -397,7 +399,7 @@ def generate_rows(params: GeneratorParams):
         q = rng.choice(4, size=m, p=_RMAT_P)
         src = src * 2 + (q >> 1)
         dst = dst * 2 + (q & 1)
-    erows = [(int(s), int(d)) for s, d in zip(src, dst)]
+    erows = list(zip(src.tolist(), dst.tolist()))
 
     header = VERTEX_HEADER
     if params.attr_suffix:
