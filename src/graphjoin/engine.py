@@ -13,11 +13,13 @@ each independently usable:
    skipped endpoint are dropped (they can never bond and never find a
    joined partner, so the result is unaffected).  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 3 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 4 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
-   keeps every string once, the directory and the same CSR offsets and
-   destinations as int columns, and one checksummed section per part;
-   it stores nothing its reader can derive.
+   keeps every string and every record shape (its sorted attribute
+   names) once, the directory and the CSR out-degrees and destinations
+   as int columns of the narrowest width that fits, and one
+   checksummed section per part; it stores nothing its reader can
+   derive, so offsets are stored as lengths.
    Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
    at once and keeps the file's int columns, string text and payload as
    they are; it decodes a bucket's vertices and edges, and the strings
@@ -81,6 +83,7 @@ indices).
 from __future__ import annotations
 
 import heapq
+import os
 import struct
 import sys
 import zlib
@@ -90,7 +93,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, compress, count, groupby, islice, product
-from operator import attrgetter, itemgetter, le, lt, ne, not_, or_, sub
+from operator import attrgetter, itemgetter, lt, ne, not_, or_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 try:
@@ -174,8 +177,10 @@ class EngineIndex:
     The directory, ``edge_offsets`` and ``edge_dest`` are int arrays,
     and an index built in memory holds its other columns as tuples.
     One read back with :meth:`from_bytes` keeps the file's int columns
-    as they are, its string table as one text and an offsets column,
-    and its payload bytes; its other columns are sequence views.  The
+    as they are, sums the CSR offsets up from the out-degrees, and
+    keeps its string table as one text and an offsets column, its
+    record shapes as name tuples, and its payload bytes; its other
+    columns are sequence views.  The
     first access to an ordinal or an edge id decodes its whole bucket
     into elements, key tuples and label sets, and slices out the
     strings they use, each once, so a join pays only for the buckets it
@@ -241,29 +246,38 @@ class EngineIndex:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 3
+    # -- serialization, format GJIX version 4
 
     MAGIC = b"GJIX"
-    VERSION = 3
+    VERSION = 4
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
         every bucket first."""
-        # strings are numbered in order of first use, which a read-back
-        # index repeats, so the bytes round-trip exactly
+        # strings and record shapes are numbered in order of first use,
+        # which a read-back index repeats, so the bytes round-trip exactly
         strings = []
         sid = {}
+        shapes = []
+        shape_id = {}
 
         def new(s: str) -> bytes:
             code = sid[s] = _varint(len(strings))
             strings.append(s)
             return code
 
+        def new_shape(names: tuple[str, ...]) -> bytes:
+            shapes.append(_varint(len(names)) + b"".join([sid.get(s) or new(s) for s in names]))
+            code = shape_id[names] = _varint(len(shapes))
+            return code
+
         def record(items) -> bytes:
+            # shape 0 is the empty record
             if not items:
                 return b"\x00"
-            ids = [sid.get(s) or new(s) for s in chain.from_iterable(items)]
-            return _varint(len(items)) + b"".join(ids)
+            names, values = zip(*items)
+            shape = shape_id.get(names) or new_shape(names)
+            return shape + b"".join([sid.get(s) or new(s) for s in values])
 
         def label_set(labels) -> bytes:
             if not labels:
@@ -272,9 +286,10 @@ class EngineIndex:
 
         keys = [sid.get(k) or new(k) for k in self.keys]
         offsets = self.edge_offsets
+        degrees = list(map(sub, offsets[1:], offsets))
         edges = zip(self.edge_elements, self.edge_labels)
         blocks = []
-        for el, labs, degree in zip(self.elements, self.labels, map(sub, offsets[1:], offsets)):
+        for el, labs, degree in zip(self.elements, self.labels, degrees):
             pieces = [_varint(el.replica), record(el.record.items), label_set(labs)]
             for ee, elabs in islice(edges, degree):
                 pieces += (_varint(ee.replica), record(ee.record.items), label_set(elabs))
@@ -285,20 +300,20 @@ class EngineIndex:
         # a bucket's block runs from its first vertex to the next
         # bucket's; starts past the table only occur in tampered indices
         bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in self.bucket_start]
+        bucket_at.append(len(payload))
 
         tallies = (self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max)
         meta = b"".join([_varint(len(keys)), *keys, *map(_varint, tallies)])
-        text = "".join(strings)
-        string_offsets = list(accumulate(map(len, strings), initial=0))
         return _pack_sections(
             {
                 "meta": (1, meta),
-                "string_offsets": _column(string_offsets),
-                "string_text": (1, text.encode("utf-8")),
+                "string_lengths": _column(map(len, strings)),
+                "string_text": (1, "".join(strings).encode("utf-8")),
+                "shapes": (1, b"".join(shapes)),
                 "bucket_hash": _column(self.bucket_hash),
                 "bucket_count": _column(self.bucket_count),
-                "bucket_payload": _column(bucket_at),
-                "edge_offsets": _column(offsets),
+                "bucket_bytes": _column(map(sub, bucket_at[1:], bucket_at)),
+                "edge_degrees": _column(degrees),
                 "edge_dest": _column(self.edge_dest),
                 "payload": (1, payload),
             }
@@ -309,51 +324,56 @@ class EngineIndex:
         """Read an index back.  The structure is decoded and checked
         here; bucket payloads are decoded on first access."""
         sec = _unpack_sections(raw)
+        meta, text, shape_table, payload = (
+            _byte_section(sec, name) for name in ("meta", "string_text", "shapes", "payload")
+        )
 
-        offsets = _read_column(sec, "string_offsets")
         try:
-            text = str(sec["string_text"][1], "utf-8")
+            text = str(text, "utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError("string table is not UTF-8") from exc
-        if not offsets or offsets[0] != 0 or offsets[-1] != len(text) or not _ascending(offsets):
+        offsets = _offsets(_read_column(sec, "string_lengths"))
+        if offsets[-1] != len(text):
             raise ValidationError("string table offsets do not fit the string text")
         strings = _Strings(text, offsets)
 
-        meta = _read_varints(sec["meta"][1])
+        meta = _read_varints(meta)
         nkeys = meta[0] if meta else -1
         if len(meta) != nkeys + 5 or max(meta[1 : 1 + nkeys], default=-1) >= len(offsets) - 1:
             raise ValidationError("corrupt index header fields")
         # without a key, every bucket would join as a cross product
         keys = _check_keys([strings[i] for i in meta[1 : 1 + nkeys]])
         skipped, dropped, vertex_max, edge_max = meta[-4:]
+        shapes = _read_shapes(shape_table, strings)
 
-        hashes, counts, bucket_at = (
-            _read_column(sec, name) for name in ("bucket_hash", "bucket_count", "bucket_payload")
+        hashes, counts, bucket_bytes, degrees, dest = (
+            _read_column(sec, name)
+            for name in ("bucket_hash", "bucket_count", "bucket_bytes", "edge_degrees", "edge_dest")
         )
-        edge_offsets = _read_column(sec, "edge_offsets")
-        dest = _read_column(sec, "edge_dest")
-        payload = bytes(sec["payload"][1])
-        if not len(hashes) == len(counts) == len(bucket_at):
+        payload = bytes(payload)
+        if not len(hashes) == len(counts) == len(bucket_bytes):
             raise ValidationError("directory columns differ in length")
-        if not edge_offsets:
-            raise ValidationError("edge offsets are missing")
-        nverts = len(edge_offsets) - 1
+        nverts = len(degrees)
 
         if sum(counts) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
         if not all(map(lt, hashes, islice(hashes, 1, None))):
             raise ValidationError("directory hashes do not strictly ascend")
-        if edge_offsets[0] != 0 or edge_offsets[-1] != len(dest) or not _ascending(edge_offsets):
+        edge_offsets = _offsets(degrees)
+        if edge_offsets[-1] != len(dest):
             raise ValidationError("edge offsets do not fit the edge table")
         if dest and max(dest) >= nverts:
             raise ValidationError(f"out-edge destination {max(dest)} outside the vertex table")
-        if bucket_at and (bucket_at[0] != 0 or bucket_at[-1] > len(payload) or not _ascending(bucket_at)):
+        bucket_at = _offsets(bucket_bytes)
+        if bucket_at[-1] != len(payload):
             raise ValidationError("bucket payload offsets do not fit the payload")
 
         starts = _starts(counts)
         maxima = (vertex_max, edge_max)
-        lazy = _LazyPayload(strings, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload)
+        lazy = _LazyPayload(
+            strings, shapes, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
+        )
         ndest = len(dest)
         index = cls(
             keys,
@@ -376,8 +396,19 @@ class EngineIndex:
         return index
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write the index to ``path`` through a temporary file in the
+        same directory, so a write that fails part way leaves the file
+        that was there before as it was."""
+        raw = self.to_bytes()
+        tmp = f"{os.fsdecode(path)}.{os.urandom(6).hex()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(raw)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load_file(cls, path) -> "EngineIndex":
@@ -385,26 +416,29 @@ class EngineIndex:
             return cls.from_bytes(fh.read())
 
 
-# GJIX v3 layout: magic, u16 version, one (width, length, CRC32) entry
+# GJIX v4 layout: magic, u16 version, one (width, length, CRC32) entry
 # per section in this order, a CRC32 of everything before it, then the
-# section bodies back to back.  Width 1 marks a byte section; 4 and 8
-# mark a little-endian unsigned int column of that item size.
+# section bodies back to back.  A byte section has width 1; an int
+# column is little-endian and unsigned, at the narrowest width of 1, 2,
+# 4 or 8 bytes that holds its largest item.  Offsets are stored as
+# lengths, and the reader sums them up.
 _SECTIONS = (
     "meta",  # varints: key count, key string ids, skipped, dropped, vertex max, edge max
-    "string_offsets",  # column: code-point offsets into string_text
+    "string_lengths",  # column per string: its length in code points
     "string_text",  # every distinct string once, in order of first use, as UTF-8
+    "shapes",  # varints per shape: name count, name string ids, ascending by name
     "bucket_hash",  # column per bucket, strictly ascending
     "bucket_count",  # column per bucket: vertex count
-    "bucket_payload",  # column per bucket: byte offset of its block in payload
-    "edge_offsets",  # column per ordinal, plus one: CSR out-edge offsets
+    "bucket_bytes",  # column per bucket: byte length of its block in payload
+    "edge_degrees",  # column per ordinal: out-edge count, CSR in ordinal order
     "edge_dest",  # column per edge id: destination ordinal
-    "payload",  # varints: one block per bucket, see _LazyPayload.decode
+    "payload",  # varints: one block per bucket, see _LazyPayload
 )
 _ENTRY = struct.Struct("<BQI")
 _HEAD = struct.Struct("<4sH")
 _CRC = struct.Struct("<I")
 _HEAD_SIZE = _HEAD.size + _ENTRY.size * len(_SECTIONS) + _CRC.size
-_TYPECODES = {4: "I", 8: "Q"}
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _SWAP = sys.byteorder == "big"
 
 
@@ -453,11 +487,20 @@ def _unpack_sections(raw: bytes) -> dict:
     return sections
 
 
+def _narrowest(top: int) -> str:
+    """The typecode of the narrowest unsigned column item that holds
+    ``top``; 8 bytes for anything wider, which ``array`` then rejects."""
+    for width, code in _TYPECODES.items():
+        if top < 1 << 8 * width:
+            return code
+    return "Q"
+
+
 def _column(values) -> tuple[int, bytes]:
-    try:
-        col = array("I", values)
-    except OverflowError:
-        col = array("Q", values)
+    col = array("Q", values)
+    code = _narrowest(max(col, default=0))
+    if code != "Q":
+        col = array(code, col)
     if _SWAP:
         col.byteswap()
     return col.itemsize, col.tobytes()
@@ -474,8 +517,39 @@ def _read_column(sections: dict, name: str) -> array:
     return col
 
 
-def _ascending(col) -> bool:
-    return all(map(le, col, islice(col, 1, None)))
+def _byte_section(sections: dict, name: str) -> memoryview:
+    width, body = sections[name]
+    if width != 1:
+        raise ValidationError(f"index section {name} is not a byte section")
+    return body
+
+
+def _offsets(lengths) -> array:
+    """Where each item starts, and then where the last one ends: the
+    sums of the lengths before it."""
+    return array(_narrowest(sum(lengths)), accumulate(lengths, initial=0))
+
+
+def _read_shapes(table, strings: _Strings) -> list[tuple[str, ...]]:
+    """The record shapes of an index read back: shape 0, the empty
+    record, then each name tuple of the table, checked to name strings
+    of the table in strictly ascending order."""
+    ints = _read_varints(table)
+    shapes = [()]
+    pos = 0
+    try:
+        while pos < len(ints):
+            n = ints[pos]
+            names = tuple([strings[i] for i in ints[pos + 1 : pos + 1 + n]])
+            pos += 1 + n
+            if not 0 < len(names) == n:
+                raise ValidationError("corrupt shape table")
+            if not all(map(lt, names, names[1:])):
+                raise ValidationError(f"the names of shape {len(shapes)} do not strictly ascend")
+            shapes.append(names)
+    except IndexError as exc:
+        raise ValidationError(f"shape {len(shapes)} names a string past the string table") from exc
+    return shapes
 
 
 def _starts(counts) -> array:
@@ -557,14 +631,18 @@ class _LazyPayload:
     bucket at a time.
 
     A bucket's block holds, per vertex in ordinal order: replica, the
-    record as a binding count and (name id, value id) pairs, the labels
-    as a count and ids; then per out-edge of that vertex, in edge id
-    order: replica, record and labels alike.  Out-edge counts come from
-    the CSR offsets, and a vertex's key values from its record.
+    record as a shape id and one value id per name of that shape, the
+    labels as a count and ids; then per out-edge of that vertex, in edge
+    id order: replica, record and labels alike.  Shape 0 is the empty
+    record, and ``shapes`` holds the name tuple of each shape, checked at
+    load, so a record is built without checking or sorting its names
+    again.  Out-edge counts come from the CSR offsets, and a vertex's
+    key values from its record.
     """
 
     __slots__ = (
         "strings",
+        "shapes",
         "keys",
         "maxima",
         "hashes",
@@ -581,8 +659,11 @@ class _LazyPayload:
         "done",
     )
 
-    def __init__(self, strings, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload):
+    def __init__(
+        self, strings, shapes, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
+    ):
         self.strings = strings
+        self.shapes = shapes
         self.keys = keys
         self.maxima = maxima
         self.hashes = hashes
@@ -613,22 +694,21 @@ class _LazyPayload:
 
     def decode(self, b: int) -> None:
         start, count = self.starts[b], self.counts[b]
-        block_end = self.bucket_at[b + 1] if b + 1 < len(self.bucket_at) else len(self.payload)
-        ints = _read_varints(self.payload[self.bucket_at[b] : block_end])
-        strings, keys, edge_offsets = self.strings, self.keys, self.edge_offsets
+        ints = _read_varints(self.payload[self.bucket_at[b] : self.bucket_at[b + 1]])
+        strings, shapes, keys, edge_offsets = self.strings, self.shapes, self.keys, self.edge_offsets
         elements, key_values, labels, edge_elements, edge_labels = [], [], [], [], []
         pos = 0
         try:
             for o in range(start, start + count):
                 replica = ints[pos]
-                rec, pos = _take_record(ints, pos + 1, strings)
+                rec, pos = _take_record(ints, pos + 1, shapes, strings)
                 labs, pos = _take_labels(ints, pos, strings)
                 key_values.append(tuple([rec[k] for k in keys]))
                 elements.append(Element(rec, replica))
                 labels.append(labs)
                 for _ in range(edge_offsets[o], edge_offsets[o + 1]):
                     replica = ints[pos]
-                    rec, pos = _take_record(ints, pos + 1, strings)
+                    rec, pos = _take_record(ints, pos + 1, shapes, strings)
                     labs, pos = _take_labels(ints, pos, strings)
                     edge_elements.append(Element(rec, replica))
                     edge_labels.append(labs)
@@ -659,15 +739,14 @@ class _LazyPayload:
         self.done[b] = 1
 
 
-def _take_record(ints: list, pos: int, strings: _Strings) -> tuple[Record, int]:
-    n = ints[pos]
-    if not n:
+def _take_record(ints: list, pos: int, shapes: list, strings: _Strings) -> tuple[Record, int]:
+    names = shapes[ints[pos]]
+    if not names:
         return EMPTY_RECORD, pos + 1
-    ids = ints[pos + 1 : pos + 1 + 2 * n]
-    rec = Record(zip([strings[i] for i in ids[::2]], [strings[i] for i in ids[1::2]]))
-    if len(rec) != n:
-        raise ValidationError("corrupt record in index payload")
-    return rec, pos + 1 + 2 * n
+    end = pos + 1 + len(names)
+    # a block cut short leaves fewer values than names, and the next
+    # read past its end raises IndexError
+    return Record._sorted(names, [strings[i] for i in ints[pos + 1 : end]]), end
 
 
 def _take_labels(ints: list, pos: int, strings: _Strings) -> tuple[frozenset, int]:
@@ -917,7 +996,7 @@ def _file_vertices(keys, rows, payloads, replicas, hash_of):
     """The builder's vertices for the given rows of one side of
     :func:`prepare_files`, each built from its payload identity."""
     for row in rows:
-        rec = Record(zip(*payloads[row]))
+        rec = Record._sorted(*payloads[row])
         kt = tuple([rec[k] for k in keys])
         yield row, hash_of[row], kt, Element(rec, replicas[row]), _NO_LABELS
 

@@ -166,8 +166,9 @@ def load_graph_pair(
 ) -> Graph:
     """Load one vertex/edge file pair as a new component of ``db``."""
     src, dst = ends = array("Q"), array("Q")
+    # the reader's names are sorted and distinct, and its cells text
     records = [
-        Record(zip(names, values))
+        Record._sorted(names, values)
         for names, values in read_graph_rows(vertex_path, edge_path, ends, keep_id=keep_id)
     ]
     return component_from_payloads(

@@ -110,6 +110,18 @@ class Record:
         self._items = tuple(sorted(m.items()))
         self._hash = hash(self._items)
 
+    @classmethod
+    def _sorted(cls, names: tuple[str, ...], values: Iterable[str]) -> "Record":
+        """The record binding ``names``, strictly ascending, to
+        ``values``, all text.  Nothing is checked or sorted: the index
+        decoder and the file reader call it on names and values they
+        have checked already."""
+        rec = cls.__new__(cls)
+        rec._items = items = tuple(zip(names, values))
+        rec._map = dict(items)
+        rec._hash = hash(items)
+        return rec
+
     @property
     def items(self) -> tuple[tuple[str, str], ...]:
         """Bindings as a sorted tuple of pairs; doubles as a sort key."""

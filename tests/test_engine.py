@@ -21,7 +21,9 @@ import graphjoin.graphio
 from graphjoin.engine import (
     EngineIndex,
     _SECTIONS,
+    _column,
     _pack_sections,
+    _read_column,
     _unpack_sections,
     explain,
     prepare,
@@ -34,6 +36,7 @@ from graphjoin.graphio import (
     build_graph,
     generate,
     load_graph_pair,
+    read_graph_rows,
     write_graph,
     write_join_result,
 )
@@ -252,9 +255,71 @@ def test_from_bytes_rejects_a_version_1_index():
     # the head of a version 2 file: magic, version, its first section
     # entry (width, length, CRC32)
     v2 = b"GJIX" + struct.pack("<HBQI", 2, 1, 5, 0) + bytes(16)
-    for raw, version in ((v1, 1), (v2, 2)):
+    # the head of a version 3 file, laid out as version 2's
+    v3 = b"GJIX" + struct.pack("<HBQI", 3, 1, 9, 0) + bytes(16)
+    for raw, version in ((v1, 1), (v2, 2), (v3, 3)):
         with pytest.raises(ValidationError, match=f"unsupported index version {version}"):
             EngineIndex.from_bytes(raw)
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
+)
+def test_int_columns_take_the_narrowest_width_that_holds_them(top, width):
+    values = [0, top, 1]
+    sections = {"column": _column(values)}
+    assert sections["column"][0] == width
+    assert len(sections["column"][1]) == 3 * width
+    assert list(_read_column(sections, "column")) == values
+
+
+def test_the_largest_bucket_hash_round_trips():
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [(0, 1, EMPTY_RECORD)])
+    idx = prepare(g, ["k"], hash_override=lambda kt: 2**64 - 1)
+    raw = idx.to_bytes()
+    assert _unpack_sections(raw)["bucket_hash"][0] == 8
+    back = EngineIndex.from_bytes(raw)
+    assert list(back.directory) == list(idx.directory) == [(2**64 - 1, 0, 2)]
+    # the reader checks each key against the stable hash, which the
+    # override replaced
+    with pytest.raises(ValidationError, match="does not hash to its bucket"):
+        back.elements[0]
+
+
+def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch, citation_instance):
+    db, researcher, citation = citation_instance
+    path = tmp_path / "researcher.gjix"
+    prepare(citation, ["1Author"]).save(path)
+    prepare(researcher, ["Name"]).save(path)
+    saved = path.read_bytes()
+    assert saved == prepare(researcher, ["Name"]).to_bytes()
+
+    class HalfWritten:
+        """A file that takes half of what is written, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(
+        graphjoin.engine, "open", lambda *args: HalfWritten(open(*args)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        prepare(citation, ["1Author"]).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_from_bytes_rejects_truncation_and_trailing_bytes(citation_instance):
@@ -428,12 +493,13 @@ def test_bucket_decode_rejects_a_key_that_does_not_hash_to_its_bucket():
     g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
     width, payload = sections["payload"]
-    # per vertex: replica, one binding (name id, value id), no labels;
-    # string ids in order of first use: k, then the first vertex's
-    # value, then the second's
-    assert bytes(payload) == bytes([1, 1, 0, 1, 0, 1, 1, 0, 2, 0])
+    # per vertex: replica, shape 1 (the names ("k",)), its value id, no
+    # labels; string ids in order of first use: k, then the first
+    # vertex's value, then the second's
+    assert bytes(sections["shapes"][1]) == bytes([1, 0])
+    assert bytes(payload) == bytes([1, 1, 1, 0, 1, 1, 2, 0])
     # the first vertex now binds the second one's key value
-    sections["payload"] = (width, bytes([1, 1, 0, 2, 0, 1, 1, 0, 2, 0]))
+    sections["payload"] = (width, bytes([1, 1, 2, 0, 1, 1, 2, 0]))
     patched = EngineIndex.from_bytes(_pack_sections(sections))
     assert patched.key_values[1] == (patched.elements[1].record["k"],)
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
@@ -471,38 +537,84 @@ def damage(name, change):
     return apply
 
 
+def damages(*applies):
+    """Several changes, applied in turn."""
+
+    def apply(sections):
+        for each in applies:
+            each(sections)
+
+    return apply
+
+
+def plus_one(b, w):
+    """The one-item column ``b`` of width ``w``, with its item one more."""
+    return (int.from_bytes(b, "little") + 1).to_bytes(w, "little")
+
+
+def declared_width(name, width):
+    """The section's body as it is, declared with another width."""
+
+    def apply(sections):
+        sections[name] = (width, sections[name][1])
+
+    return apply
+
+
+# the one vertex {k=a, x=b}: string ids k=0, x=1, a=2, b=3; shape 1 is
+# ("k", "x"), listed as [2, 0, 1]; the vertex's record is [1, 2, 3]
 STRUCTURAL_DAMAGE = {
     "string-text-not-utf8": (damage("string_text", lambda b, w: b"\xff" + b[1:]), "not UTF-8"),
     "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
+    "string-lengths-miss-text": (
+        damage("string_lengths", lambda b, w: b[:-w] + plus_one(b[-w:], w)),
+        "string table offsets",
+    ),
     # meta: key count, key ids, skipped, dropped; now no key
     "meta-no-join-keys": (damage("meta", lambda b, w: b"\x00" + b[2:]), "join keys"),
     # ... vertex maximum, edge maximum; now below the replica 1 of the
     # vertex, of its self-loop
     "meta-vertex-max-too-small": (damage("meta", lambda b, w: b[:-2] + b"\x00" + b[-1:]), "maximum"),
     "meta-edge-max-too-small": (damage("meta", lambda b, w: b[:-1] + b"\x00"), "maximum"),
+    "byte-section-width-not-1": (declared_width("meta", 2), "meta is not a byte section"),
     "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
-    "payload-offset-not-zero": (
-        damage("bucket_payload", lambda b, w: (1).to_bytes(w, "little") + b[w:]),
-        "bucket payload offsets",
-    ),
-    "block-trailing-byte": (damage("payload", lambda b, w: b + b"\x00"), "corrupt payload in bucket"),
-    "block-truncated-varint": (damage("payload", lambda b, w: b + b"\x80"), "truncated varint"),
-    # the record {k=a, x=b} now binds k twice
-    "record-duplicate-name": (
-        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 0, 3]))),
-        "corrupt record",
-    ),
-    # the record {k=a, x=b} binds x to string id 9, past the 4 strings
-    "record-string-id-past-table": (
-        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 0, 1, 2, 9]))),
+    "edge-degrees-miss-dest": (damage("edge_degrees", plus_one), "edge offsets"),
+    "block-lengths-miss-payload": (damage("bucket_bytes", plus_one), "bucket payload offsets"),
+    "block-trailing-byte": (
+        damages(damage("payload", lambda b, w: b + b"\x00"), damage("bucket_bytes", plus_one)),
         "corrupt payload in bucket",
     ),
-    # the record {k=a, x=b} is now {b=a, x=b}
-    "record-lacks-join-key": (
-        damage("payload", lambda b, w: b.replace(bytes([2, 0, 1, 2, 3]), bytes([2, 3, 1, 2, 3]))),
-        "join key 'k'",
+    "block-truncated-varint": (
+        damages(damage("payload", lambda b, w: b + b"\x80"), damage("bucket_bytes", plus_one)),
+        "truncated varint",
     ),
+    # shape 1 now lists k twice
+    "record-duplicate-name": (
+        damage("shapes", lambda b, w: bytes([2, 0, 0])),
+        "names of shape 1 do not strictly ascend",
+    ),
+    "shape-names-unsorted": (
+        damage("shapes", lambda b, w: bytes([2, 1, 0])),
+        "names of shape 1 do not strictly ascend",
+    ),
+    "shape-name-past-table": (
+        damage("shapes", lambda b, w: bytes([2, 0, 9])),
+        "shape 1 names a string past the string table",
+    ),
+    "shape-table-truncated": (damage("shapes", lambda b, w: bytes([3, 0, 1])), "corrupt shape table"),
+    # the record binds x to string id 9, past the 4 strings
+    "record-string-id-past-table": (
+        damage("payload", lambda b, w: b.replace(bytes([1, 2, 3]), bytes([1, 2, 9]))),
+        "corrupt payload in bucket",
+    ),
+    # the record has shape 2, past the one shape listed
+    "shape-id-past-table": (
+        damage("payload", lambda b, w: b.replace(bytes([1, 2, 3]), bytes([2, 2, 3]))),
+        "corrupt payload in bucket",
+    ),
+    # shape 1 is now ("a", "b"), so the record is {a=a, b=b}
+    "record-lacks-join-key": (damage("shapes", lambda b, w: bytes([2, 2, 3])), "join key 'k'"),
 }
 
 
@@ -511,9 +623,10 @@ def test_structural_damage_behind_valid_checksums_is_rejected(case):
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
-    # vertex: replica, two bindings, no labels; its self-loop: replica,
-    # no bindings, no labels
-    assert bytes(sections["payload"][1]) == bytes([1, 2, 0, 1, 2, 3, 0, 1, 0, 0])
+    # vertex: replica, shape 1 and its two value ids, no labels; its
+    # self-loop: replica, shape 0 (the empty record), no labels
+    assert bytes(sections["shapes"][1]) == bytes([2, 0, 1])
+    assert bytes(sections["payload"][1]) == bytes([1, 1, 2, 3, 0, 1, 0, 0])
     apply, message = STRUCTURAL_DAMAGE[case]
     apply(sections)
     with pytest.raises(ValidationError, match=message):
@@ -732,6 +845,36 @@ def test_prepare_files_matches_full_load_on_random_pairs(tmp_path, semantics):
 
 
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_index_bytes_round_trip_from_every_builder(tmp_path, case):
+    lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    db = PropertyGraph()
+    full = (
+        prepare(load_graph_pair(db, *left_pair), keys_a),
+        prepare(load_graph_pair(db, *right_pair), keys_b),
+    )
+    for op in (*full, *prepare_files(left_pair, right_pair, keys_a, keys_b)):
+        raw = op.to_bytes()
+        loaded = EngineIndex.from_bytes(raw)
+        assert loaded.to_bytes() == raw
+        assert EngineIndex.from_bytes(loaded.to_bytes()).to_bytes() == raw
+
+
+@pytest.mark.parametrize("keep_id", [False, True])
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_reader_rows_make_the_records_the_checking_constructor_makes(tmp_path, case, keep_id):
+    lv, le, rv, re_, _, _ = FILE_CASES[case]
+    for side, (vertex_text, edge_text) in (("left", (lv, le)), ("right", (rv, re_))):
+        pair = write_pair(tmp_path / side, vertex_text, edge_text)
+        for names, values in read_graph_rows(*pair, (array("Q"), array("Q")), keep_id=keep_id):
+            fast, checked = Record._sorted(names, values), Record(zip(names, values))
+            assert fast._items == checked._items
+            assert fast._map == checked._map
+            assert hash(fast) == hash(checked)
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
 def test_directory_triples_read_the_columns(tmp_path, case):
     lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
     left_pair = write_pair(tmp_path / "left", lv, le)
@@ -787,50 +930,50 @@ def test_prepare_files_takes_less_than_1_kib_per_vertex_row(tmp_path):
 # out-edges differently fails here.
 FROZEN_PREPARE_DIGESTS = {
     0: (
-        "a60b90d718879721bbbcf014045afe1e82a7750658d5cc3f48a8121aec6d6fdd",
-        "d1489caf213c6f9da14d5e5897be32df3c041bd0e8f0bd6db6c62f14f5b55890",
+        "32dccaa8314ce4bdb8406164a49a87302c53785bbcefdde4fb1d997adf1ef2de",
+        "4ae3d7381aa1141b0dd86e3f1e70cc5eed9310080fef3f104148e0dfe34cac43",
     ),
     1: (
-        "2165987784edbd57ad799b93a978e64674b34aa3ab876c8a9e8937ae63303eb7",
-        "0d58f4f2b6469ff04f17504b045646420379aa48357909a5879f3e00594af894",
+        "3d1f496fe2a96000d9057e10635dc96addb7c080d94431051851a30da14d414f",
+        "f41ae5b2ac33715ff0433d0339096049ee93f3f92e062e6a026e5fd3a8a40d57",
     ),
     2: (
-        "ede01caabc679e69a3a412097c16fee394f365a73b31b8824f70d08ba89b73d9",
-        "28493ca6a7691463dbb7bc63413f39550d761ff632edf34277bd572c7dc0eaf6",
+        "8737a03a05b60315fabf2854fe79ddae7ee7c2838490ccb0649999f62ef13b38",
+        "a8f4dc3232c8576dedf9165d96c705fc73f2d59529fb33b185567b936c7e2ded",
     ),
     3: (
-        "6d71d717df81fa04825a900d482743d6151086f2aa20269db90785b4101787fc",
-        "84536a5facf36862b60c6e172e11130b4e10805d7e8574deb54f1a4963daac66",
+        "4f1c140e68aa78421c609fdcbc78b4054a3286b98714cc3e6f08880a022338f6",
+        "de287fc92a8b165320fa9811bcbf6761e186f2dba181d79616a483acb8a7e303",
     ),
     4: (
-        "a4fe5175decba356020db57021f2aec1bd4fac12bc7cbe1ffc526e631ffe1e83",
-        "537da53d940c9274444ef8680339c8e4057d27c4a2afa9a445ec66e243f67ae7",
+        "d219d07068980eb45268daf74583948527c59f1d3690da720e7039fd4e7c1d39",
+        "69088b7bd1d5f54b4d227014d5f905fe686a78b999fa393d6d91fdf1c65ecc3e",
     ),
 }
 FROZEN_PREPARE_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "1eae9448569d14f156bc30b0f322bc225d86888de2c8fa09f10af475ef10917e",
-        "28db9dea063989e591374f7fe437b7167091c541088f13baed52514259944e83",
+        "b8398ed37c182027690046a0daae18505293258b8627a8b6c76ff49d1781f0c7",
+        "51133763793ae73d867a9eb09e3dade933c3093bb2b37ba7888419520a78eab4",
     ),
     "no-common-bucket": (
-        "f313bee2a29e96f37e864837f1ea6fc1ebd1814c33e0e83b054072ad2f66c6fa",
-        "2e1ea5f1cea75c88c3b5132275b07d579959ef54597bccd1519de0cad5c5255a",
+        "f464bf35a2cf1f03fc183bfb8831d6e071de7e21a6ef0b9055b6ed928cb15e4f",
+        "e0d36a322cceefdf59a1e9fb828affb5a014ee60ed81003af9087433dd564e3d",
     ),
     "reordered-columns": (
-        "e056fb8c31c40a7d679d5a4fb26a02a8fa1eafa26cee2261701f38f65b90605e",
-        "f9aaba87de4da9736a587408f2a3ee4f00b2428501594f9bac4e0b5542948cfb",
+        "1ed5794c9a42828e96ab9caea002f77f60e384517679d1a2dcb6071d75c92579",
+        "bc1b0a258d89472ab4499001fdca386dec827178c0b685b903a41fcc3fcc6cf9",
     ),
     "extra-column-empty-on-some-rows": (
-        "020ce86d08f85e9974099196a5e1b7da9f093d43dbf2ffefe794cb3804438d09",
-        "8bebd0d5e99c395e8802a9b1ab74871ef5d36bb9822401a6291c19084687be95",
+        "66c205d2bc66113cf1edb4fefa23c969dc4999998219a290de0fbd10d3ad343a",
+        "566f7afb3158adf470ac473515e752cc1d76e0cf68736f29691b443fb1e8dc71",
     ),
     "repeated-column-name": (
-        "0b657b10f03e45e8a56996ca9058761df786149e4c45ab060bc75bb6f9eacbe2",
-        "58ec3775a77265909fdf4a88976f4ba499371239505784a53db3261dc09ca741",
+        "689ee71d79d44859e9a5cbd79ebe5619fee82cd7a92df0d17ae86141752fc312",
+        "8a622f73525bb59603bb99a61947963bf663aa7bb2186c5b865ac38e2e97a1cc",
     ),
     "shared-names": (
-        "4c5568e43f5b2464b234e2bc2975b633fb68a6aa9985f0edaa3fc812dd7ef728",
-        "ce4503978e13080dbf724367da4e3b3a4c0399edf12a134a86320cf97e6bb466",
+        "2076efb47d4c0140b8846d77b893f5c1044e17de6c0327f7593bf1afaacdb64a",
+        "b1ad9aede70449f30a2e035d525638db0239bc23cff286d6a62f1c7b7efbecc1",
     ),
 }
 
