@@ -13,12 +13,14 @@ each independently usable:
    skipped endpoint are dropped (they can never bond and never find a
    joined partner, so the result is unaffected).  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 4 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 5 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
-   keeps every string and every record shape (its sorted attribute
-   names) once, the directory and the CSR out-degrees and destinations
-   as int columns of the narrowest width that fits, and one
-   checksummed section per part; it stores nothing its reader can
+   keeps one dictionary of the key, attribute and label names and one
+   of each attribute's values, every element class (its sorted
+   attribute names and its labels) once, replicas past the smallest
+   one of their kind, the directory and the CSR out-degrees and
+   destinations as int columns of the narrowest width that fits, and
+   one checksummed section per part; it stores nothing its reader can
    derive, so offsets are stored as lengths.
    Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
    at once and keeps the file's int columns, string text and payload as
@@ -91,9 +93,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, compress, count, groupby, islice, product
-from operator import attrgetter, itemgetter, lt, ne, not_, or_, sub
+from operator import attrgetter, getitem, itemgetter, lt, ne, not_, or_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
 try:
@@ -157,7 +158,6 @@ def stable_hash(values: tuple[str, ...]) -> int:
 _NO_LABELS: frozenset = frozenset()
 
 
-@dataclass(eq=False, repr=False, slots=True)
 class EngineIndex:
     """One prepared operand, in a serializable form.
 
@@ -178,8 +178,9 @@ class EngineIndex:
     and an index built in memory holds its other columns as tuples.
     One read back with :meth:`from_bytes` keeps the file's int columns
     as they are, sums the CSR offsets up from the out-degrees, and
-    keeps its string table as one text and an offsets column, its
-    record shapes as name tuples, and its payload bytes; its other
+    keeps its string table as one text and an offsets column, split
+    into dictionaries by range, its element classes as name tuples,
+    value dictionaries and label sets, and its payload bytes; its other
     columns are sequence views.  The
     first access to an ordinal or an edge id decodes its whole bucket
     into elements, key tuples and label sets, and slices out the
@@ -192,22 +193,58 @@ class EngineIndex:
     universes cover skipped vertices and dropped edges too.
     """
 
-    keys: tuple[str, ...]
-    elements: Sequence[Element]
-    key_values: Sequence[tuple[str, ...]]
-    labels: Sequence[frozenset]
-    edge_offsets: Sequence[int]
-    edge_dest: Sequence[int]
-    edge_elements: Sequence[Element]
-    edge_labels: Sequence[frozenset]
-    bucket_hash: Sequence[int]
-    bucket_count: Sequence[int]
-    vertex_max: int
-    edge_max: int
-    skipped_vertices: int
-    dropped_edges: int
-    _bucket_start: Optional[array] = field(default=None, init=False)
-    _payload: Optional[_LazyPayload] = field(default=None, init=False)
+    __slots__ = (
+        "keys",
+        "elements",
+        "key_values",
+        "labels",
+        "edge_offsets",
+        "edge_dest",
+        "edge_elements",
+        "edge_labels",
+        "bucket_hash",
+        "bucket_count",
+        "vertex_max",
+        "edge_max",
+        "skipped_vertices",
+        "dropped_edges",
+        "_bucket_start",
+        "_payload",
+    )
+
+    def __init__(
+        self,
+        keys: tuple[str, ...],
+        elements: Sequence[Element],
+        key_values: Sequence[tuple[str, ...]],
+        labels: Sequence[frozenset],
+        edge_offsets: Sequence[int],
+        edge_dest: Sequence[int],
+        edge_elements: Sequence[Element],
+        edge_labels: Sequence[frozenset],
+        bucket_hash: Sequence[int],
+        bucket_count: Sequence[int],
+        vertex_max: int,
+        edge_max: int,
+        skipped_vertices: int,
+        dropped_edges: int,
+    ):
+        self.keys = keys
+        self.elements = elements
+        self.key_values = key_values
+        self.labels = labels
+        self.edge_offsets = edge_offsets
+        self.edge_dest = edge_dest
+        self.edge_elements = edge_elements
+        self.edge_labels = edge_labels
+        self.bucket_hash = bucket_hash
+        self.bucket_count = bucket_count
+        self.vertex_max = vertex_max
+        self.edge_max = edge_max
+        self.skipped_vertices = skipped_vertices
+        self.dropped_edges = dropped_edges
+        self._bucket_start: Optional[array] = None
+        self._payload: Optional[_LazyPayload] = None
 
     @property
     def n_vertices(self) -> int:
@@ -246,53 +283,76 @@ class EngineIndex:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 4
+    # -- serialization, format GJIX version 5
 
     MAGIC = b"GJIX"
-    VERSION = 4
+    VERSION = 5
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
         every bucket first."""
-        # strings and record shapes are numbered in order of first use,
-        # which a read-back index repeats, so the bytes round-trip exactly
-        strings = []
-        sid = {}
-        shapes = []
-        shape_id = {}
+        # every table is numbered in order of first use, which a
+        # read-back index repeats, so the bytes round-trip exactly.
+        # Dictionary 0 maps each name and label to its id code, and
+        # ``values`` holds one such dictionary per attribute, of the
+        # values bound to it; a dict keeps its strings in id order
+        names: dict[str, bytes] = {}
+        values: dict[str, dict[str, bytes]] = {}
+        classes = []
+        class_of = {}
 
-        def new(s: str) -> bytes:
-            code = sid[s] = _varint(len(strings))
-            strings.append(s)
+        def name(s: str) -> bytes:
+            code = names.get(s)
+            if code is None:
+                code = names[s] = _varint(len(names))
             return code
 
-        def new_shape(names: tuple[str, ...]) -> bytes:
-            shapes.append(_varint(len(names)) + b"".join([sid.get(s) or new(s) for s in names]))
-            code = shape_id[names] = _varint(len(shapes))
+        def new_value(dictionary: dict, v: str) -> bytes:
+            code = dictionary[v] = _varint(len(dictionary))
             return code
 
-        def record(items) -> bytes:
-            # shape 0 is the empty record
-            if not items:
-                return b"\x00"
-            names, values = zip(*items)
-            shape = shape_id.get(names) or new_shape(names)
-            return shape + b"".join([sid.get(s) or new(s) for s in values])
+        def new_class(key) -> tuple[bytes, list]:
+            attrs, labels = key
+            classes.append(
+                b"".join(
+                    [
+                        _varint(len(attrs)),
+                        *map(name, attrs),
+                        _varint(len(labels)),
+                        *map(name, sorted(labels)),
+                    ]
+                )
+            )
+            entry = class_of[key] = _varint(len(classes)), [values.setdefault(a, {}) for a in attrs]
+            return entry
 
-        def label_set(labels) -> bytes:
-            if not labels:
-                return b"\x00"
-            return _varint(len(labels)) + b"".join([sid.get(s) or new(s) for s in sorted(labels)])
+        def element(el: Element, labels: frozenset, base: int) -> bytes:
+            replica = _varint(el.replica - base)
+            items = el.record.items
+            # class 0 is the empty record with no labels
+            if not (items or labels):
+                return replica + b"\x00"
+            attrs, vals = zip(*items) if items else ((), ())
+            key = (attrs, labels)
+            code, dictionaries = class_of.get(key) or new_class(key)
+            return b"".join(
+                [replica, code, *[d.get(v) or new_value(d, v) for d, v in zip(dictionaries, vals)]]
+            )
 
-        keys = [sid.get(k) or new(k) for k in self.keys]
+        keys = list(map(name, self.keys))
+        # replicas are stored past the smallest one of their kind
+        bases = (
+            min((el.replica for el in self.elements), default=0),
+            min((el.replica for el in self.edge_elements), default=0),
+        )
+        vertex_base, edge_base = bases
         offsets = self.edge_offsets
         degrees = list(map(sub, offsets[1:], offsets))
         edges = zip(self.edge_elements, self.edge_labels)
         blocks = []
         for el, labs, degree in zip(self.elements, self.labels, degrees):
-            pieces = [_varint(el.replica), record(el.record.items), label_set(labs)]
-            for ee, elabs in islice(edges, degree):
-                pieces += (_varint(ee.replica), record(ee.record.items), label_set(elabs))
+            pieces = [element(el, labs, vertex_base)]
+            pieces += [element(ee, elabs, edge_base) for ee, elabs in islice(edges, degree)]
             blocks.append(b"".join(pieces))
         payload = b"".join(blocks)
         vertex_at = list(accumulate(map(len, blocks), initial=0))
@@ -302,14 +362,21 @@ class EngineIndex:
         bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in self.bucket_start]
         bucket_at.append(len(payload))
 
-        tallies = (self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max)
+        tallies = (
+            self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max, *bases
+        )
         meta = b"".join([_varint(len(keys)), *keys, *map(_varint, tallies)])
+        dictionaries = b"".join(
+            [_varint(len(names)), *[names[a] + _varint(len(d)) for a, d in values.items()]]
+        )
+        strings = list(chain(names, *values.values()))
         return _pack_sections(
             {
                 "meta": (1, meta),
                 "string_lengths": _column(map(len, strings)),
                 "string_text": (1, "".join(strings).encode("utf-8")),
-                "shapes": (1, b"".join(shapes)),
+                "dictionaries": (1, dictionaries),
+                "classes": (1, b"".join(classes)),
                 "bucket_hash": _column(self.bucket_hash),
                 "bucket_count": _column(self.bucket_count),
                 "bucket_bytes": _column(map(sub, bucket_at[1:], bucket_at)),
@@ -324,8 +391,9 @@ class EngineIndex:
         """Read an index back.  The structure is decoded and checked
         here; bucket payloads are decoded on first access."""
         sec = _unpack_sections(raw)
-        meta, text, shape_table, payload = (
-            _byte_section(sec, name) for name in ("meta", "string_text", "shapes", "payload")
+        meta, text, dictionaries, class_table, payload = (
+            _byte_section(sec, name)
+            for name in ("meta", "string_text", "dictionaries", "classes", "payload")
         )
 
         try:
@@ -335,16 +403,16 @@ class EngineIndex:
         offsets = _offsets(_read_column(sec, "string_lengths"))
         if offsets[-1] != len(text):
             raise ValidationError("string table offsets do not fit the string text")
-        strings = _Strings(text, offsets)
+        names, values = _read_dictionaries(dictionaries, text, offsets)
 
         meta = _read_varints(meta)
         nkeys = meta[0] if meta else -1
-        if len(meta) != nkeys + 5 or max(meta[1 : 1 + nkeys], default=-1) >= len(offsets) - 1:
+        if len(meta) != nkeys + 7 or max(meta[1 : 1 + nkeys], default=-1) >= names.n:
             raise ValidationError("corrupt index header fields")
         # without a key, every bucket would join as a cross product
-        keys = _check_keys([strings[i] for i in meta[1 : 1 + nkeys]])
-        skipped, dropped, vertex_max, edge_max = meta[-4:]
-        shapes = _read_shapes(shape_table, strings)
+        keys = _check_keys([names[i] for i in meta[1 : 1 + nkeys]])
+        skipped, dropped, vertex_max, edge_max, vertex_base, edge_base = meta[-6:]
+        classes = _read_classes(class_table, names, values)
 
         hashes, counts, bucket_bytes, degrees, dest = (
             _read_column(sec, name)
@@ -370,9 +438,17 @@ class EngineIndex:
             raise ValidationError("bucket payload offsets do not fit the payload")
 
         starts = _starts(counts)
-        maxima = (vertex_max, edge_max)
         lazy = _LazyPayload(
-            strings, shapes, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
+            classes,
+            keys,
+            (vertex_base, edge_base),
+            (vertex_max, edge_max),
+            hashes,
+            starts,
+            counts,
+            bucket_at,
+            edge_offsets,
+            payload,
         )
         ndest = len(dest)
         index = cls(
@@ -416,17 +492,24 @@ class EngineIndex:
             return cls.from_bytes(fh.read())
 
 
-# GJIX v4 layout: magic, u16 version, one (width, length, CRC32) entry
+# GJIX v5 layout: magic, u16 version, one (width, length, CRC32) entry
 # per section in this order, a CRC32 of everything before it, then the
 # section bodies back to back.  A byte section has width 1; an int
 # column is little-endian and unsigned, at the narrowest width of 1, 2,
 # 4 or 8 bytes that holds its largest item.  Offsets are stored as
-# lengths, and the reader sums them up.
+# lengths, and the reader sums them up.  The string table is a run of
+# dictionaries: dictionary 0 holds the key, attribute and label names,
+# and each attribute then has one of the values bound to it.  Every
+# table is numbered from 0 in order of first use.
 _SECTIONS = (
-    "meta",  # varints: key count, key string ids, skipped, dropped, vertex max, edge max
+    "meta",  # varints: key count, key name ids, skipped, dropped,
+    # vertex max, edge max, smallest vertex replica, smallest edge replica
     "string_lengths",  # column per string: its length in code points
-    "string_text",  # every distinct string once, in order of first use, as UTF-8
-    "shapes",  # varints per shape: name count, name string ids, ascending by name
+    "string_text",  # every dictionary's strings, back to back, as UTF-8
+    "dictionaries",  # varints: dictionary 0's count, then per attribute
+    # dictionary its name id and its count
+    "classes",  # varints per class: name count, name ids ascending by
+    # name, label count, label ids
     "bucket_hash",  # column per bucket, strictly ascending
     "bucket_count",  # column per bucket: vertex count
     "bucket_bytes",  # column per bucket: byte length of its block in payload
@@ -530,26 +613,63 @@ def _offsets(lengths) -> array:
     return array(_narrowest(sum(lengths)), accumulate(lengths, initial=0))
 
 
-def _read_shapes(table, strings: _Strings) -> list[tuple[str, ...]]:
-    """The record shapes of an index read back: shape 0, the empty
-    record, then each name tuple of the table, checked to name strings
-    of the table in strictly ascending order."""
+def _read_dictionaries(table, text: str, offsets: array) -> tuple[_Strings, dict]:
+    """Dictionary 0 of an index read back, and each attribute's
+    dictionary by attribute name.  Their counts, in table order, split
+    the string table into ranges; they must cover it, and no two
+    dictionaries may name one attribute."""
     ints = _read_varints(table)
-    shapes = [()]
+    if len(ints) % 2 != 1:
+        raise ValidationError("corrupt dictionary table")
+    counts = ints[::2]
+    if sum(counts) != len(offsets) - 1:
+        raise ValidationError("dictionary counts do not sum to the string table")
+    names = _Strings(text, offsets, 0, counts[0], "dictionary 0")
+    values = {}
+    bases = accumulate(counts)
+    for attr, base, n in zip(map(names.__getitem__, ints[1::2]), bases, counts[1:]):
+        if attr in values:
+            raise ValidationError(f"two dictionaries name attribute {attr!r}")
+        values[attr] = _Strings(text, offsets, base, n, f"the dictionary of attribute {attr!r}")
+    return names, values
+
+
+def _read_classes(table, names: _Strings, values: dict) -> list[tuple]:
+    """The element classes of an index read back, as ``(names,
+    dictionaries, labels)``: the record's attribute names, the value
+    dictionary of each, and the label set.  Class 0, the empty record
+    with no labels, comes first.  Each class of the table is checked to
+    name strings of dictionary 0, its attribute names strictly
+    ascending and each with a dictionary, its labels distinct."""
+    ints = _read_varints(table)
+    classes = [((), (), _NO_LABELS)]
     pos = 0
     try:
         while pos < len(ints):
+            c = len(classes)
             n = ints[pos]
-            names = tuple([strings[i] for i in ints[pos + 1 : pos + 1 + n]])
+            name_ids = ints[pos + 1 : pos + 1 + n]
             pos += 1 + n
-            if not 0 < len(names) == n:
-                raise ValidationError("corrupt shape table")
-            if not all(map(lt, names, names[1:])):
-                raise ValidationError(f"the names of shape {len(shapes)} do not strictly ascend")
-            shapes.append(names)
+            m = ints[pos]
+            label_ids = ints[pos + 1 : pos + 1 + m]
+            pos += 1 + m
+            if not (len(name_ids) == n and len(label_ids) == m and n + m):
+                raise ValidationError("corrupt class table")
+            if max(name_ids + label_ids) >= names.n:
+                raise ValidationError(f"class {c} names a string past dictionary 0")
+            attrs = tuple(map(names.__getitem__, name_ids))
+            if not all(map(lt, attrs, attrs[1:])):
+                raise ValidationError(f"the names of class {c} do not strictly ascend")
+            labels = frozenset(map(names.__getitem__, label_ids))
+            if len(labels) != m:
+                raise ValidationError(f"the labels of class {c} repeat")
+            dictionaries = tuple(map(values.get, attrs))
+            if None in dictionaries:
+                raise ValidationError(f"an attribute of class {c} has no dictionary")
+            classes.append((attrs, dictionaries, labels or _NO_LABELS))
     except IndexError as exc:
-        raise ValidationError(f"shape {len(shapes)} names a string past the string table") from exc
-    return shapes
+        raise ValidationError("corrupt class table") from exc
+    return classes
 
 
 def _starts(counts) -> array:
@@ -579,18 +699,26 @@ class _Directory(Sequence):
 
 
 class _Strings(dict):
-    """The string table of an index read back: string id to string, each
-    sliced out of the text on first use and shared after that.  An id
-    past the table raises ``IndexError``."""
+    """One dictionary of the string table of an index read back: the
+    ``n`` strings from string ``base`` on, by id from 0, each sliced
+    out of the text on first use and shared after that.  An id past the
+    dictionary raises ``ValidationError``, so it never reads a string
+    of the next dictionary."""
 
-    __slots__ = ("text", "offsets")
+    __slots__ = ("text", "offsets", "base", "n", "what")
 
-    def __init__(self, text: str, offsets: array):
+    def __init__(self, text: str, offsets: array, base: int, n: int, what: str):
         self.text = text
         self.offsets = offsets
+        self.base = base
+        self.n = n
+        self.what = what
 
     def __missing__(self, i: int) -> str:
-        s = self[i] = self.text[self.offsets[i] : self.offsets[i + 1]]
+        if i >= self.n:
+            raise ValidationError(f"id {i} is past {self.what}")
+        at = self.base + i
+        s = self[i] = self.text[self.offsets[at] : self.offsets[at + 1]]
         return s
 
 
@@ -630,20 +758,22 @@ class _LazyPayload:
     """The ordinal and edge columns of a deserialized index, filled one
     bucket at a time.
 
-    A bucket's block holds, per vertex in ordinal order: replica, the
-    record as a shape id and one value id per name of that shape, the
-    labels as a count and ids; then per out-edge of that vertex, in edge
-    id order: replica, record and labels alike.  Shape 0 is the empty
-    record, and ``shapes`` holds the name tuple of each shape, checked at
-    load, so a record is built without checking or sorting its names
-    again.  Out-edge counts come from the CSR offsets, and a vertex's
-    key values from its record.
+    A bucket's block holds, per vertex in ordinal order: its replica
+    less the smallest vertex replica, its class id and one value id per
+    attribute name of that class; then per out-edge of that vertex, in
+    edge id order, the same, the replica less the smallest edge
+    replica.  ``classes`` holds each class's attribute names, their
+    value dictionaries and its label set, checked at load, so a record
+    is built without checking or sorting its names again; class 0 is
+    the empty record with no labels.  ``bases`` holds the two smallest
+    replicas.  Out-edge counts come from the CSR offsets, and a
+    vertex's key values from its record.
     """
 
     __slots__ = (
-        "strings",
-        "shapes",
+        "classes",
         "keys",
+        "bases",
         "maxima",
         "hashes",
         "starts",
@@ -660,11 +790,11 @@ class _LazyPayload:
     )
 
     def __init__(
-        self, strings, shapes, keys, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
+        self, classes, keys, bases, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
     ):
-        self.strings = strings
-        self.shapes = shapes
+        self.classes = classes
         self.keys = keys
+        self.bases = bases
         self.maxima = maxima
         self.hashes = hashes
         self.starts = starts
@@ -695,21 +825,20 @@ class _LazyPayload:
     def decode(self, b: int) -> None:
         start, count = self.starts[b], self.counts[b]
         ints = _read_varints(self.payload[self.bucket_at[b] : self.bucket_at[b + 1]])
-        strings, shapes, keys, edge_offsets = self.strings, self.shapes, self.keys, self.edge_offsets
+        classes, keys, edge_offsets = self.classes, self.keys, self.edge_offsets
+        vertex_base, edge_base = self.bases
         elements, key_values, labels, edge_elements, edge_labels = [], [], [], [], []
         pos = 0
         try:
             for o in range(start, start + count):
-                replica = ints[pos]
-                rec, pos = _take_record(ints, pos + 1, shapes, strings)
-                labs, pos = _take_labels(ints, pos, strings)
+                replica = ints[pos] + vertex_base
+                rec, labs, pos = _take_record(ints, pos + 1, classes)
                 key_values.append(tuple([rec[k] for k in keys]))
                 elements.append(Element(rec, replica))
                 labels.append(labs)
                 for _ in range(edge_offsets[o], edge_offsets[o + 1]):
-                    replica = ints[pos]
-                    rec, pos = _take_record(ints, pos + 1, shapes, strings)
-                    labs, pos = _take_labels(ints, pos, strings)
+                    replica = ints[pos] + edge_base
+                    rec, labs, pos = _take_record(ints, pos + 1, classes)
                     edge_elements.append(Element(rec, replica))
                     edge_labels.append(labs)
         except IndexError as exc:
@@ -739,24 +868,16 @@ class _LazyPayload:
         self.done[b] = 1
 
 
-def _take_record(ints: list, pos: int, shapes: list, strings: _Strings) -> tuple[Record, int]:
-    names = shapes[ints[pos]]
+def _take_record(ints: list, pos: int, classes: list) -> tuple[Record, frozenset, int]:
+    """The record and label set of the element whose class id is at
+    ``pos``, and the position after its value ids."""
+    names, dictionaries, labels = classes[ints[pos]]
     if not names:
-        return EMPTY_RECORD, pos + 1
+        return EMPTY_RECORD, labels, pos + 1
     end = pos + 1 + len(names)
     # a block cut short leaves fewer values than names, and the next
     # read past its end raises IndexError
-    return Record._sorted(names, [strings[i] for i in ints[pos + 1 : end]]), end
-
-
-def _take_labels(ints: list, pos: int, strings: _Strings) -> tuple[frozenset, int]:
-    n = ints[pos]
-    if not n:
-        return _NO_LABELS, pos + 1
-    labels = frozenset([strings[i] for i in ints[pos + 1 : pos + 1 + n]])
-    if len(labels) != n:
-        raise ValidationError("corrupt label set in index payload")
-    return labels, pos + 1 + n
+    return Record._sorted(names, map(getitem, dictionaries, ints[pos + 1 : end])), labels, end
 
 
 class _LazyColumn(Sequence):
@@ -875,9 +996,10 @@ def prepare(
     missing one is skipped, and an edge touching a skipped vertex is
     dropped.  ``hash_override`` substitutes the bucket hash function,
     which must return an unsigned 64-bit int as :func:`stable_hash`
-    does; it exists to force collisions in tests."""
+    does; it exists to force collisions in tests.  An override that
+    returns anything else raises ``ValidationError``."""
     keys = _check_keys(keys)
-    hfn = hash_override if hash_override is not None else stable_hash
+    hfn = stable_hash if hash_override is None else _checked_hash(hash_override)
     db = graph.db
     key_of = [tuple([v.record.get(k) for k in keys]) for v in graph.vertices]
     return _index_operand(
@@ -893,6 +1015,21 @@ def prepare(
         max(graph.edges.universe, default=0),
         sum(None in kt for kt in key_of),
     )
+
+
+def _checked_hash(override: Callable[[tuple[str, ...]], int]) -> Callable[[tuple[str, ...]], int]:
+    """``override``, checked to give each key tuple an unsigned 64-bit
+    int, the width of the directory's hash column."""
+
+    def hfn(kt: tuple[str, ...]) -> int:
+        h = override(kt)
+        if not (isinstance(h, int) and 0 <= h < 1 << 64):
+            raise ValidationError(
+                f"hash_override gave {h!r} for key {kt!r}, not an unsigned 64-bit int"
+            )
+        return h
+
+    return hfn
 
 
 def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:
@@ -1005,27 +1142,45 @@ def _file_vertices(keys, rows, payloads, replicas, hash_of):
 # phase 2: join
 
 
-@dataclass
 class OpCounters:
-    directory_steps: int = 0
-    bucket_visits: int = 0
-    vertex_comparisons: int = 0
-    edge_comparisons: int = 0
-    disjunction_scans: int = 0
-    fill_edge_emissions: int = 0
-    el_peak: int = 0
-    er_peak: int = 0
+    """The units of work of one join, each an int from 0."""
+
+    __slots__ = (
+        "directory_steps",
+        "bucket_visits",
+        "vertex_comparisons",
+        "edge_comparisons",
+        "disjunction_scans",
+        "fill_edge_emissions",
+        "el_peak",
+        "er_peak",
+    )
+
+    def __init__(self, **counts: int):
+        for name in self.__slots__:
+            setattr(self, name, counts.pop(name, 0))
+        if counts:
+            raise TypeError(f"unknown counters {sorted(counts)}")
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"OpCounters({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
 
     @property
     def comparison_total(self) -> int:
         return self.vertex_comparisons + self.edge_comparisons + self.disjunction_scans
 
 
-@dataclass(frozen=True)
-class BucketStat:
+class BucketStat(NamedTuple):
     """Observed sizes for one common bucket: vertex counts, total
     out-degrees, and (disjunctive only) unbonded edge counts."""
 
@@ -1583,8 +1738,7 @@ def run_join(
 # cost reporting
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Measured counters next to the bounds the cost model predicts
     from observed bucket sizes."""
 

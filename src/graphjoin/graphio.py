@@ -21,10 +21,9 @@ from __future__ import annotations
 import csv
 import os
 from array import array
-from dataclasses import dataclass
 from itertools import chain, islice
 from sys import intern
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 try:
     # the module hashlib takes it from, without loading OpenSSL
@@ -306,8 +305,20 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
 # synthetic data
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class _GeneratorFields(NamedTuple):
+    scale: int
+    seed: int = 1
+    edge_factor: int = 2
+    dob_values: int = 365
+    company_values: int = 512
+    name_values: int = 128
+    surname_values: int = 128
+    residence_values: int = 64
+    scale_cap: int = 22
+    attr_suffix: str = ""
+
+
+class GeneratorParams(_GeneratorFields):
     """Recursive-matrix graph with attribute enrichment.
 
     ``scale`` is log2 of the vertex count.  ``dob_values`` and
@@ -322,18 +333,10 @@ class GeneratorParams:
     vetoes every merge.
     """
 
-    scale: int
-    seed: int = 1
-    edge_factor: int = 2
-    dob_values: int = 365
-    company_values: int = 512
-    name_values: int = 128
-    surname_values: int = 128
-    residence_values: int = 64
-    scale_cap: int = 22
-    attr_suffix: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.scale < 0:
             raise ValidationError("scale must be non-negative")
         if self.scale > self.scale_cap:
@@ -348,6 +351,7 @@ class GeneratorParams:
                 raise ValidationError(f"{fieldname} must be positive")
         if not all(c.isalnum() or c == "_" for c in self.attr_suffix):
             raise ValidationError("attr_suffix must be alphanumeric")
+        return self
 
 
 VERTEX_HEADER = ("id", "sex", "name", "surname", "dob", "email", "company", "residence")

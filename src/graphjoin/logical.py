@@ -17,8 +17,7 @@ Everything here favours clarity over speed; the optimized engine in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     EMPTY_RECORD,
@@ -40,27 +39,30 @@ CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
 
 
-@dataclass(frozen=True)
-class JoinSpec:
-    """What to join on and which edge semantics to apply."""
-
+class _JoinSpecFields(NamedTuple):
     theta: ThetaPredicate
     semantics: str = CONJUNCTIVE
 
-    def __post_init__(self):
-        if self.semantics not in (CONJUNCTIVE, DISJUNCTIVE):
-            raise ValidationError(f"unknown semantics {self.semantics!r}")
+
+class JoinSpec(_JoinSpecFields):
+    """What to join on and which edge semantics to apply."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta: ThetaPredicate, semantics: str = CONJUNCTIVE):
+        if semantics not in (CONJUNCTIVE, DISJUNCTIVE):
+            raise ValidationError(f"unknown semantics {semantics!r}")
+        return super().__new__(cls, theta, semantics)
 
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(NamedTuple):
     """A joined component registered in the operands' database."""
 
     db: PropertyGraph
     component_id: int
     vertices: IndexedSet
     edges: IndexedSet
-    provenance: dict = field(repr=False)
+    provenance: dict
     left_component: int = 0
     right_component: int = 0
     spec: Optional[JoinSpec] = None

@@ -61,7 +61,15 @@ def join_args(file_pairs, out_dir, *extra):
 # modules a file-to-file join never runs: OpenSSL's hashlib backend, the
 # bench command's statistics, the verify command, and the generator's
 # dependencies
-UNUSED_BY_JOIN = ("_hashlib", "statistics", "graphjoin.verify", "datetime", "numpy")
+UNUSED_BY_JOIN = (
+    "_hashlib",
+    "statistics",
+    "graphjoin.verify",
+    "datetime",
+    "numpy",
+    "dataclasses",
+    "inspect",
+)
 
 FOOTPRINT_PROBE = """
 import json, sys

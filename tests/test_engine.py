@@ -5,11 +5,14 @@ counters.  The citation instance's counter values are frozen by hand
 from the phase definitions."""
 
 import hashlib
+import inspect
+import os
 import struct
+import tempfile
 import tracemalloc
 from array import array
-from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -60,6 +63,14 @@ NAME_EQ = ThetaPredicate.equalities([("Name", "1Author")])
 def out_edges(index, o):
     """The edge ids of ordinal ``o``'s out-edges."""
     return range(index.edge_offsets[o], index.edge_offsets[o + 1])
+
+
+INDEX_FIELDS = tuple(inspect.signature(EngineIndex).parameters)
+
+
+def replace(index, **changes):
+    """A new index with the fields of ``index``, except ``changes``."""
+    return EngineIndex(**{name: getattr(index, name) for name in INDEX_FIELDS} | changes)
 
 
 def oracle_join(left, right, pairs, semantics):
@@ -255,9 +266,11 @@ def test_from_bytes_rejects_a_version_1_index():
     # the head of a version 2 file: magic, version, its first section
     # entry (width, length, CRC32)
     v2 = b"GJIX" + struct.pack("<HBQI", 2, 1, 5, 0) + bytes(16)
-    # the head of a version 3 file, laid out as version 2's
+    # the heads of a version 3 and a version 4 file, laid out as
+    # version 2's
     v3 = b"GJIX" + struct.pack("<HBQI", 3, 1, 9, 0) + bytes(16)
-    for raw, version in ((v1, 1), (v2, 2), (v3, 3)):
+    v4 = b"GJIX" + struct.pack("<HBQI", 4, 1, 9, 0) + bytes(16)
+    for raw, version in ((v1, 1), (v2, 2), (v3, 3), (v4, 4)):
         with pytest.raises(ValidationError, match=f"unsupported index version {version}"):
             EngineIndex.from_bytes(raw)
 
@@ -286,6 +299,14 @@ def test_the_largest_bucket_hash_round_trips():
     # override replaced
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
         back.elements[0]
+
+
+@pytest.mark.parametrize("bad", [2**64, -1, 1.5])
+def test_a_hash_override_outside_u64_raises_a_validation_error(bad):
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a"})], [])
+    with pytest.raises(ValidationError, match=r"hash_override gave .* for key \('a',\)"):
+        prepare(g, ["k"], hash_override=lambda kt: bad)
 
 
 def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch, citation_instance):
@@ -395,6 +416,79 @@ def test_deserialized_index_joins_identically(tmp_path):
             assert written.read_bytes() == (tmp_path / semantics / "live" / name).read_bytes()
 
 
+# small graphs for the round trip: one pool of values for every
+# attribute, so a value binds under several names; "L" is an attribute
+# name and a label; payloads repeat, and a vertex may lack the key k
+GRAPH_RECORDS = st.dictionaries(
+    st.sampled_from(["k", "w", "L"]), st.sampled_from(["0", "1", "é"]), max_size=3
+).map(Record)
+LABEL_SETS = st.lists(st.sampled_from(["L", "M"]), max_size=2, unique=True)
+
+
+@st.composite
+def graph_payloads(draw):
+    """Vertex records, edge triples and the label lists of one small
+    graph, for ``component_from_payloads``."""
+    vertices = draw(st.lists(GRAPH_RECORDS, max_size=6))
+    ends = st.integers(0, len(vertices) - 1)
+    edges = draw(st.lists(st.tuples(ends, ends, GRAPH_RECORDS), max_size=8)) if vertices else []
+    vertex_labels = draw(st.lists(LABEL_SETS, min_size=len(vertices), max_size=len(vertices)))
+    edge_labels = draw(st.lists(LABEL_SETS, min_size=len(edges), max_size=len(edges)))
+    return vertices, edges, vertex_labels, edge_labels
+
+
+def reloaded_alike(op):
+    """``op`` read back from its bytes, which it writes again exactly."""
+    raw = op.to_bytes()
+    back = EngineIndex.from_bytes(raw)
+    assert back.to_bytes() == raw
+    return EngineIndex.from_bytes(raw)
+
+
+def assert_joins_alike(ops, loaded, work):
+    for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+        live, thawed = run_join(*ops, semantics), run_join(*loaded, semantics)
+        assert raw_signature(thawed) == raw_signature(live)
+        out = os.path.join(work, semantics)
+        assert written(thawed, Path(out, "thawed")) == written(live, Path(out, "live"))
+
+
+@given(graph_payloads(), graph_payloads(), st.booleans())
+def test_index_bytes_round_trip_and_loaded_operands_join_alike(left, right, collide):
+    db = PropertyGraph()
+    graphs = [
+        component_from_payloads(db, v, e, vertex_labels=vl, edge_labels=el)
+        for v, e, vl, el in (left, right)
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        if collide:
+            # the keys "1" and "é" share a bucket; the reader checks
+            # each key against the stable hash, so these operands load
+            # but no bucket of theirs decodes
+            ops = [prepare(g, ["k"], hash_override=lambda kt: ord(kt[0][0]) % 2) for g in graphs]
+            plain = [prepare(g, ["k"]) for g in graphs]
+            for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+                assert raw_signature(run_join(*ops, semantics)) == raw_signature(
+                    run_join(*plain, semantics)
+                )
+            for op in ops:
+                back = EngineIndex.from_bytes(op.to_bytes())
+                assert list(back.directory) == list(op.directory)
+                if op.n_vertices:
+                    with pytest.raises(ValidationError, match="does not hash to its bucket"):
+                        back.to_bytes()
+            return
+        ops = [prepare(g, ["k"]) for g in graphs]
+        assert_joins_alike(ops, [reloaded_alike(op) for op in ops], os.path.join(work, "prepare"))
+        pairs = []
+        for i, g in enumerate(graphs):
+            pair = os.path.join(work, f"{i}.csv"), os.path.join(work, f"{i}.tsv")
+            write_graph(g, *pair)
+            pairs.append(pair)
+        ops = prepare_files(*pairs, ["k"], ["k"])
+        assert_joins_alike(ops, [reloaded_alike(op) for op in ops], os.path.join(work, "files"))
+
+
 def test_index_round_trips_replicas_beyond_u64():
     big = 2**70
     db = PropertyGraph()
@@ -493,13 +587,13 @@ def test_bucket_decode_rejects_a_key_that_does_not_hash_to_its_bucket():
     g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
     width, payload = sections["payload"]
-    # per vertex: replica, shape 1 (the names ("k",)), its value id, no
-    # labels; string ids in order of first use: k, then the first
+    # per vertex: replica less the smallest, class 1 (the names ("k",),
+    # no labels), its value id; k's dictionary numbers the first
     # vertex's value, then the second's
-    assert bytes(sections["shapes"][1]) == bytes([1, 0])
-    assert bytes(payload) == bytes([1, 1, 1, 0, 1, 1, 2, 0])
+    assert bytes(sections["classes"][1]) == bytes([1, 0, 0])
+    assert bytes(payload) == bytes([0, 1, 0, 0, 1, 1])
     # the first vertex now binds the second one's key value
-    sections["payload"] = (width, bytes([1, 1, 2, 0, 1, 1, 2, 0]))
+    sections["payload"] = (width, bytes([0, 1, 1, 0, 1, 1]))
     patched = EngineIndex.from_bytes(_pack_sections(sections))
     assert patched.key_values[1] == (patched.elements[1].record["k"],)
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
@@ -552,6 +646,11 @@ def plus_one(b, w):
     return (int.from_bytes(b, "little") + 1).to_bytes(w, "little")
 
 
+def minus_one(b, w):
+    """The one-item column ``b`` of width ``w``, with its item one less."""
+    return (int.from_bytes(b, "little") - 1).to_bytes(w, "little")
+
+
 def declared_width(name, width):
     """The section's body as it is, declared with another width."""
 
@@ -561,8 +660,10 @@ def declared_width(name, width):
     return apply
 
 
-# the one vertex {k=a, x=b}: string ids k=0, x=1, a=2, b=3; shape 1 is
-# ("k", "x"), listed as [2, 0, 1]; the vertex's record is [1, 2, 3]
+# the one vertex {k=a, x=b} and its self-loop {}, both replica 1:
+# dictionary 0 holds k=0 and x=1, then k's dictionary holds a=0 and x's
+# b=0; class 1 is ("k", "x") with no labels, listed as [2, 0, 1, 0]; the
+# vertex is [0, 1, 0, 0], the self-loop [0, 0]
 STRUCTURAL_DAMAGE = {
     "string-text-not-utf8": (damage("string_text", lambda b, w: b"\xff" + b[1:]), "not UTF-8"),
     "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
@@ -572,11 +673,46 @@ STRUCTURAL_DAMAGE = {
     ),
     # meta: key count, key ids, skipped, dropped; now no key
     "meta-no-join-keys": (damage("meta", lambda b, w: b"\x00" + b[2:]), "join keys"),
-    # ... vertex maximum, edge maximum; now below the replica 1 of the
-    # vertex, of its self-loop
-    "meta-vertex-max-too-small": (damage("meta", lambda b, w: b[:-2] + b"\x00" + b[-1:]), "maximum"),
-    "meta-edge-max-too-small": (damage("meta", lambda b, w: b[:-1] + b"\x00"), "maximum"),
+    # the key now names string 2, the value a, past dictionary 0
+    "meta-key-past-dictionary-0": (
+        damage("meta", lambda b, w: b[:1] + b"\x02" + b[2:]),
+        "corrupt index header fields",
+    ),
+    # ... vertex maximum, edge maximum, smallest vertex replica, smallest
+    # edge replica; the maxima now below the replica 1 of the vertex, of
+    # its self-loop
+    "meta-vertex-max-too-small": (damage("meta", lambda b, w: b[:-4] + b"\x00" + b[-3:]), "maximum"),
+    "meta-edge-max-too-small": (damage("meta", lambda b, w: b[:-3] + b"\x00" + b[-2:]), "maximum"),
+    # the smallest vertex replica is now 2, which carries the vertex's
+    # offset 0 past the vertex maximum 1
+    "replica-offset-past-maximum": (
+        damage("meta", lambda b, w: b[:-2] + b"\x02" + b[-1:]),
+        "exceeds its universe's maximum",
+    ),
     "byte-section-width-not-1": (declared_width("meta", 2), "meta is not a byte section"),
+    # dictionaries: dictionary 0's count, then name id and count per
+    # attribute dictionary, [2, 0, 1, 1, 1]
+    "dictionary-table-truncated": (
+        damage("dictionaries", lambda b, w: b[:-1]),
+        "corrupt dictionary table",
+    ),
+    "dictionary-counts-miss-strings": (
+        damage("dictionaries", lambda b, w: b[:-1] + b"\x02"),
+        "dictionary counts do not sum to the string table",
+    ),
+    "dictionaries-name-one-attribute": (
+        damage("dictionaries", lambda b, w: bytes([2, 0, 1, 0, 1])),
+        "two dictionaries name attribute 'k'",
+    ),
+    "dictionary-name-past-dictionary-0": (
+        damage("dictionaries", lambda b, w: bytes([2, 2, 1, 1, 1])),
+        "id 2 is past dictionary 0",
+    ),
+    # k's dictionary now holds both values, and x has none
+    "class-attribute-without-dictionary": (
+        damage("dictionaries", lambda b, w: bytes([2, 0, 2])),
+        "an attribute of class 1 has no dictionary",
+    ),
     "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
     "edge-degrees-miss-dest": (damage("edge_degrees", plus_one), "edge offsets"),
@@ -589,32 +725,45 @@ STRUCTURAL_DAMAGE = {
         damages(damage("payload", lambda b, w: b + b"\x80"), damage("bucket_bytes", plus_one)),
         "truncated varint",
     ),
-    # shape 1 now lists k twice
+    # class 1 now lists k twice
     "record-duplicate-name": (
-        damage("shapes", lambda b, w: bytes([2, 0, 0])),
-        "names of shape 1 do not strictly ascend",
+        damage("classes", lambda b, w: bytes([2, 0, 0, 0])),
+        "names of class 1 do not strictly ascend",
     ),
-    "shape-names-unsorted": (
-        damage("shapes", lambda b, w: bytes([2, 1, 0])),
-        "names of shape 1 do not strictly ascend",
+    "class-names-unsorted": (
+        damage("classes", lambda b, w: bytes([2, 1, 0, 0])),
+        "names of class 1 do not strictly ascend",
     ),
-    "shape-name-past-table": (
-        damage("shapes", lambda b, w: bytes([2, 0, 9])),
-        "shape 1 names a string past the string table",
+    # string 2, the value a, is in the table but past dictionary 0
+    "class-name-past-dictionary-0": (
+        damage("classes", lambda b, w: bytes([2, 0, 2, 0])),
+        "class 1 names a string past dictionary 0",
     ),
-    "shape-table-truncated": (damage("shapes", lambda b, w: bytes([3, 0, 1])), "corrupt shape table"),
-    # the record binds x to string id 9, past the 4 strings
-    "record-string-id-past-table": (
-        damage("payload", lambda b, w: b.replace(bytes([1, 2, 3]), bytes([1, 2, 9]))),
+    "class-table-truncated": (damage("classes", lambda b, w: bytes([3, 0, 1])), "corrupt class table"),
+    # class 1 now carries the label k twice
+    "class-label-repeated": (
+        damage("classes", lambda b, w: bytes([2, 0, 1, 2, 0, 0])),
+        "the labels of class 1 repeat",
+    ),
+    # the record binds x to value id 9, past x's one value
+    "record-value-id-past-dictionary": (
+        damage("payload", lambda b, w: b.replace(bytes([1, 0, 0]), bytes([1, 0, 9]), 1)),
+        "id 9 is past the dictionary of attribute 'x'",
+    ),
+    # the vertex has class 2, past the one class listed
+    "class-id-past-table": (
+        damage("payload", lambda b, w: b.replace(bytes([0, 1]), bytes([0, 2]), 1)),
         "corrupt payload in bucket",
     ),
-    # the record has shape 2, past the one shape listed
-    "shape-id-past-table": (
-        damage("payload", lambda b, w: b.replace(bytes([1, 2, 3]), bytes([2, 2, 3]))),
-        "corrupt payload in bucket",
+    # class 1 is now ("x",), so the record, one value shorter, is {x=b}
+    "record-lacks-join-key": (
+        damages(
+            damage("classes", lambda b, w: bytes([1, 1, 0])),
+            damage("payload", lambda b, w: b[:3] + b[4:]),
+            damage("bucket_bytes", minus_one),
+        ),
+        "join key 'k'",
     ),
-    # shape 1 is now ("a", "b"), so the record is {a=a, b=b}
-    "record-lacks-join-key": (damage("shapes", lambda b, w: bytes([2, 2, 3])), "join key 'k'"),
 }
 
 
@@ -623,14 +772,32 @@ def test_structural_damage_behind_valid_checksums_is_rejected(case):
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
-    # vertex: replica, shape 1 and its two value ids, no labels; its
-    # self-loop: replica, shape 0 (the empty record), no labels
-    assert bytes(sections["shapes"][1]) == bytes([2, 0, 1])
-    assert bytes(sections["payload"][1]) == bytes([1, 1, 2, 3, 0, 1, 0, 0])
+    assert bytes(sections["meta"][1]) == bytes([1, 0, 0, 0, 1, 1, 1, 1])
+    assert bytes(sections["dictionaries"][1]) == bytes([2, 0, 1, 1, 1])
+    assert bytes(sections["classes"][1]) == bytes([2, 0, 1, 0])
+    # vertex: replica less the smallest, class 1 and its two value ids;
+    # its self-loop: replica less the smallest, class 0
+    assert bytes(sections["payload"][1]) == bytes([0, 1, 0, 0, 0, 0])
     apply, message = STRUCTURAL_DAMAGE[case]
     apply(sections)
     with pytest.raises(ValidationError, match=message):
         EngineIndex.from_bytes(_pack_sections(sections)).to_bytes()
+
+
+def test_a_value_id_past_its_dictionary_never_reads_the_next_one():
+    # the vertex {a=1, k=2}: dictionary 0 holds k and a, then come a's
+    # dictionary, holding "1", and k's, holding "2"; without the bound,
+    # a's value id 1 would read k's "2" and the record {a=2, k=2} would
+    # still hash to its bucket
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"a": "1", "k": "2"})], [])
+    sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
+    assert bytes(sections["dictionaries"][1]) == bytes([2, 1, 1, 0, 1])
+    assert bytes(sections["payload"][1]) == bytes([0, 1, 0, 0])
+    sections["payload"] = (1, bytes([0, 1, 1, 0]))
+    back = EngineIndex.from_bytes(_pack_sections(sections))
+    with pytest.raises(ValidationError, match="id 1 is past the dictionary of attribute 'a'"):
+        back.elements[0]
 
 
 def mutated(raw: bytes, data) -> bytes:
@@ -917,50 +1084,50 @@ def test_prepare_files_takes_less_than_1_kib_per_vertex_row(tmp_path):
 # out-edges differently fails here.
 FROZEN_PREPARE_DIGESTS = {
     0: (
-        "32dccaa8314ce4bdb8406164a49a87302c53785bbcefdde4fb1d997adf1ef2de",
-        "4ae3d7381aa1141b0dd86e3f1e70cc5eed9310080fef3f104148e0dfe34cac43",
+        "a8ec63d9dfd1da5fcf7c42db2f8e1e28212465bf546f7af1e126a035778c6dc1",
+        "3e06197744be541b33656698260c35e6a70193ca507ea9f9ab967e1197bcb628",
     ),
     1: (
-        "3d1f496fe2a96000d9057e10635dc96addb7c080d94431051851a30da14d414f",
-        "f41ae5b2ac33715ff0433d0339096049ee93f3f92e062e6a026e5fd3a8a40d57",
+        "d2c56bc95caf004fd322349e6797ba6a59358dcd391a45f481a40b217dabc73a",
+        "4fcfef514fe0fe5b23b534e033a2fe39018a41d3c496d9732a12e3ee9afe9b6e",
     ),
     2: (
-        "8737a03a05b60315fabf2854fe79ddae7ee7c2838490ccb0649999f62ef13b38",
-        "a8f4dc3232c8576dedf9165d96c705fc73f2d59529fb33b185567b936c7e2ded",
+        "cdf53ba6458e1940a12eb2617bb5460445905850ab4c3a1c3a87963c6fa4b39e",
+        "ebe918ef0ff1eaad1caff6887853b2d52d729def7ab592fced85a88eb8471238",
     ),
     3: (
-        "4f1c140e68aa78421c609fdcbc78b4054a3286b98714cc3e6f08880a022338f6",
-        "de287fc92a8b165320fa9811bcbf6761e186f2dba181d79616a483acb8a7e303",
+        "01909456f63c5d49d8ecf7cf429cd600cb5f76305f65bfe3738b3e565e56ab2e",
+        "a055bd48541faf40a8e31b55ca6e5be4f8ac9eccc8abd2b69cdd72647bd86dea",
     ),
     4: (
-        "d219d07068980eb45268daf74583948527c59f1d3690da720e7039fd4e7c1d39",
-        "69088b7bd1d5f54b4d227014d5f905fe686a78b999fa393d6d91fdf1c65ecc3e",
+        "d8f39a589c46c4f2e60bccf6fbdf83cd026ebed93a4757dbedb423f97f2d09bc",
+        "ce3f2ff4bb976a3e402d46385dc32caf79ec275cfe198f21f606d84f0bb7e797",
     ),
 }
 FROZEN_PREPARE_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "b8398ed37c182027690046a0daae18505293258b8627a8b6c76ff49d1781f0c7",
-        "51133763793ae73d867a9eb09e3dade933c3093bb2b37ba7888419520a78eab4",
+        "3bb5cad9f1d0296af82d97be14ce9860302d36435cf3f264e59b9e87167f7e20",
+        "fc43e82372e147cbff2608a2e8976c1cfa84519cb8e423aec35edb253cf3b669",
     ),
     "no-common-bucket": (
-        "f464bf35a2cf1f03fc183bfb8831d6e071de7e21a6ef0b9055b6ed928cb15e4f",
-        "e0d36a322cceefdf59a1e9fb828affb5a014ee60ed81003af9087433dd564e3d",
+        "90f45fddb4507d7d33a52fa4391885d781e57d0c19a6854de44e5ea69396c706",
+        "484531f39bb8096c11088aec1b84e952d33f9de08258f6ff76c23b732b94304f",
     ),
     "reordered-columns": (
-        "1ed5794c9a42828e96ab9caea002f77f60e384517679d1a2dcb6071d75c92579",
-        "bc1b0a258d89472ab4499001fdca386dec827178c0b685b903a41fcc3fcc6cf9",
+        "b930a66dfb46d9789c35461b870beb73497375573aa323f102e1f65e891cc6e3",
+        "5b3736b7bf93795b50c95d76c9226307229e3a4ccec1fca0cdeccc21195e6748",
     ),
     "extra-column-empty-on-some-rows": (
-        "66c205d2bc66113cf1edb4fefa23c969dc4999998219a290de0fbd10d3ad343a",
-        "566f7afb3158adf470ac473515e752cc1d76e0cf68736f29691b443fb1e8dc71",
+        "9471afac3eba015b1df16d40df68f26a9ce5bf165f4a6e8b287afb1f379d81fa",
+        "c32e8b4ec4f1e4150f56fcd0cfca869ee1fef649f6613703f83154d81f945532",
     ),
     "repeated-column-name": (
-        "689ee71d79d44859e9a5cbd79ebe5619fee82cd7a92df0d17ae86141752fc312",
-        "8a622f73525bb59603bb99a61947963bf663aa7bb2186c5b865ac38e2e97a1cc",
+        "0ce9c641d0ba8f6509707f9995d81de3a6f8b2d3a8bb46c3594557f62ce9b635",
+        "61d86a54cb439a7ad378e6594ef3d8ee38a6e04ab76dd87e27ae295c83380022",
     ),
     "shared-names": (
-        "2076efb47d4c0140b8846d77b893f5c1044e17de6c0327f7593bf1afaacdb64a",
-        "b1ad9aede70449f30a2e035d525638db0239bc23cff286d6a62f1c7b7efbecc1",
+        "24c5446a777fadd22d4323b1763bb42e7c9b4274e7d38bbecd9ec916ca8cd5f6",
+        "32ca28f574e51fda5148ecb7a9ef9a4700e404518944c9519baf97df47a210fc",
     ),
 }
 
