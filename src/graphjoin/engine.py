@@ -11,7 +11,10 @@ each independently usable:
    per ordinal, then destination, element and labels per edge).
    Vertices missing a join attribute are skipped; edges touching a
    skipped endpoint are dropped (they can never bond and never find a
-   joined partner, so the result is unaffected).  The result is an
+   joined partner, so the result is unaffected).  :func:`prepare`,
+   :func:`prepare_files` and a loaded index's bucket decoder share one
+   bucket hash, the module global :func:`stable_hash`, so patching it
+   forces collisions on every path.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
    format, GJIX version 5 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
@@ -165,11 +168,11 @@ class EngineIndex:
     bucket hash, then key, then element identity).  The directory is
     held as int columns, one item per bucket: ``bucket_hash``, strictly
     ascending, and ``bucket_count``, its vertex count; a bucket's first
-    ordinal, ``bucket_start``, is the sum of the counts before it.
-    ``directory`` reads the columns as ``(hash, start, count)``
-    triples.  ``elements``, ``key_values`` and ``labels`` are indexed by
-    ordinal.  Out-edges are held in CSR form, as in the file: the
-    out-edges of ordinal ``o`` have the edge ids ``edge_offsets[o]`` to
+    ordinal, ``bucket_start``, is the sum of the counts before it,
+    summed up once when the index is built.  ``elements``,
+    ``key_values`` and ``labels`` are indexed by ordinal.  Out-edges
+    are held in CSR form, as in the file: the out-edges of ordinal
+    ``o`` have the edge ids ``edge_offsets[o]`` to
     ``edge_offsets[o + 1]``, ascending by destination ordinal, replica
     and payload, and ``edge_dest``, ``edge_elements`` and
     ``edge_labels`` are indexed by edge id.
@@ -181,12 +184,11 @@ class EngineIndex:
     keeps its string table as one text and an offsets column, split
     into dictionaries by range, its element classes as name tuples,
     value dictionaries and label sets, and its payload bytes; its other
-    columns are sequence views.  The
-    first access to an ordinal or an edge id decodes its whole bucket
-    into elements, key tuples and label sets, and slices out the
-    strings they use, each once, so a join pays only for the buckets it
-    visits (``decoded_buckets`` counts them).  ``n_edges``,
-    ``bucket_sizes()`` and ``directory`` decode nothing.
+    columns are sequence views.  The first access to an ordinal or an
+    edge id decodes its whole bucket into elements, key tuples and
+    label sets, and slices out the strings they use, each once, so a
+    join pays only for the buckets it visits (``decoded_buckets``
+    counts them); ``n_edges`` decodes nothing.
 
     ``vertex_max`` and ``edge_max`` are the largest replicas of the
     operand's vertex and edge index universes, 0 for an empty one; the
@@ -204,11 +206,11 @@ class EngineIndex:
         "edge_labels",
         "bucket_hash",
         "bucket_count",
+        "bucket_start",
         "vertex_max",
         "edge_max",
         "skipped_vertices",
         "dropped_edges",
-        "_bucket_start",
         "_payload",
     )
 
@@ -239,11 +241,11 @@ class EngineIndex:
         self.edge_labels = edge_labels
         self.bucket_hash = bucket_hash
         self.bucket_count = bucket_count
+        self.bucket_start = _starts(bucket_count)
         self.vertex_max = vertex_max
         self.edge_max = edge_max
         self.skipped_vertices = skipped_vertices
         self.dropped_edges = dropped_edges
-        self._bucket_start: Optional[array] = None
         self._payload: Optional[_LazyPayload] = None
 
     @property
@@ -253,27 +255,6 @@ class EngineIndex:
     @property
     def n_edges(self) -> int:
         return len(self.edge_dest)
-
-    @property
-    def bucket_start(self) -> array:
-        """First ordinal per bucket, derived from ``bucket_count``."""
-        if self._bucket_start is None:
-            self._bucket_start = _starts(self.bucket_count)
-        return self._bucket_start
-
-    @property
-    def directory(self) -> Sequence[tuple[int, int, int]]:
-        """A read-only view of the directory columns as ``(hash, start,
-        count)`` per bucket."""
-        return _Directory(self.bucket_hash, self.bucket_start, self.bucket_count)
-
-    def bucket_sizes(self) -> list[tuple[int, int, int]]:
-        """(hash, vertices, total out-degree) per bucket."""
-        offsets = self.edge_offsets
-        return [
-            (h, count, offsets[start + count] - offsets[start])
-            for h, start, count in zip(self.bucket_hash, self.bucket_start, self.bucket_count)
-        ]
 
     @property
     def decoded_buckets(self) -> int:
@@ -437,14 +418,12 @@ class EngineIndex:
         if bucket_at[-1] != len(payload):
             raise ValidationError("bucket payload offsets do not fit the payload")
 
-        starts = _starts(counts)
         lazy = _LazyPayload(
             classes,
             keys,
             (vertex_base, edge_base),
             (vertex_max, edge_max),
             hashes,
-            starts,
             counts,
             bucket_at,
             edge_offsets,
@@ -467,7 +446,7 @@ class EngineIndex:
             skipped,
             dropped,
         )
-        index._bucket_start = starts
+        lazy.starts = index.bucket_start
         index._payload = lazy
         return index
 
@@ -677,27 +656,6 @@ def _starts(counts) -> array:
     return array("Q", map(sub, accumulate(counts), counts))
 
 
-class _Directory(Sequence):
-    """``(hash, start, count)`` per bucket, read from an index's
-    directory columns."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, hashes, starts, counts):
-        self._columns = (hashes, starts, counts)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(*(col[i] for col in self._columns)))
-        return tuple([col[i] for col in self._columns])
-
-    def __iter__(self):
-        return zip(*self._columns)
-
-
 class _Strings(dict):
     """One dictionary of the string table of an index read back: the
     ``n`` strings from string ``base`` on, by id from 0, each sliced
@@ -766,8 +724,9 @@ class _LazyPayload:
     value dictionaries and its label set, checked at load, so a record
     is built without checking or sorting its names again; class 0 is
     the empty record with no labels.  ``bases`` holds the two smallest
-    replicas.  Out-edge counts come from the CSR offsets, and a
-    vertex's key values from its record.
+    replicas.  Out-edge counts come from the CSR offsets, a vertex's
+    key values from its record, and ``starts`` is the index's
+    ``bucket_start``, set once the index is built.
     """
 
     __slots__ = (
@@ -790,14 +749,13 @@ class _LazyPayload:
     )
 
     def __init__(
-        self, classes, keys, bases, maxima, hashes, starts, counts, bucket_at, edge_offsets, payload
+        self, classes, keys, bases, maxima, hashes, counts, bucket_at, edge_offsets, payload
     ):
         self.classes = classes
         self.keys = keys
         self.bases = bases
         self.maxima = maxima
         self.hashes = hashes
-        self.starts = starts
         self.counts = counts
         self.bucket_at = bucket_at
         self.edge_offsets = edge_offsets
@@ -984,28 +942,19 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
     )
 
 
-def prepare(
-    graph: Graph,
-    keys: Iterable[str],
-    *,
-    hash_override: Optional[Callable[[tuple[str, ...]], int]] = None,
-) -> EngineIndex:
+def prepare(graph: Graph, keys: Iterable[str]) -> EngineIndex:
     """Index one component on the join attributes ``keys``.
 
-    Vertices are bucketed by the hash of their key values; a vertex
-    missing one is skipped, and an edge touching a skipped vertex is
-    dropped.  ``hash_override`` substitutes the bucket hash function,
-    which must return an unsigned 64-bit int as :func:`stable_hash`
-    does; it exists to force collisions in tests.  An override that
-    returns anything else raises ``ValidationError``."""
+    Vertices are bucketed by :func:`stable_hash` of their key values; a
+    vertex missing one is skipped, and an edge touching a skipped
+    vertex is dropped."""
     keys = _check_keys(keys)
-    hfn = stable_hash if hash_override is None else _checked_hash(hash_override)
     db = graph.db
     key_of = [tuple([v.record.get(k) for k in keys]) for v in graph.vertices]
     return _index_operand(
         keys,
         (
-            (v, hfn(kt), kt, v, db.vertex_labels_of(v))
+            (v, stable_hash(kt), kt, v, db.vertex_labels_of(v))
             for v, kt in zip(graph.vertices, key_of)
             if None not in kt
         ),
@@ -1015,21 +964,6 @@ def prepare(
         max(graph.edges.universe, default=0),
         sum(None in kt for kt in key_of),
     )
-
-
-def _checked_hash(override: Callable[[tuple[str, ...]], int]) -> Callable[[tuple[str, ...]], int]:
-    """``override``, checked to give each key tuple an unsigned 64-bit
-    int, the width of the directory's hash column."""
-
-    def hfn(kt: tuple[str, ...]) -> int:
-        h = override(kt)
-        if not (isinstance(h, int) and 0 <= h < 1 << 64):
-            raise ValidationError(
-                f"hash_override gave {h!r} for key {kt!r}, not an unsigned 64-bit int"
-            )
-        return h
-
-    return hfn
 
 
 def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:

@@ -618,10 +618,6 @@ class PropertyGraph:
             raise UnknownComponent(f"no component with id {component_id}")
         return Graph(self, component_id, comp.vertices, comp.edges)
 
-    @property
-    def component_ids(self) -> tuple[int, ...]:
-        return tuple(self._components)
-
     def vertex_labels_of(self, vertex: Element) -> frozenset[str]:
         hit = self._vertex_labels.get(vertex)
         if hit is not None:

@@ -17,7 +17,10 @@ Cases: ``build_pair`` seeds 0-39 through ``prepare``, with the operands
 in memory and read back from their bytes; every ``FILE_CASES`` entry
 through ``prepare_files``; and the dense-disj benchmark data (2^10,
 30x8 key values, seeds 1 and 2) through ``prepare`` and
-``prepare_files``.  Each runs under both semantics.  The name does not
+``prepare_files``.  Then the ``build_pair`` and ``FILE_CASES`` cases
+again, named ``collided-...``, with ``engine.stable_hash`` patched to
+put every key in one bucket, so every vertex pair of a join meets in
+the vertex scan.  Each runs under both semantics.  The name does not
 start with ``test_``, so pytest does not collect it.
 """
 
@@ -25,12 +28,15 @@ import hashlib
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
+from unittest.mock import patch
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_engine import FILE_CASES, write_pair  # noqa: E402
 
+import graphjoin.engine  # noqa: E402
 from graphjoin.engine import EngineIndex, prepare, prepare_files, run_join  # noqa: E402
 from graphjoin.graphio import (  # noqa: E402
     GeneratorParams,
@@ -72,22 +78,26 @@ def reloaded(operands):
     return tuple(EngineIndex.from_bytes(op.to_bytes()) for op in operands)
 
 
-def cases(work):
-    """(case name, function returning the two operands) per case."""
+def pair_and_file_cases(work, prefix):
+    """(case name, function returning the two operands) per ``build_pair``
+    seed and ``FILE_CASES`` entry, the name led by ``prefix``."""
     for seed in range(40):
         db, left, right, pairs = build_pair(seed)
         built = (prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]))
-        yield f"pair-{seed}", lambda built=built: built
-        yield f"pair-{seed}-reloaded", lambda built=built: reloaded(built)
+        yield f"{prefix}pair-{seed}", lambda built=built: built
+        yield f"{prefix}pair-{seed}-reloaded", lambda built=built: reloaded(built)
     for name in sorted(FILE_CASES):
         lv, le, rv, re_, keys_a, keys_b = FILE_CASES[name]
-        base = Path(work, name)
+        base = Path(work, prefix + name)
         base.mkdir()
         left_pair = write_pair(base / "left", lv, le)
         right_pair = write_pair(base / "right", rv, re_)
-        yield f"files-{name}", lambda args=(left_pair, right_pair, keys_a, keys_b): prepare_files(
-            *args
-        )
+        yield f"{prefix}files-{name}", partial(prepare_files, left_pair, right_pair, keys_a, keys_b)
+
+
+def cases(work):
+    """(case name, function returning the two operands) per case."""
+    yield from pair_and_file_cases(work, "")
     common = dict(scale=10, edge_factor=2, dob_values=30, company_values=8)
     dense = os.path.join(work, "dense")
     pa = generate(GeneratorParams(seed=1, attr_suffix="1", **common), dense, "a")
@@ -103,12 +113,21 @@ def cases(work):
     yield "dense-disj-files", lambda: prepare_files(pa, pb, *keys)
 
 
+def print_lines(cases, work) -> None:
+    for case, operands in cases:
+        for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+            out = os.path.join(work, "out", f"{case}-{semantics}")
+            print(line(case, operands(), semantics, out), flush=True)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as work:
-        for n, (case, operands) in enumerate(cases(work)):
-            for semantics in (CONJUNCTIVE, DISJUNCTIVE):
-                out = os.path.join(work, "out", f"{n}-{semantics}")
-                print(line(case, operands(), semantics, out), flush=True)
+        print_lines(cases(work), work)
+        # a loaded bucket decodes lazily, so its joins run under the
+        # patch too; the dense-disj data would make 4 M vertex
+        # comparisons in its one bucket
+        with patch.object(graphjoin.engine, "stable_hash", lambda kt: 0):
+            print_lines(pair_and_file_cases(work, "collided-"), work)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import tracemalloc
 from array import array
 from itertools import accumulate
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,24 @@ def replace(index, **changes):
     return EngineIndex(**{name: getattr(index, name) for name in INDEX_FIELDS} | changes)
 
 
+def directory(index):
+    """``(hash, start, count)`` per bucket, read from the directory columns."""
+    return list(zip(index.bucket_hash, index.bucket_start, index.bucket_count))
+
+
+def bucket_sizes(index):
+    """``(hash, vertices, total out-degree)`` per bucket."""
+    at = index.edge_offsets
+    return [(h, count, at[start + count] - at[start]) for h, start, count in directory(index)]
+
+
+def hashing(fn):
+    """Buckets hashed by ``fn`` in place of ``stable_hash`` on every path
+    while the context is open: ``prepare``, ``prepare_files`` and the
+    decoder of a loaded index, which decodes lazily."""
+    return patch.object(graphjoin.engine, "stable_hash", fn)
+
+
 def oracle_join(left, right, pairs, semantics):
     theta = ThetaPredicate.equalities(pairs)
     return graph_join(left, right, JoinSpec(theta, semantics))
@@ -118,11 +137,11 @@ def test_load_buckets_by_key_hash(citation_instance):
     db, researcher, citation = citation_instance
     idx = prepare(researcher, ["Name"])
     assert idx.keys == ("Name",)
-    assert {h for h, _, _ in idx.directory} == {stable_hash(("Alice",)), stable_hash(("Bob",))}
+    assert {h for h, _, _ in directory(idx)} == {stable_hash(("Alice",)), stable_hash(("Bob",))}
     assert idx.skipped_vertices == 0
     assert idx.dropped_edges == 0
     ((alice, count),) = [
-        (start, count) for h, start, count in idx.directory if h == stable_hash(("Alice",))
+        (start, count) for h, start, count in directory(idx) if h == stable_hash(("Alice",))
     ]
     assert count == 1
     assert idx.key_values[alice] == ("Alice",)
@@ -143,7 +162,7 @@ def test_load_skips_keyless_vertices_and_their_edges():
     idx = prepare(g, ["k"])
     assert idx.skipped_vertices == 1
     assert idx.dropped_edges == 2
-    assert sum(count for _, _, count in idx.directory) == 2
+    assert sum(count for _, _, count in directory(idx)) == 2
     assert sorted(idx.key_values) == [("1",), ("2",)]
     # only the edge between the two keyed vertices stays
     assert idx.n_edges == 1
@@ -166,10 +185,10 @@ def test_load_rejects_bad_key_sequences(citation_instance):
 def test_index_directory_is_sorted_and_contiguous():
     db, left, right, pairs = build_pair(7)
     idx = prepare(left, [pairs[0][0]])
-    hashes = [h for h, _, _ in idx.directory]
+    hashes = [h for h, _, _ in directory(idx)]
     assert hashes == sorted(hashes)
     at = 0
-    for _, start, count in idx.directory:
+    for _, start, count in directory(idx):
         assert start == at
         at += count
     assert at == idx.n_vertices
@@ -200,7 +219,7 @@ def test_index_counts_and_bucket_sizes(citation_instance):
     idx = prepare(researcher, ["Name"])
     assert idx.n_vertices == 2
     assert idx.n_edges == 1
-    assert sorted(idx.bucket_sizes()) == sorted(
+    assert sorted(bucket_sizes(idx)) == sorted(
         [(stable_hash(("Alice",)), 1, 1), (stable_hash(("Bob",)), 1, 0)]
     )
 
@@ -290,23 +309,17 @@ def test_int_columns_take_the_narrowest_width_that_holds_them(top, width):
 def test_the_largest_bucket_hash_round_trips():
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [(0, 1, EMPTY_RECORD)])
-    idx = prepare(g, ["k"], hash_override=lambda kt: 2**64 - 1)
-    raw = idx.to_bytes()
+    with hashing(lambda kt: 2**64 - 1):
+        idx = prepare(g, ["k"])
+        raw = idx.to_bytes()
+        back = EngineIndex.from_bytes(raw)
+        # decodes the bucket, whose keys hash to it under the patch
+        assert back.to_bytes() == raw
     assert _unpack_sections(raw)["bucket_hash"][0] == 8
-    back = EngineIndex.from_bytes(raw)
-    assert list(back.directory) == list(idx.directory) == [(2**64 - 1, 0, 2)]
-    # the reader checks each key against the stable hash, which the
-    # override replaced
+    assert directory(back) == directory(idx) == [(2**64 - 1, 0, 2)]
+    # the reader checks each key against the stable hash
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
-        back.elements[0]
-
-
-@pytest.mark.parametrize("bad", [2**64, -1, 1.5])
-def test_a_hash_override_outside_u64_raises_a_validation_error(bad):
-    db = PropertyGraph()
-    g = component_from_payloads(db, [Record({"k": "a"})], [])
-    with pytest.raises(ValidationError, match=r"hash_override gave .* for key \('a',\)"):
-        prepare(g, ["k"], hash_override=lambda kt: bad)
+        EngineIndex.from_bytes(raw).elements[0]
 
 
 def test_a_failed_save_leaves_the_previous_file(tmp_path, monkeypatch, citation_instance):
@@ -360,7 +373,7 @@ def test_from_bytes_rejects_broken_directories(citation_instance):
     # the undercounting directory also leaves the last vertex row
     # unread, so coverage is checked before the payload is parsed
     tampered = replace(idx, bucket_count=short)
-    assert [start for _, start, _ in tampered.directory] == list(idx.bucket_start)
+    assert [start for _, start, _ in directory(tampered)] == list(idx.bucket_start)
     with pytest.raises(ValidationError, match="cover"):
         EngineIndex.from_bytes(tampered.to_bytes())
 
@@ -445,48 +458,48 @@ def reloaded_alike(op):
     return EngineIndex.from_bytes(raw)
 
 
-def assert_joins_alike(ops, loaded, work):
+def assert_joins_alike(ops, loaded, work, graphs_in):
+    """``ops`` and ``loaded`` write the same bytes and give the
+    ``raw_signature`` of the reference join on k = k of the two graphs
+    ``graphs_in`` builds in a database, under both semantics."""
     for semantics in (CONJUNCTIVE, DISJUNCTIVE):
         live, thawed = run_join(*ops, semantics), run_join(*loaded, semantics)
-        assert raw_signature(thawed) == raw_signature(live)
+        # one database cannot hold two reference results
+        oracle = oracle_join(*graphs_in(PropertyGraph()), [("k", "k")], semantics)
+        assert raw_signature(thawed) == raw_signature(live) == raw_signature(oracle)
         out = os.path.join(work, semantics)
         assert written(thawed, Path(out, "thawed")) == written(live, Path(out, "live"))
 
 
 @given(graph_payloads(), graph_payloads(), st.booleans())
 def test_index_bytes_round_trip_and_loaded_operands_join_alike(left, right, collide):
-    db = PropertyGraph()
-    graphs = [
-        component_from_payloads(db, v, e, vertex_labels=vl, edge_labels=el)
-        for v, e, vl, el in (left, right)
-    ]
-    if collide:
-        # the keys "1" and "é" share a bucket; the reader checks each
-        # key against the stable hash, so these operands load but no
-        # bucket of theirs decodes
-        ops = [prepare(g, ["k"], hash_override=lambda kt: ord(kt[0][0]) % 2) for g in graphs]
-        plain = [prepare(g, ["k"]) for g in graphs]
-        for semantics in (CONJUNCTIVE, DISJUNCTIVE):
-            assert raw_signature(run_join(*ops, semantics)) == raw_signature(
-                run_join(*plain, semantics)
-            )
-        for op in ops:
-            back = EngineIndex.from_bytes(op.to_bytes())
-            assert list(back.directory) == list(op.directory)
-            if op.n_vertices:
-                with pytest.raises(ValidationError, match="does not hash to its bucket"):
-                    back.to_bytes()
-        return
-    with tempfile.TemporaryDirectory() as work:
+    def drawn(db):
+        return [
+            component_from_payloads(db, v, e, vertex_labels=vl, edge_labels=el)
+            for v, e, vl, el in (left, right)
+        ]
+
+    # the keys "1" and "é" share a bucket; a loaded bucket decodes
+    # lazily, so every join runs under the same hash
+    bucket = (lambda kt: ord(kt[0][0]) % 2) if collide else stable_hash
+    with hashing(bucket), tempfile.TemporaryDirectory() as work:
+        graphs = drawn(PropertyGraph())
         ops = [prepare(g, ["k"]) for g in graphs]
-        assert_joins_alike(ops, [reloaded_alike(op) for op in ops], os.path.join(work, "prepare"))
+        loaded = [reloaded_alike(op) for op in ops]
+        assert_joins_alike(ops, loaded, os.path.join(work, "prepare"), drawn)
         pairs = []
         for i, g in enumerate(graphs):
             pair = os.path.join(work, f"{i}.csv"), os.path.join(work, f"{i}.tsv")
             write_graph(g, *pair)
             pairs.append(pair)
         ops = prepare_files(*pairs, ["k"], ["k"])
-        assert_joins_alike(ops, [reloaded_alike(op) for op in ops], os.path.join(work, "files"))
+        loaded = [reloaded_alike(op) for op in ops]
+        assert_joins_alike(
+            ops,
+            loaded,
+            os.path.join(work, "files"),
+            lambda db: [load_graph_pair(db, *pair) for pair in pairs],
+        )
 
 
 def test_index_round_trips_replicas_beyond_u64():
@@ -525,15 +538,15 @@ def test_loaded_index_decodes_only_the_buckets_a_join_visits(tmp_path):
         la = EngineIndex.load_file(tmp_path / "a.gjix")
         lb = EngineIndex.load_file(tmp_path / "b.gjix")
         assert (la.n_edges, lb.n_edges) == (a.n_edges, b.n_edges)
-        assert (la.bucket_sizes(), lb.bucket_sizes()) == (a.bucket_sizes(), b.bucket_sizes())
+        assert (bucket_sizes(la), bucket_sizes(lb)) == (bucket_sizes(a), bucket_sizes(b))
         assert la.decoded_buckets == lb.decoded_buckets == 0
         run = run_join(la, lb, semantics)
         visits = run.counters.bucket_visits
-        assert 0 < visits < min(len(a.directory), len(b.directory))
+        assert 0 < visits < min(len(a.bucket_hash), len(b.bucket_hash))
         assert la.decoded_buckets == lb.decoded_buckets == visits
         assert raw_signature(run) == raw_signature(run_join(a, b, semantics))
     # an index built in memory has nothing left to decode
-    assert a.decoded_buckets == len(a.directory)
+    assert a.decoded_buckets == len(a.bucket_hash)
 
 
 def test_loaded_columns_read_like_the_built_ones():
@@ -614,7 +627,7 @@ def test_bucket_decode_rejects_key_values_that_disagree_with_the_records():
         bucket_hash=array("Q", [stable_hash(("b",))]),
         bucket_count=array("Q", [1]),
     )
-    assert tuple(hostile.directory) == ((stable_hash(("b",)), 0, 1),)
+    assert directory(hostile) == [(stable_hash(("b",)), 0, 1)]
     back = EngineIndex.from_bytes(hostile.to_bytes())
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
         back.key_values[0]
@@ -941,7 +954,7 @@ def assert_matches_full_load(out_dir, left_pair, right_pair, keys_a, keys_b, sem
     assert pruned.counters.as_dict() == full.counters.as_dict()
     assert pruned.bucket_stats == full.bucket_stats
     for p, f in zip(pruned_ops, full_ops):
-        assert [h for h, _, _ in p.directory] == [h for h, _, _ in f.directory]
+        assert list(p.bucket_hash) == list(f.bucket_hash)
         assert (p.vertex_max, p.edge_max) == (f.vertex_max, f.edge_max)
         assert (p.skipped_vertices, p.dropped_edges) == (f.skipped_vertices, f.dropped_edges)
         assert p.n_vertices <= f.n_vertices
@@ -972,7 +985,7 @@ def test_prepare_files_matches_full_load(tmp_path, case, semantics):
         # destinations; w and r keep their hash but no vertex
         a, b = ops
         assert (a.n_vertices, b.n_vertices) == (5, 4)
-        assert sum(1 for _, _, count in a.directory if count == 0) == 1
+        assert list(a.bucket_count).count(0) == 1
         assert Element(Record({"k": "a", "c": "x"}), 4) in b.elements
     elif case == "reordered-columns":
         assert len(run.vertices) == 5
@@ -1039,11 +1052,11 @@ def test_directory_triples_read_the_columns(tmp_path, case):
         for op in (f, p):
             counts = list(op.bucket_count)
             triples = list(zip(op.bucket_hash, accumulate(counts, initial=0), counts))
-            assert list(op.directory) == [op.directory[i] for i in range(len(counts))] == triples
+            assert directory(op) == triples
             # the bytes round-trip from each builder, and from a load
             raw = op.to_bytes()
             loaded = EngineIndex.from_bytes(raw)
-            assert list(loaded.directory) == triples
+            assert directory(loaded) == triples
             assert loaded.to_bytes() == raw
         # pruning keeps every bucket and only drops vertices
         assert list(p.bucket_hash) == list(f.bucket_hash)
@@ -1276,11 +1289,8 @@ def test_bucket_collisions_change_counters_not_results():
     db, left, right, pairs = build_pair(31)
     keys_l, keys_r = [pairs[0][0]], [pairs[0][1]]
     normal = run_join(prepare(left, keys_l), prepare(right, keys_r), DISJUNCTIVE)
-    squashed = run_join(
-        prepare(left, keys_l, hash_override=lambda kt: 0),
-        prepare(right, keys_r, hash_override=lambda kt: 0),
-        DISJUNCTIVE,
-    )
+    with hashing(lambda kt: 0):
+        squashed = run_join(prepare(left, keys_l), prepare(right, keys_r), DISJUNCTIVE)
     assert raw_signature(squashed) == raw_signature(normal)
     assert len(squashed.bucket_stats) <= 1
     assert squashed.counters.vertex_comparisons >= normal.counters.vertex_comparisons
@@ -1373,7 +1383,7 @@ def reversed_buckets(index):
     out-edges moved along.  A file read back is not checked for that
     order, so a join must not depend on it."""
     moved = list(range(index.n_vertices))
-    for _, start, count in index.directory:
+    for _, start, count in directory(index):
         moved[start : start + count] = reversed(moved[start : start + count])
     # reversing is its own inverse: ordinal o now holds moved[o]
     edges = [e for o in moved for e in out_edges(index, o)]
