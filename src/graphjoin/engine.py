@@ -652,8 +652,8 @@ def _read_classes(table, names: _Strings, values: dict) -> list[tuple]:
 
 
 def _starts(counts) -> array:
-    """Each bucket's first ordinal: where the ones before it end."""
-    return array("Q", map(sub, accumulate(counts), counts))
+    """Each bucket's first ordinal, where the ones before it end, as narrow as the offsets."""
+    return array(_narrowest(sum(counts)), map(sub, accumulate(counts), counts))
 
 
 class _Strings(dict):
