@@ -30,13 +30,11 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from unittest.mock import patch
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_engine import FILE_CASES, write_pair  # noqa: E402
+from test_engine import FILE_CASES, hashing, write_pair  # noqa: E402
 
-import graphjoin.engine  # noqa: E402
 from graphjoin.engine import EngineIndex, prepare, prepare_files, run_join  # noqa: E402
 from graphjoin.graphio import (  # noqa: E402
     GeneratorParams,
@@ -113,8 +111,8 @@ def cases(work):
     yield "dense-disj-files", lambda: prepare_files(pa, pb, *keys)
 
 
-def print_lines(cases, work) -> None:
-    for case, operands in cases:
+def print_lines(named_operands, work) -> None:
+    for case, operands in named_operands:
         for semantics in (CONJUNCTIVE, DISJUNCTIVE):
             out = os.path.join(work, "out", f"{case}-{semantics}")
             print(line(case, operands(), semantics, out), flush=True)
@@ -126,7 +124,7 @@ def main() -> None:
         # a loaded bucket decodes lazily, so its joins run under the
         # patch too; the dense-disj data would make 4 M vertex
         # comparisons in its one bucket
-        with patch.object(graphjoin.engine, "stable_hash", lambda kt: 0):
+        with hashing(lambda kt: 0):
             print_lines(pair_and_file_cases(work, "collided-"), work)
 
 
