@@ -1024,6 +1024,30 @@ def test_prepare_files_matches_full_load_on_random_pairs(tmp_path, semantics):
         assert_matches_full_load(d, *file_pairs, [pairs[0][0]], [pairs[0][1]], semantics)
 
 
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_prepare_files_matches_full_load_in_one_bucket(tmp_path, case):
+    # every key shares bucket 0, so pruning by bucket keeps each keyed
+    # vertex and the join alone must tell the keys apart; a loaded
+    # bucket decodes lazily, so the reloaded joins run under the patch
+    lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    plain_ops = prepare_files(left_pair, right_pair, keys_a, keys_b)
+    plain = {
+        semantics: raw_signature(run_join(*plain_ops, semantics))
+        for semantics in (CONJUNCTIVE, DISJUNCTIVE)
+    }
+    with hashing(lambda kt: 0):
+        for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+            ops, run = assert_matches_full_load(
+                tmp_path / semantics, left_pair, right_pair, keys_a, keys_b, semantics
+            )
+            assert all(list(op.bucket_hash) in ([], [0]) for op in ops)
+            assert raw_signature(run) == plain[semantics]
+            loaded = [reloaded_alike(op) for op in ops]
+            assert raw_signature(run_join(*loaded, semantics)) == plain[semantics]
+
+
 @pytest.mark.parametrize("keep_id", [False, True])
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
 def test_reader_rows_make_the_records_the_checking_constructor_makes(tmp_path, case, keep_id):
