@@ -16,6 +16,7 @@ from .model import (
     Element,
     Graph,
     GraphJoinError,
+    IncompleteBucket,
     IndexedSet,
     PropertyGraph,
     Record,
@@ -63,6 +64,7 @@ __all__ = [
     "Element",
     "Graph",
     "GraphJoinError",
+    "IncompleteBucket",
     "IndexedSet",
     "PropertyGraph",
     "Record",

@@ -16,7 +16,7 @@ each independently usable:
    bucket hash, the module global :func:`stable_hash`, so patching it
    forces collisions on every path.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 5 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 6 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
    keeps one dictionary of the key, attribute and label names and one
    of each attribute's values, every element class (its sorted
@@ -24,15 +24,23 @@ each independently usable:
    one of their kind, the directory and the CSR out-degrees and
    destinations as int columns of the narrowest width that fits, and
    one checksummed section per part; it stores nothing its reader can
-   derive, so offsets are stored as lengths.
-   Reading it back (:meth:`EngineIndex.from_bytes`) checks the structure
-   at once and keeps the file's int columns, string text and payload as
-   they are; it decodes a bucket's vertices and edges, and the strings
-   they use, only when the join first touches that bucket.
+   derive, so offsets are stored as lengths.  The sections that
+   compress (the string table, the directory's counts, flags and block
+   lengths, and the out-degrees) are stored as zlib streams.
+   Reading it back (:meth:`EngineIndex.load_file`,
+   :meth:`EngineIndex.from_bytes`) reads, checks and inflates one
+   section at a time, checks the structure at once, and keeps the int
+   columns, string text and payload as they are; it decodes a bucket's
+   vertices and edges, and the strings they use, only when the join
+   first touches that bucket.
 
    :func:`prepare_files` is the pruned variant for a one-off join of two
    file pairs: it reads both pairs, intersects their bucket hashes, and
-   builds only the part of each operand the join can reach.
+   builds only the part of each operand the join can reach.  Each
+   operand flags the buckets it holds only in part, and a join raises
+   :class:`IncompleteBucket` when a bucket both sides hold is flagged on
+   either, so a pruned operand never joins silently wrong with a
+   partner it was not pruned to.
 2. **Join** (:func:`run_join`): merge the two directories, scan common
    buckets pairwise for joined vertices, then cross the out-edge ranges
    of joined source pairs for bonded edges.  The disjunctive variant
@@ -88,6 +96,7 @@ indices).
 from __future__ import annotations
 
 import heapq
+import io
 import os
 import struct
 import sys
@@ -112,6 +121,7 @@ from .model import (
     EMPTY_RECORD,
     Element,
     Graph,
+    IncompleteBucket,
     IndexedSet,
     PropertyGraph,
     Record,
@@ -166,10 +176,12 @@ class EngineIndex:
 
     Vertices are numbered by ordinal in directory order (ascending
     bucket hash, then key, then element identity).  The directory is
-    held as int columns, one item per bucket: ``bucket_hash``, strictly
-    ascending, and ``bucket_count``, its vertex count; a bucket's first
-    ordinal, ``bucket_start``, is the sum of the counts before it,
-    summed up once when the index is built.  ``elements``,
+    held as columns, one item per bucket: ``bucket_hash``, strictly
+    ascending, ``bucket_count``, its vertex count, and
+    ``bucket_incomplete``, a byte that is 1 where the bucket lacks some
+    of its vertices (only in an operand of :func:`prepare_files`, see
+    there); a bucket's first ordinal, ``bucket_start``, is the sum of
+    the counts before it, summed up once when the index is built.  ``elements``,
     ``key_values`` and ``labels`` are indexed by ordinal.  Out-edges
     are held in CSR form, as in the file: the out-edges of ordinal
     ``o`` have the edge ids ``edge_offsets[o]`` to
@@ -206,6 +218,7 @@ class EngineIndex:
         "edge_labels",
         "bucket_hash",
         "bucket_count",
+        "bucket_incomplete",
         "bucket_start",
         "vertex_max",
         "edge_max",
@@ -226,6 +239,7 @@ class EngineIndex:
         edge_labels: Sequence[frozenset],
         bucket_hash: Sequence[int],
         bucket_count: Sequence[int],
+        bucket_incomplete: bytes,
         vertex_max: int,
         edge_max: int,
         skipped_vertices: int,
@@ -241,6 +255,7 @@ class EngineIndex:
         self.edge_labels = edge_labels
         self.bucket_hash = bucket_hash
         self.bucket_count = bucket_count
+        self.bucket_incomplete = bucket_incomplete
         self.bucket_start = _starts(bucket_count)
         self.vertex_max = vertex_max
         self.edge_max = edge_max
@@ -264,10 +279,10 @@ class EngineIndex:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 5
+    # -- serialization, format GJIX version 6
 
     MAGIC = b"GJIX"
-    VERSION = 5
+    VERSION = 6
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
@@ -360,6 +375,7 @@ class EngineIndex:
                 "classes": (1, b"".join(classes)),
                 "bucket_hash": _column(self.bucket_hash),
                 "bucket_count": _column(self.bucket_count),
+                "bucket_incomplete": (1, bytes(self.bucket_incomplete)),
                 "bucket_bytes": _column(map(sub, bucket_at[1:], bucket_at)),
                 "edge_degrees": _column(degrees),
                 "edge_dest": _column(self.edge_dest),
@@ -369,41 +385,45 @@ class EngineIndex:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EngineIndex":
-        """Read an index back.  The structure is decoded and checked
-        here; bucket payloads are decoded on first access."""
-        sec = _unpack_sections(raw)
-        meta, text, dictionaries, class_table, payload = (
-            _byte_section(sec, name)
-            for name in ("meta", "string_text", "dictionaries", "classes", "payload")
-        )
+        """Read an index back from its bytes, as :meth:`load_file` reads
+        it from a file."""
+        return cls._read(_StoredSections(io.BytesIO(raw).read, len(raw)))
 
+    @classmethod
+    def _read(cls, sec: "_StoredSections") -> "EngineIndex":
+        """The index whose sections ``sec`` reads.  Each section is
+        taken in file order and turned into the column the index keeps
+        before the next is read; the structure is checked here, and
+        bucket payloads are decoded on first access."""
+        meta = _read_varints(_byte_section(sec, "meta"))
+        offsets = _offsets(_read_column(sec, "string_lengths"))
         try:
-            text = str(text, "utf-8")
+            text = str(_byte_section(sec, "string_text"), "utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError("string table is not UTF-8") from exc
-        offsets = _offsets(_read_column(sec, "string_lengths"))
         if offsets[-1] != len(text):
             raise ValidationError("string table offsets do not fit the string text")
-        names, values = _read_dictionaries(dictionaries, text, offsets)
+        names, values = _read_dictionaries(_byte_section(sec, "dictionaries"), text, offsets)
 
-        meta = _read_varints(meta)
         nkeys = meta[0] if meta else -1
         if len(meta) != nkeys + 7 or max(meta[1 : 1 + nkeys], default=-1) >= names.n:
             raise ValidationError("corrupt index header fields")
         # without a key, every bucket would join as a cross product
         keys = _check_keys([names[i] for i in meta[1 : 1 + nkeys]])
         skipped, dropped, vertex_max, edge_max, vertex_base, edge_base = meta[-6:]
-        classes = _read_classes(class_table, names, values)
+        classes = _read_classes(_byte_section(sec, "classes"), names, values)
 
-        hashes, counts, bucket_bytes, degrees, dest = (
-            _read_column(sec, name)
-            for name in ("bucket_hash", "bucket_count", "bucket_bytes", "edge_degrees", "edge_dest")
+        hashes, counts = _read_column(sec, "bucket_hash"), _read_column(sec, "bucket_count")
+        incomplete = _byte_section(sec, "bucket_incomplete")
+        bucket_bytes, degrees, dest = (
+            _read_column(sec, name) for name in ("bucket_bytes", "edge_degrees", "edge_dest")
         )
-        payload = bytes(payload)
-        if not len(hashes) == len(counts) == len(bucket_bytes):
+        payload = _byte_section(sec, "payload")
+        if not len(hashes) == len(counts) == len(incomplete) == len(bucket_bytes):
             raise ValidationError("directory columns differ in length")
+        if max(incomplete, default=0) > 1:
+            raise ValidationError("a bucket flag is neither 0 nor 1")
         nverts = len(degrees)
-
         if sum(counts) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
@@ -441,6 +461,7 @@ class EngineIndex:
             _LazyColumn(lazy, lazy.edge_labels, ndest, lazy.decode_edge),
             hashes,
             counts,
+            incomplete,
             vertex_max,
             edge_max,
             skipped,
@@ -467,36 +488,49 @@ class EngineIndex:
 
     @classmethod
     def load_file(cls, path) -> "EngineIndex":
+        """Read an index back from ``path``, one section at a time, so
+        the file and the columns read from it are never held together."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            return cls._read(_StoredSections(fh.read, os.fstat(fh.fileno()).st_size))
 
 
-# GJIX v5 layout: magic, u16 version, one (width, length, CRC32) entry
-# per section in this order, a CRC32 of everything before it, then the
-# section bodies back to back.  A byte section has width 1; an int
-# column is little-endian and unsigned, at the narrowest width of 1, 2,
-# 4 or 8 bytes that holds its largest item.  Offsets are stored as
-# lengths, and the reader sums them up.  The string table is a run of
-# dictionaries: dictionary 0 holds the key, attribute and label names,
-# and each attribute then has one of the values bound to it.  Every
-# table is numbered from 0 in order of first use.
+# GJIX v6 layout: magic, u16 version, one (width, stored length, length,
+# CRC32) entry per section in this order, a CRC32 of everything before
+# it, then the stored section bodies back to back.  The sections of
+# _DEFLATED are stored as zlib streams at level _LEVEL, and their length
+# is the inflated one; the others are stored as they are, and their two
+# lengths are equal.  Each CRC32 covers the stored bytes.  A byte section
+# has width 1; an int column is little-endian and unsigned, at the
+# narrowest width of 1, 2, 4 or 8 bytes that holds its largest item.
+# Offsets are stored as lengths, and the reader sums them up.  The string
+# table is a run of dictionaries: dictionary 0 holds the key, attribute
+# and label names, and each attribute then has one of the values bound
+# to it.  Every table is numbered from 0 in order of first use.
 _SECTIONS = (
     "meta",  # varints: key count, key name ids, skipped, dropped,
     # vertex max, edge max, smallest vertex replica, smallest edge replica
-    "string_lengths",  # column per string: its length in code points
-    "string_text",  # every dictionary's strings, back to back, as UTF-8
+    "string_lengths",  # deflated column per string: its length in code points
+    "string_text",  # deflated: every dictionary's strings, back to back, as UTF-8
     "dictionaries",  # varints: dictionary 0's count, then per attribute
     # dictionary its name id and its count
     "classes",  # varints per class: name count, name ids ascending by
     # name, label count, label ids
-    "bucket_hash",  # column per bucket, strictly ascending
-    "bucket_count",  # column per bucket: vertex count
-    "bucket_bytes",  # column per bucket: byte length of its block in payload
-    "edge_degrees",  # column per ordinal: out-edge count, CSR in ordinal order
-    "edge_dest",  # column per edge id: destination ordinal
-    "payload",  # varints: one block per bucket, see _LazyPayload
+    "bucket_hash",  # column per bucket, strictly ascending; random, so stored
+    "bucket_count",  # deflated column per bucket: vertex count
+    "bucket_incomplete",  # deflated byte per bucket: 1 where it lacks vertices
+    "bucket_bytes",  # deflated column per bucket: byte length of its block in payload
+    "edge_degrees",  # deflated column per ordinal: out-edge count, CSR in ordinal order
+    "edge_dest",  # column per edge id: destination ordinal; deflates by under a fifth
+    "payload",  # varints: one block per bucket, see _LazyPayload; deflates by
+    # under a fifth, and a join reads only the blocks it visits
 )
-_ENTRY = struct.Struct("<BQI")
+_DEFLATED = frozenset(
+    ("string_lengths", "string_text", "bucket_count", "bucket_incomplete", "bucket_bytes", "edge_degrees")
+)
+_LEVEL = 6
+# no deflate stream inflates to more than 1032 bytes per byte stored
+_MAX_INFLATE = 1032
+_ENTRY = struct.Struct("<BQQI")
 _HEAD = struct.Struct("<4sH")
 _CRC = struct.Struct("<I")
 _HEAD_SIZE = _HEAD.size + _ENTRY.size * len(_SECTIONS) + _CRC.size
@@ -506,47 +540,97 @@ _SWAP = sys.byteorder == "big"
 
 def _pack_sections(sections: dict) -> bytes:
     """The file for ``{name: (width, body)}``, one entry per name of
-    ``_SECTIONS``."""
-    bodies = [sections[name] for name in _SECTIONS]
+    ``_SECTIONS``; the sections of ``_DEFLATED`` are deflated here."""
     head = bytearray(_HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION))
-    for width, body in bodies:
-        head += _ENTRY.pack(width, len(body), zlib.crc32(body))
+    stored = []
+    for name in _SECTIONS:
+        width, body = sections[name]
+        data = zlib.compress(body, _LEVEL) if name in _DEFLATED else body
+        head += _ENTRY.pack(width, len(data), len(body), zlib.crc32(data))
+        stored.append(data)
     head += _CRC.pack(zlib.crc32(head))
-    return bytes(head) + b"".join(body for _, body in bodies)
+    return bytes(head) + b"".join(stored)
 
 
 def _unpack_sections(raw: bytes) -> dict:
-    """``{name: (width, body)}`` of a file, after checking its magic,
-    version, section bounds and every checksum."""
-    if len(raw) < _HEAD.size:
-        raise ValidationError("truncated index")
-    magic, version = _HEAD.unpack_from(raw)
-    if magic != EngineIndex.MAGIC:
-        raise ValidationError("not an engine index: bad magic")
-    if version != EngineIndex.VERSION:
-        raise ValidationError(f"unsupported index version {version}")
-    if len(raw) < _HEAD_SIZE:
-        raise ValidationError("truncated index")
-    view = memoryview(raw)
-    entries = [
-        _ENTRY.unpack_from(raw, _HEAD.size + i * _ENTRY.size) for i in range(len(_SECTIONS))
-    ]
-    if zlib.crc32(view[: _HEAD_SIZE - _CRC.size]) != _CRC.unpack_from(raw, _HEAD_SIZE - _CRC.size)[0]:
-        raise ValidationError("index header checksum mismatch")
-    end = _HEAD_SIZE + sum(length for _, length, _ in entries)
-    if end > len(raw):
-        raise ValidationError("truncated index")
-    if end < len(raw):
-        raise ValidationError("trailing bytes after index payload")
-    sections = {}
-    at = _HEAD_SIZE
-    for name, (width, length, crc) in zip(_SECTIONS, entries):
-        body = view[at : at + length]
-        at += length
-        if zlib.crc32(body) != crc:
+    """``{name: (width, body)}`` of a file, every body inflated and
+    checked as a load checks it."""
+    sec = _StoredSections(io.BytesIO(raw).read, len(raw))
+    return {name: sec[name] for name in _SECTIONS}
+
+
+class _StoredSections:
+    """The sections of a file of ``size`` bytes, read through ``read``.
+
+    Opening it reads the header and checks its magic, version and
+    checksum, and that the section lengths add up to ``size``.  Then
+    indexing it by the name of the next section in file order reads
+    that section alone, checks its CRC32 and gives its ``(width,
+    body)``, a deflated section inflated to its declared length."""
+
+    __slots__ = ("_read", "_entries")
+
+    def __init__(self, read: Callable[[int], bytes], size: int):
+        head = read(_HEAD_SIZE)
+        if len(head) < _HEAD.size:
+            raise ValidationError("truncated index")
+        magic, version = _HEAD.unpack_from(head)
+        if magic != EngineIndex.MAGIC:
+            raise ValidationError("not an engine index: bad magic")
+        if version != EngineIndex.VERSION:
+            raise ValidationError(f"unsupported index version {version}")
+        if len(head) < _HEAD_SIZE:
+            raise ValidationError("truncated index")
+        table = memoryview(head)[: _HEAD_SIZE - _CRC.size]
+        if zlib.crc32(table) != _CRC.unpack_from(head, len(table))[0]:
+            raise ValidationError("index header checksum mismatch")
+        entries = list(_ENTRY.iter_unpack(table[_HEAD.size :]))
+        end = _HEAD_SIZE + sum(stored for _, stored, _, _ in entries)
+        if end > size:
+            raise ValidationError("truncated index")
+        if end < size:
+            raise ValidationError("trailing bytes after index payload")
+        self._read = read
+        self._entries = zip(_SECTIONS, entries)
+
+    def __getitem__(self, name: str) -> tuple[int, bytes]:
+        at, (width, stored, length, crc) = next(self._entries)
+        # the reader asks for the sections in file order
+        assert at == name, (at, name)
+        data = self._read(stored)
+        if len(data) != stored:
+            raise ValidationError("truncated index")
+        if zlib.crc32(data) != crc:
             raise ValidationError(f"checksum mismatch in index section {name}")
-        sections[name] = (width, body)
-    return sections
+        if name in _DEFLATED:
+            return width, _inflate(name, data, length)
+        if length != stored:
+            raise ValidationError(f"index section {name} declares {length} bytes and stores {stored}")
+        return width, data
+
+
+def _inflate(name: str, data: bytes, length: int) -> bytes:
+    """The zlib stream ``data`` of section ``name`` inflated, which must
+    give exactly ``length`` bytes; no more than one byte past them is
+    ever allocated."""
+    if length > _MAX_INFLATE * len(data):
+        raise ValidationError(
+            f"index section {name} declares {length} bytes, more than its"
+            f" {len(data)} stored bytes can inflate to"
+        )
+    stream = zlib.decompressobj()
+    try:
+        # a stream that runs on past the declared length gives one byte more
+        body = stream.decompress(data, length + 1)
+    except zlib.error as exc:
+        raise ValidationError(f"index section {name} is not a zlib stream") from exc
+    if len(body) > length:
+        raise ValidationError(f"index section {name} inflates past its declared length")
+    if not stream.eof or len(body) < length:
+        raise ValidationError(f"index section {name} ends short of its declared length")
+    if stream.unused_data:
+        raise ValidationError(f"bytes after the zlib stream of index section {name}")
+    return body
 
 
 def _narrowest(top: int) -> str:
@@ -568,7 +652,7 @@ def _column(values) -> tuple[int, bytes]:
     return col.itemsize, col.tobytes()
 
 
-def _read_column(sections: dict, name: str) -> array:
+def _read_column(sections, name: str) -> array:
     width, body = sections[name]
     if width not in _TYPECODES or len(body) % width:
         raise ValidationError(f"index section {name} is not an int column")
@@ -579,7 +663,7 @@ def _read_column(sections: dict, name: str) -> array:
     return col
 
 
-def _byte_section(sections: dict, name: str) -> memoryview:
+def _byte_section(sections, name: str) -> bytes:
     width, body = sections[name]
     if width != 1:
         raise ValidationError(f"index section {name} is not a byte section")
@@ -879,13 +963,14 @@ def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:
     return keys
 
 
-def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped) -> EngineIndex:
+def _index_operand(keys, vertices, incomplete, edges, vertex_max, edge_max, skipped) -> EngineIndex:
     """The index of one operand, in one sort of its vertices and one of
     its edges.
 
     ``vertices`` yields ``(tag, bucket hash, key tuple, element, labels)``
     per vertex, in any order; a tag names one vertex within the call.
-    ``hashes`` holds bucket hashes the directory lists even when no
+    ``incomplete`` holds the hashes of buckets that lack some of their
+    vertices; the directory lists them, and flags them, even when no
     vertex falls in them.  ``edges`` yields ``(source tag, destination
     tag, element, labels)`` per edge; an edge with an endpoint that is
     not among ``vertices`` is dropped and counted.
@@ -907,7 +992,7 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
     order = sorted(range(len(tags)), key=vertex_keys.__getitem__)
     ordinal = {tags[v]: o for o, v in enumerate(order)}
     sizes = Counter([h for h, _, _ in vertex_keys])
-    bucket_hash = array("Q", sorted(sizes.keys() | hashes))
+    bucket_hash = array("Q", sorted(sizes.keys() | incomplete))
 
     edge_keys, edge_elements, edge_labels = [], [], []
     dropped = 0
@@ -935,6 +1020,7 @@ def _index_operand(keys, vertices, hashes, edges, vertex_max, edge_max, skipped)
         tuple([edge_labels[e] for e in edge_order]),
         bucket_hash,
         array("Q", [sizes[h] for h in bucket_hash]),
+        bytes([h in incomplete for h in bucket_hash]),
         vertex_max,
         edge_max,
         skipped,
@@ -951,14 +1037,16 @@ def prepare(graph: Graph, keys: Iterable[str]) -> EngineIndex:
     keys = _check_keys(keys)
     db = graph.db
     key_of = [tuple([v.record.get(k) for k in keys]) for v in graph.vertices]
+    # one hash per distinct key tuple
+    hash_of = {kt: stable_hash(kt) for kt in set(key_of) if None not in kt}
     return _index_operand(
         keys,
         (
-            (v, stable_hash(kt), kt, v, db.vertex_labels_of(v))
+            (v, hash_of[kt], kt, v, db.vertex_labels_of(v))
             for v, kt in zip(graph.vertices, key_of)
             if None not in kt
         ),
-        (),
+        frozenset(),
         ((*db.endpoints_of(e), e, db.edge_labels_of(e)) for e in graph.edges),
         max(graph.vertices.universe, default=0),
         max(graph.edges.universe, default=0),
@@ -991,9 +1079,13 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
     rows); every bucket hash of a side stays in its directory, with
     count 0 unless it holds an out-edge destination.
 
-    Each operand lacks what the other makes irrelevant, so neither is
-    fit for saving or for a join with a third operand; use
-    :func:`prepare` for those.
+    Each operand lacks what the other makes irrelevant, and flags as
+    incomplete every bucket outside the common ones.  It saves and
+    loads, and it joins exactly with its own partner and with
+    :func:`prepare` of that partner's graph.  With any other partner,
+    :func:`run_join` raises :class:`IncompleteBucket` if a bucket both
+    sides hold is incomplete on either, and is exact otherwise; use
+    :func:`prepare` for an operand of several joins.
     """
     keys_a = _check_keys(keys_a)
     keys_b = _check_keys(keys_b)
@@ -1053,7 +1145,7 @@ def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, E
             _index_operand(
                 keys,
                 _file_vertices(keys, rows, payloads, replicas, hash_of),
-                present,
+                present - common,
                 out_edges,
                 max(replicas, default=0),
                 edge_base + len(src) if src else 0,
@@ -1387,7 +1479,9 @@ def _fill_order(fills: list) -> list:
 def _merge_directories(a: EngineIndex, b: EngineIndex, counters: OpCounters) -> list:
     """The buckets both operands hold, in hash order, as a pair of
     ``(hash, start, count)`` triples each, found by one walk of the two
-    hash columns; each step moves past one bucket of one side."""
+    hash columns; each step moves past one bucket of one side.  Raises
+    :class:`IncompleteBucket` if one of them is incomplete on either
+    side, where the join would miss the vertices it lacks."""
     ha, hb = a.bucket_hash, b.bucket_hash
     na, nb = len(ha), len(hb)
     matches = []
@@ -1403,6 +1497,14 @@ def _merge_directories(a: EngineIndex, b: EngineIndex, counters: OpCounters) -> 
         else:
             j += 1
     counters.directory_steps += i + j
+    fa, fb = a.bucket_incomplete, b.bucket_incomplete
+    for i, j in matches:
+        if fa[i] or fb[j]:
+            side = "left" if fa[i] else "right"
+            raise IncompleteBucket(
+                f"bucket {ha[i]:#x} is incomplete on the {side} operand, which"
+                " prepare_files pruned to another partner"
+            )
     sa, ca, sb, cb = a.bucket_start, a.bucket_count, b.bucket_start, b.bucket_count
     return [((ha[i], sa[i], ca[i]), (hb[j], sb[j], cb[j])) for i, j in matches]
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Optional
 
 __all__ = [
     "GraphJoinError",
+    "IncompleteBucket",
     "ValidationError",
     "UndefinedIndexUniverse",
     "UndefinedExtension",
@@ -80,6 +81,12 @@ class UnknownComponent(GraphJoinError):
 
 class SpecMismatch(GraphJoinError):
     """Two engine inputs disagree on the join they were prepared for."""
+
+
+class IncompleteBucket(GraphJoinError):
+    """A bucket both operands of a join hold is incomplete on one of
+    them: an operand of ``prepare_files`` met a partner it was not
+    pruned to."""
 
 
 class DataFormatError(GraphJoinError):

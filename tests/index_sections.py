@@ -1,5 +1,6 @@
-"""Byte length of each section of the two saved indices of the sparse
-benchmark operands, read from the files' section tables.
+"""Stored and inflated byte length of each section of the two saved
+indices of the sparse benchmark operands, read from the files' section
+tables.
 
     PYTHONPATH=src python tests/index_sections.py [--seed 1] [--scale 13]
 
@@ -8,17 +9,17 @@ two generated graphs (seed s with attribute suffix 1, seed s + 1 with
 suffix 2, edge factor 2, 365x512 key values), loaded into one database
 with ``load_graph_pair`` and prepared on dob1/company1 and
 dob2/company2.  The output is a Markdown table: one row per section,
-in file order, with the bytes and the item width of side A and side B,
-then the header with its section table, then the total.  It reads the
-sections through the engine's own table, so it runs unchanged on any
-format version that has one.  The name does not start with ``test_``,
+in file order, with side A's and side B's bytes as stored in the file,
+then as inflated with the item width, then a row for the header with
+its section table, then the totals.  It reads the sections through the
+engine's own section table.  The name does not start with ``test_``,
 so pytest does not collect it.
 """
 
 import argparse
 import tempfile
 
-from graphjoin.engine import _HEAD_SIZE, _unpack_sections, prepare
+from graphjoin.engine import _CRC, _ENTRY, _HEAD, _HEAD_SIZE, _SECTIONS, prepare
 from graphjoin.graphio import GeneratorParams, generate, load_graph_pair
 from graphjoin.model import PropertyGraph
 
@@ -40,15 +41,17 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
         raws = [op.to_bytes() for op in operands(args.seed, args.scale, work)]
-    tables = [_unpack_sections(raw) for raw in raws]
-    print("| section | side A | side B |")
-    print("|---|---|---|")
-    for name in tables[0]:
-        cells = [f"{len(t[name][1]):,} ({t[name][0]} B)" for t in tables]
+    # (width, stored length, inflated length, CRC32) per section
+    tables = [list(_ENTRY.iter_unpack(raw[_HEAD.size : _HEAD_SIZE - _CRC.size])) for raw in raws]
+    print("| section | A stored | A inflated | B stored | B inflated |")
+    print("|---|---|---|---|---|")
+    for name, *entries in zip(_SECTIONS, *tables):
+        cells = [f"{stored:,} | {length:,} ({width} B)" for width, stored, length, _ in entries]
         print(f"| {name} | {' | '.join(cells)} |")
-    print(f"| header and table | {_HEAD_SIZE:,} | {_HEAD_SIZE:,} |")
-    print(f"| **total** | **{len(raws[0]):,}** | **{len(raws[1]):,}** |")
-
+    head = f"{_HEAD_SIZE:,} | {_HEAD_SIZE:,}"
+    print(f"| header and table | {head} | {head} |")
+    totals = [f"**{len(raw):,}** | **{_HEAD_SIZE + sum(e[2] for e in t):,}**" for raw, t in zip(raws, tables)]
+    print(f"| **total** | {' | '.join(totals)} |")
 
 if __name__ == "__main__":
     main()

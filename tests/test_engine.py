@@ -10,6 +10,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import zlib
 from array import array
 from itertools import accumulate
 from pathlib import Path
@@ -24,6 +25,11 @@ import graphjoin.engine
 import graphjoin.graphio
 from graphjoin.engine import (
     EngineIndex,
+    _CRC,
+    _DEFLATED,
+    _ENTRY,
+    _HEAD,
+    _HEAD_SIZE,
     _SECTIONS,
     _column,
     _pack_sections,
@@ -48,6 +54,7 @@ from graphjoin.logical import CONJUNCTIVE, DISJUNCTIVE, JoinSpec, graph_join
 from graphjoin.model import (
     EMPTY_RECORD,
     Element,
+    IncompleteBucket,
     IndexedSet,
     PropertyGraph,
     Record,
@@ -115,6 +122,23 @@ def test_stable_hash_length_prefixes_values():
 
 def test_stable_hash_is_order_sensitive():
     assert stable_hash(("x", "y")) != stable_hash(("y", "x"))
+
+
+def test_prepare_hashes_each_distinct_key_tuple_once():
+    calls = []
+
+    def counted(kt):
+        calls.append(kt)
+        return stable_hash(kt)
+
+    db = PropertyGraph()
+    records = [Record({"k": v}) for v in "abacab"] + [Record({"w": "a"})]
+    g = component_from_payloads(db, records, [(0, 1, EMPTY_RECORD)])
+    with hashing(counted):
+        idx = prepare(g, ["k"])
+    assert sorted(calls) == [("a",), ("b",), ("c",)]
+    assert sorted(idx.bucket_count) == [1, 2, 3]
+    assert idx.to_bytes() == prepare(g, ["k"]).to_bytes()
 
 
 def test_bucket_hash_uses_the_blake2b_of_hashlib():
@@ -292,6 +316,17 @@ def test_from_bytes_rejects_a_version_1_index():
     for raw, version in ((v1, 1), (v2, 2), (v3, 3), (v4, 4)):
         with pytest.raises(ValidationError, match=f"unsupported index version {version}"):
             EngineIndex.from_bytes(raw)
+
+
+def test_a_version_5_index_is_rejected(tmp_path):
+    # the head of a version 5 file: magic, version, its first section
+    # entry (width, length, CRC32), laid out as version 2's
+    v5 = b"GJIX" + struct.pack("<HBQI", 5, 1, 11, 0) + bytes(16)
+    path = tmp_path / "v5.gjix"
+    path.write_bytes(v5)
+    for load in (lambda: EngineIndex.from_bytes(v5), lambda: EngineIndex.load_file(path)):
+        with pytest.raises(ValidationError, match="unsupported index version 5"):
+            load()
 
 
 @pytest.mark.parametrize(
@@ -813,6 +848,119 @@ def test_a_value_id_past_its_dictionary_never_reads_the_next_one():
         back.elements[0]
 
 
+def stored_sections(raw: bytes) -> dict:
+    """``{name: [width, stored bytes, declared length]}`` of a file, the
+    deflated sections as their zlib streams."""
+    entries = _ENTRY.iter_unpack(raw[_HEAD.size : _HEAD_SIZE - _CRC.size])
+    table, at = {}, _HEAD_SIZE
+    for name, (width, stored, length, _) in zip(_SECTIONS, entries):
+        table[name] = [width, raw[at : at + stored], length]
+        at += stored
+    return table
+
+
+def pack_stored(table: dict) -> bytes:
+    """The file of a ``stored_sections`` table, its checksums recomputed."""
+    head = bytearray(_HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION))
+    for name in _SECTIONS:
+        width, data, length = table[name]
+        head += _ENTRY.pack(width, len(data), length, zlib.crc32(data))
+    head += _CRC.pack(zlib.crc32(head))
+    return bytes(head) + b"".join(table[name][1] for name in _SECTIONS)
+
+
+def restore(name, data=None, length=None):
+    """A change to the stored stream of one section, or to its declared
+    length, each a function of the one before."""
+
+    def apply(table):
+        entry = table[name]
+        if data is not None:
+            entry[1] = data(entry[1])
+        if length is not None:
+            entry[2] = length(entry[2], len(entry[1]))
+
+    return apply
+
+
+# the deflated string text of the one-vertex index holds "kxab"; the
+# checksums are recomputed after each change
+DEFLATE_DAMAGE = {
+    "not-a-zlib-stream": (restore("string_text", lambda d: b"kxab" * 4), "not a zlib stream"),
+    "runs-past-declared-length": (
+        restore("string_text", length=lambda n, stored: n - 1),
+        "inflates past its declared length",
+    ),
+    "stream-cut-short": (restore("string_text", lambda d: d[:-3]), "ends short of its declared length"),
+    "declared-longer-than-stream": (
+        restore("string_text", length=lambda n, stored: n + 1),
+        "ends short of its declared length",
+    ),
+    "bytes-after-stream": (
+        restore("string_text", lambda d: d + b"\x00"),
+        "bytes after the zlib stream of index section string_text",
+    ),
+    "declared-past-deflate-bound": (
+        restore("bucket_count", length=lambda n, stored: 1033 * stored),
+        "more than its",
+    ),
+    "declared-past-u64": (restore("edge_degrees", length=lambda n, stored: 2**64 - 1), "more than its"),
+    "empty-stream": (restore("bucket_bytes", lambda d: b"", lambda n, stored: 0), "ends short"),
+    "stored-section-lengths-differ": (
+        restore("payload", length=lambda n, stored: n + 1),
+        "section payload declares",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFLATE_DAMAGE))
+def test_hostile_deflate_streams_raise_validation_errors(tmp_path, case):
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
+    table = stored_sections(prepare(g, ["k"]).to_bytes())
+    assert table["string_text"][2] == 4
+    assert zlib.decompress(table["string_text"][1]) == b"kxab"
+    apply, message = DEFLATE_DAMAGE[case]
+    apply(table)
+    raw = pack_stored(table)
+    path = tmp_path / "hostile.gjix"
+    path.write_bytes(raw)
+    # neither reader lets zlib.error or an overflow out
+    for load in (lambda: EngineIndex.from_bytes(raw), lambda: EngineIndex.load_file(path)):
+        with pytest.raises(ValidationError, match=message):
+            load()
+
+
+def test_the_deflated_sections_are_zlib_streams_of_their_declared_length():
+    db, left, right, pairs = build_pair(3)
+    raw = prepare(left, [pairs[0][0]]).to_bytes()
+    stored, inflated = stored_sections(raw), _unpack_sections(raw)
+    for name in _SECTIONS:
+        width, data, length = stored[name]
+        body = zlib.decompress(data) if name in _DEFLATED else data
+        assert (width, body) == inflated[name]
+        assert len(body) == length
+    # an index that no operand pruned flags no bucket
+    assert inflated["bucket_incomplete"][1] == bytes(len(inflated["bucket_count"][1]))
+
+
+def test_a_stream_that_runs_on_allocates_no_more_than_its_declared_length():
+    db = PropertyGraph()
+    g = component_from_payloads(db, [Record({"k": "a"})], [])
+    table = stored_sections(prepare(g, ["k"]).to_bytes())
+    # 64 MiB of zeros in about 64 KiB, declared as the 2 bytes "ka"
+    table["string_text"][1] = zlib.compress(bytes(64 << 20), 9)
+    raw = pack_stored(table)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="inflates past its declared length"):
+            EngineIndex.from_bytes(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(raw)
+
+
 def mutated(raw: bytes, data) -> bytes:
     """One truncation, single bit flip or splice of ``raw``."""
     kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
@@ -1087,6 +1235,97 @@ def test_directory_triples_read_the_columns(tmp_path, case):
         assert all(map(int.__le__, p.bucket_count, f.bucket_count))
 
 
+def test_prepare_files_flags_the_buckets_outside_the_common_ones(tmp_path):
+    lv, le, rv, re_, keys_a, keys_b = FILE_CASES["shared-names"]
+    left_pair = write_pair(tmp_path / "left", lv, le)
+    right_pair = write_pair(tmp_path / "right", rv, re_)
+    a, b = prepare_files(left_pair, right_pair, keys_a, keys_b)
+    common = set(a.bucket_hash) & set(b.bucket_hash)
+    for op in (a, b):
+        assert list(op.bucket_incomplete) == [h not in common for h in op.bucket_hash]
+        back = EngineIndex.from_bytes(op.to_bytes())
+        assert back.bucket_incomplete == op.bucket_incomplete
+    # left: a, b and z are keyed (c is keyless, w only a key), and only
+    # a and b are common; right: a, b, q and r
+    assert (sum(a.bucket_incomplete), sum(b.bucket_incomplete)) == (2, 2)
+    db = PropertyGraph()
+    full = prepare(load_graph_pair(db, *left_pair), keys_a)
+    assert not any(full.bucket_incomplete)
+
+
+def file_pair(db, work, name, payloads):
+    """The vertex and edge files of a drawn graph, written from ``db``."""
+    graph = component_from_payloads(db, *payloads)
+    pair = os.path.join(work, f"{name}.csv"), os.path.join(work, f"{name}.tsv")
+    write_graph(graph, *pair)
+    return pair
+
+
+def joins_exactly_or_raises(left, right, expected, work):
+    """``run_join(left, right)`` raises ``IncompleteBucket`` or gives the
+    ``raw_signature`` and written bytes of ``expected``, per semantics."""
+    for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+        try:
+            run = run_join(left, right, semantics)
+        except IncompleteBucket:
+            continue
+        want = run_join(*expected, semantics)
+        assert raw_signature(run) == raw_signature(want)
+        out = Path(work, semantics)
+        assert written(run, out / "run") == written(want, out / "want")
+
+
+@given(graph_payloads(), graph_payloads(), graph_payloads())
+def test_a_pruned_operand_joins_exactly_or_raises(a, b, c):
+    # A pruned to B joins C either exactly or not at all, in memory and
+    # reloaded, with prepare(C) and with the C operand of
+    # prepare_files(A, C); with its own partner it always joins
+    with tempfile.TemporaryDirectory() as work:
+        db = PropertyGraph()
+        pairs = [file_pair(db, work, name, g) for name, g in (("a", a), ("b", b), ("c", c))]
+        a_b, b_a = prepare_files(pairs[0], pairs[1], ["k"], ["k"])
+        a_c, c_a = prepare_files(pairs[0], pairs[2], ["k"], ["k"])
+        # C's replicas continue A's, as they do in prepare_files(A, C)
+        loaded = PropertyGraph()
+        full_a, full_c = (prepare(load_graph_pair(loaded, *pairs[i]), ["k"]) for i in (0, 2))
+        for n, pruned in enumerate((a_b, reloaded_alike(a_b))):
+            step = os.path.join(work, str(n))
+            joins_exactly_or_raises(pruned, full_c, (full_a, full_c), os.path.join(step, "c"))
+            joins_exactly_or_raises(pruned, c_a, (a_c, c_a), os.path.join(step, "c-pruned"))
+            # its own partner, pruned or in full, never raises
+            own = PropertyGraph()
+            full_b = [prepare(load_graph_pair(own, *pairs[i]), ["k"]) for i in (0, 1)][1]
+            for partner in (b_a, full_b):
+                for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+                    assert raw_signature(run_join(pruned, partner, semantics)) == raw_signature(
+                        run_join(a_b, b_a, semantics)
+                    )
+
+
+def test_a_pruned_operand_of_the_baseline_raises_with_another_partner(tmp_path):
+    # dense-disj-shaped data: 2^10, 30x8 key values.  A pruned to B,
+    # saved and loaded, joined with the C operand of prepare_files(A, C),
+    # gave 4,270 vertices with no error before the buckets were flagged;
+    # A joined with C gives 4,330
+    common = dict(scale=10, edge_factor=2, dob_values=30, company_values=8)
+    pairs = {
+        s: generate(GeneratorParams(seed=s, attr_suffix=str(s), **common), tmp_path, f"g{s}")
+        for s in (1, 2, 3)
+    }
+    keys = {s: [f"dob{s}", f"company{s}"] for s in (1, 2, 3)}
+    a_b, b_a = prepare_files(pairs[1], pairs[2], keys[1], keys[2])
+    a_b.save(tmp_path / "a_b.gjix")
+    a_c, c_a = prepare_files(pairs[1], pairs[3], keys[1], keys[3])
+    assert run_join(a_c, c_a, CONJUNCTIVE).n_vertices == 4330
+    for pruned in (a_b, EngineIndex.load_file(tmp_path / "a_b.gjix")):
+        for semantics in (CONJUNCTIVE, DISJUNCTIVE):
+            with pytest.raises(IncompleteBucket, match="incomplete on the left operand"):
+                run_join(pruned, c_a, semantics)
+            with pytest.raises(IncompleteBucket, match="incomplete on the right operand"):
+                run_join(c_a, pruned, semantics)
+        assert run_join(pruned, b_a, CONJUNCTIVE).n_vertices == run_join(a_b, b_a).n_vertices
+
+
 def test_prepare_files_rejects_bad_keys(tmp_path):
     lv, le, rv, re_, _, _ = FILE_CASES["shared-names"]
     left_pair = write_pair(tmp_path / "left", lv, le)
@@ -1121,50 +1360,50 @@ def test_prepare_files_takes_less_than_1_kib_per_vertex_row(tmp_path):
 # out-edges differently fails here.
 FROZEN_PREPARE_DIGESTS = {
     0: (
-        "a8ec63d9dfd1da5fcf7c42db2f8e1e28212465bf546f7af1e126a035778c6dc1",
-        "3e06197744be541b33656698260c35e6a70193ca507ea9f9ab967e1197bcb628",
+        "07061aad1da7e314d9b16cab01d7ca4e89a77e1d8cde65595a1bc6f81230df0f",
+        "a0003aef88eeb2f7bc510ced45e38fee0a6a6d33eb9fdd34c44ef2894593a63c",
     ),
     1: (
-        "d2c56bc95caf004fd322349e6797ba6a59358dcd391a45f481a40b217dabc73a",
-        "4fcfef514fe0fe5b23b534e033a2fe39018a41d3c496d9732a12e3ee9afe9b6e",
+        "ff5d368cd1b07585814d46f7acdad361e66908ebba3e99349669e8435736eb74",
+        "0115779d47b1da7752d84243fe010476648e18ca826f6c6c6037854f7f56c5e8",
     ),
     2: (
-        "cdf53ba6458e1940a12eb2617bb5460445905850ab4c3a1c3a87963c6fa4b39e",
-        "ebe918ef0ff1eaad1caff6887853b2d52d729def7ab592fced85a88eb8471238",
+        "bdb6b8a47b77a01efa34d4bfdfff2606f098022962a7540ccbca665bd6490901",
+        "fd5a7e55da2b392c7b4e64f6abb871c190a698d5fa50a041a210bc2c3cdd65b1",
     ),
     3: (
-        "01909456f63c5d49d8ecf7cf429cd600cb5f76305f65bfe3738b3e565e56ab2e",
-        "a055bd48541faf40a8e31b55ca6e5be4f8ac9eccc8abd2b69cdd72647bd86dea",
+        "4cb689f18cd889d77b7191d5c31ca4853281c6bfb7ec303e2c8c3388e0396d7d",
+        "4bca17704fd2649e2cea1cb4f2633a14b4c875263b7b6498f5957316ef6febdf",
     ),
     4: (
-        "d8f39a589c46c4f2e60bccf6fbdf83cd026ebed93a4757dbedb423f97f2d09bc",
-        "ce3f2ff4bb976a3e402d46385dc32caf79ec275cfe198f21f606d84f0bb7e797",
+        "bd017bcc533cc451dcebf08f9cd7549f12abfadc280a0f5c43c3460f8828d24c",
+        "1d0938ba26f56300650cc4d0346c7a183d7e98fb02047c14dc8aa299c15abe63",
     ),
 }
 FROZEN_PREPARE_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "3bb5cad9f1d0296af82d97be14ce9860302d36435cf3f264e59b9e87167f7e20",
-        "fc43e82372e147cbff2608a2e8976c1cfa84519cb8e423aec35edb253cf3b669",
+        "c09854251405770f6945f70a8c1bfe3f9856c833aa32a26f0934383554e8c23f",
+        "22854cc9ea5204c412a05ab50223fe7fcdbafef87f37b3ec2d27544b5bf4f4d7",
     ),
     "no-common-bucket": (
-        "90f45fddb4507d7d33a52fa4391885d781e57d0c19a6854de44e5ea69396c706",
-        "484531f39bb8096c11088aec1b84e952d33f9de08258f6ff76c23b732b94304f",
+        "a2a30024e76a8796c6449687d666ff09b2349b83cf4991cfccdd632ab0d67f6e",
+        "e40c1e12ba303c4472e6f308d27a4ffc6b06ad0de381e7c3f9953bfabec3221f",
     ),
     "reordered-columns": (
-        "b930a66dfb46d9789c35461b870beb73497375573aa323f102e1f65e891cc6e3",
-        "5b3736b7bf93795b50c95d76c9226307229e3a4ccec1fca0cdeccc21195e6748",
+        "dafc5ba96b9dd3f32997e22f268d799f2f9decab4c094656ea3ec15bd6418186",
+        "21dda85ddf5d04730acfdaa1c2794f5916f858b548e4353f2e60327dcc9da658",
     ),
     "extra-column-empty-on-some-rows": (
-        "9471afac3eba015b1df16d40df68f26a9ce5bf165f4a6e8b287afb1f379d81fa",
-        "c32e8b4ec4f1e4150f56fcd0cfca869ee1fef649f6613703f83154d81f945532",
+        "037ef61af51220d10d6148d72d1365f2543e63aafcd39e5e8200d269e3b163f4",
+        "e30da6529af93e18775b53d05b55b7050e1433b60727f492c1fb147109a1a009",
     ),
     "repeated-column-name": (
-        "0ce9c641d0ba8f6509707f9995d81de3a6f8b2d3a8bb46c3594557f62ce9b635",
-        "61d86a54cb439a7ad378e6594ef3d8ee38a6e04ab76dd87e27ae295c83380022",
+        "9a35bd35b7b17a0db11be9992bd42031fd6d61e939115f5183beb2d4b900b51a",
+        "0126adc63e4340137dc3a0c8efc178c8e9c6684b91ece55252591f4c5292bc85",
     ),
     "shared-names": (
-        "24c5446a777fadd22d4323b1763bb42e7c9b4274e7d38bbecd9ec916ca8cd5f6",
-        "32ca28f574e51fda5148ecb7a9ef9a4700e404518944c9519baf97df47a210fc",
+        "e24aee47ca39cd2390f10998088e9e926b9372c158f93dbf7ff3b73a4ad85fb4",
+        "52b157fc312f367fc53eb7ea70d3cc140e16b85828a9da0f08db0c802d8645aa",
     ),
 }
 
@@ -1177,6 +1416,82 @@ def test_index_bytes_are_frozen(tmp_path):
         db, left, right, pairs = build_pair(seed)
         assert digests((prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]))) == frozen
     for case, frozen in FROZEN_PREPARE_FILES_DIGESTS.items():
+        lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
+        left_pair = write_pair(tmp_path / f"{case}-left", lv, le)
+        right_pair = write_pair(tmp_path / f"{case}-right", rv, re_)
+        assert digests(prepare_files(left_pair, right_pair, keys_a, keys_b)) == frozen
+
+
+# SHA-256 of every section's width, length and inflated body, in file
+# order, for the same operands.  These do not depend on how the zlib
+# build deflates: a zlib that deflates differently fails only the test
+# above, a format change fails both.
+FROZEN_INFLATED_DIGESTS = {
+    0: (
+        "1a18783a0d51e4b5cfde5a0642b999bfd84a7be77b981dda31b0b00f59ad9652",
+        "451f5b84eade3c624c5abf8322735f9523cbb434406303bc239d703b28c2bbcf",
+    ),
+    1: (
+        "48d5c5fe4bb99971e77251f30a3b2e0c85b6fa3bcdb6dfc1024b98f737b299e3",
+        "8f590839dbd02f7a91ddad89c6ca620b83b2a87e337a1cdb07d561981cf1082e",
+    ),
+    2: (
+        "bf0208af6023c4b405f3ac504d97bb54105f31f4836e3666fe9ce40809dc7ffc",
+        "499c45492cdb22feaccea8934c4f5f98b9ba2c09e37e1f28422d12eebc9b954f",
+    ),
+    3: (
+        "e26d369daced6e86461a4ddcea36e8350cd83c62de03e4b82e07d3635b3f1edc",
+        "304a03abeed90bfa639acfb1355c64c3e014bb37ea9c0853041ac62406414aa2",
+    ),
+    4: (
+        "d03f44a81fac6b36761279594c208986f096d35886383fe3a579f8c66889f73c",
+        "2f314e5fe372a7d3df66545d967f3906b305d55a2a1c8d99be4bb75e749e2fca",
+    ),
+}
+FROZEN_INFLATED_FILES_DIGESTS = {
+    "key-column-missing-on-one-side": (
+        "a4c8e16f3315f5f5b05b653f99ed20581e3ea7533c78a9daeec41278339a5476",
+        "1d7902b01fbf0130fcb8c7db2b32a90f9089870993190d9af025ea1be56e4243",
+    ),
+    "no-common-bucket": (
+        "e6be44f6c4939ec792f969790360efb45896154fda893fc2430a236af574f560",
+        "6e9e8042f82d96600aec6f72f6a3436da49cfd992a7771500bc67aea9f6e0ebf",
+    ),
+    "reordered-columns": (
+        "2053a7897d327981aa01e764f5acc83eb7c48beceff01f1df7bb0ae66ca22968",
+        "a2fa4bda99af7429f1347da617ca251804173ebc3aa396f9a2cc3b899563b8f5",
+    ),
+    "extra-column-empty-on-some-rows": (
+        "09293aaec7bf342e0e25c30918e47f0faad04d7e2c07b69eea33ba7e4491d39b",
+        "db236d26ee1c70444e0c619514e4669c0e7115c63264c60cfc42e6feb7beb00a",
+    ),
+    "repeated-column-name": (
+        "41742113299f08d8783f822fa16456bfbb3ed280d51cbfc1b58c91f9e50d4b41",
+        "c2b51a8feb9e7e7d48b812360fa2a9a4bebfcc8e577cc4adcc4a1d212be88230",
+    ),
+    "shared-names": (
+        "d4f09b2f9e97a74be35d0b1282f85110a00a687b1de2b56b37b6417a9005d232",
+        "ec0a7dce241ab4ab150465d1f3b7afda4c7ab26cbc782f7860648741d5d6df64",
+    ),
+}
+
+
+def inflated_digest(raw: bytes) -> str:
+    h = hashlib.sha256()
+    for width, body in _unpack_sections(raw).values():
+        h.update(struct.pack("<BQ", width, len(body)))
+        h.update(body)
+    return h.hexdigest()
+
+
+def test_inflated_sections_are_frozen(tmp_path):
+    def digests(ops):
+        return tuple(inflated_digest(op.to_bytes()) for op in ops)
+
+    for seed, frozen in FROZEN_INFLATED_DIGESTS.items():
+        db, left, right, pairs = build_pair(seed)
+        assert digests((prepare(left, [pairs[0][0]]), prepare(right, [pairs[0][1]]))) == frozen
+    for case, frozen in FROZEN_INFLATED_FILES_DIGESTS.items():
         lv, le, rv, re_, keys_a, keys_b = FILE_CASES[case]
         left_pair = write_pair(tmp_path / f"{case}-left", lv, le)
         right_pair = write_pair(tmp_path / f"{case}-right", rv, re_)
