@@ -762,6 +762,8 @@ STRUCTURAL_DAMAGE = {
         "an attribute of class 1 has no dictionary",
     ),
     "directory-column-short": (damage("bucket_count", lambda b, w: b""), "differ in length"),
+    "bucket-flags-short": (damage("bucket_incomplete", lambda b, w: b""), "differ in length"),
+    "bucket-flag-not-0-or-1": (damage("bucket_incomplete", lambda b, w: b"\x02"), "neither 0 nor 1"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
     "edge-degrees-miss-dest": (damage("edge_degrees", plus_one), "edge offsets"),
     "block-lengths-miss-payload": (damage("bucket_bytes", plus_one), "bucket payload offsets"),
@@ -869,7 +871,7 @@ def pack_stored(table: dict) -> bytes:
     return bytes(head) + b"".join(table[name][1] for name in _SECTIONS)
 
 
-def restore(name, data=None, length=None):
+def stored_damage(name, data=None, length=None):
     """A change to the stored stream of one section, or to its declared
     length, each a function of the one before."""
 
@@ -886,28 +888,28 @@ def restore(name, data=None, length=None):
 # the deflated string text of the one-vertex index holds "kxab"; the
 # checksums are recomputed after each change
 DEFLATE_DAMAGE = {
-    "not-a-zlib-stream": (restore("string_text", lambda d: b"kxab" * 4), "not a zlib stream"),
+    "not-a-zlib-stream": (stored_damage("string_text", lambda d: b"kxab" * 4), "not a zlib stream"),
     "runs-past-declared-length": (
-        restore("string_text", length=lambda n, stored: n - 1),
+        stored_damage("string_text", length=lambda n, stored: n - 1),
         "inflates past its declared length",
     ),
-    "stream-cut-short": (restore("string_text", lambda d: d[:-3]), "ends short of its declared length"),
+    "stream-cut-short": (stored_damage("string_text", lambda d: d[:-3]), "ends short of its declared length"),
     "declared-longer-than-stream": (
-        restore("string_text", length=lambda n, stored: n + 1),
+        stored_damage("string_text", length=lambda n, stored: n + 1),
         "ends short of its declared length",
     ),
     "bytes-after-stream": (
-        restore("string_text", lambda d: d + b"\x00"),
+        stored_damage("string_text", lambda d: d + b"\x00"),
         "bytes after the zlib stream of index section string_text",
     ),
     "declared-past-deflate-bound": (
-        restore("bucket_count", length=lambda n, stored: 1033 * stored),
+        stored_damage("bucket_count", length=lambda n, stored: 1033 * stored),
         "more than its",
     ),
-    "declared-past-u64": (restore("edge_degrees", length=lambda n, stored: 2**64 - 1), "more than its"),
-    "empty-stream": (restore("bucket_bytes", lambda d: b"", lambda n, stored: 0), "ends short"),
+    "declared-past-u64": (stored_damage("edge_degrees", length=lambda n, stored: 2**64 - 1), "more than its"),
+    "empty-stream": (stored_damage("bucket_bytes", lambda d: b"", lambda n, stored: 0), "ends short"),
     "stored-section-lengths-differ": (
-        restore("payload", length=lambda n, stored: n + 1),
+        stored_damage("payload", length=lambda n, stored: n + 1),
         "section payload declares",
     ),
 }
@@ -1285,16 +1287,17 @@ def test_a_pruned_operand_joins_exactly_or_raises(a, b, c):
         pairs = [file_pair(db, work, name, g) for name, g in (("a", a), ("b", b), ("c", c))]
         a_b, b_a = prepare_files(pairs[0], pairs[1], ["k"], ["k"])
         a_c, c_a = prepare_files(pairs[0], pairs[2], ["k"], ["k"])
-        # C's replicas continue A's, as they do in prepare_files(A, C)
-        loaded = PropertyGraph()
-        full_a, full_c = (prepare(load_graph_pair(loaded, *pairs[i]), ["k"]) for i in (0, 2))
+        # B's and C's replicas continue A's, as they do in prepare_files
+        full = []
+        for i in (1, 2):
+            loaded = PropertyGraph()
+            full.append([prepare(load_graph_pair(loaded, *pairs[j]), ["k"]) for j in (0, i)])
+        (_, full_b), (full_a, full_c) = full
         for n, pruned in enumerate((a_b, reloaded_alike(a_b))):
             step = os.path.join(work, str(n))
             joins_exactly_or_raises(pruned, full_c, (full_a, full_c), os.path.join(step, "c"))
             joins_exactly_or_raises(pruned, c_a, (a_c, c_a), os.path.join(step, "c-pruned"))
             # its own partner, pruned or in full, never raises
-            own = PropertyGraph()
-            full_b = [prepare(load_graph_pair(own, *pairs[i]), ["k"]) for i in (0, 1)][1]
             for partner in (b_a, full_b):
                 for semantics in (CONJUNCTIVE, DISJUNCTIVE):
                     assert raw_signature(run_join(pruned, partner, semantics)) == raw_signature(
