@@ -6,8 +6,8 @@ file pair through the reference or optimized implementation),
 
 Every command exits 0 on success, 1 on a verification or assertion
 failure, 2 on usage errors, 3 on I/O and data-format errors.  A
-``--config`` file supplies key=value defaults for any long flag;
-explicit flags win.
+``--config`` file supplies key=value defaults for any subcommand
+option that takes a value; explicit flags win.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _require(args, parser_hint: str, *names: str) -> None:
         raise _UsageError(f"{parser_hint}: missing required option(s): {flags}")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphjoin",
         description="Property-graph joins over indexed multisets.",
@@ -99,12 +99,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     b.add_argument("--dob-values", type=int, default=365)
     b.add_argument("--company-values", type=int, default=512)
     b.add_argument("--out", default=".", help="report directory")
-
-    # each subcommand parses into a fresh namespace, so config values
-    # must be planted as defaults on every subparser to survive
-    if defaults:
-        for p in (parser, g, j, v, b):
-            p.set_defaults(**defaults)
     return parser
 
 
@@ -366,17 +360,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_CONFIG_DESTS = {
-    "scale", "seed", "edge_factor", "dob_values", "company_values", "out",
-    "basename", "semantics", "engine", "trials", "max_vertices",
-    "scales", "repeat", "timeout", "on",
-}
-_INT_DESTS = {
-    "scale", "seed", "edge_factor", "dob_values", "company_values",
-    "trials", "max_vertices", "repeat",
-}
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -388,7 +371,8 @@ def main(argv=None) -> int:
         known, _ = pre.parse_known_args(argv)
     except SystemExit:
         return 2
-    defaults = {}
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
     if known.config:
         try:
             cfg = read_config(known.config)
@@ -398,25 +382,26 @@ def main(argv=None) -> int:
         except DataFormatError as exc:
             print(f"error: {known.config}: {exc}", file=sys.stderr)
             return 3
+        # a config key is any option of a subcommand that takes a value,
+        # converted as that option converts it
+        types = {a.dest: a.type for p in commands.values() for a in p._actions if a.nargs != 0}
+        defaults = {}
         for key, value in cfg.items():
             dest = key.replace("-", "_")
-            if dest not in _CONFIG_DESTS:
+            if dest not in types:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return 2
-            if dest in _INT_DESTS:
-                try:
-                    value = int(value)
-                except ValueError:
-                    print(f"error: config key {key!r} expects an integer", file=sys.stderr)
-                    return 2
-            elif dest == "timeout":
-                try:
-                    value = float(value)
-                except ValueError:
-                    print(f"error: config key {key!r} expects a number", file=sys.stderr)
-                    return 2
-            defaults[dest] = value
-    parser = build_parser(defaults)
+            convert = types[dest]
+            try:
+                defaults[dest] = value if convert is None else convert(value)
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                print(f"error: config key {key!r} expects {kind}", file=sys.stderr)
+                return 2
+        # each subcommand parses into a fresh namespace, so config values
+        # must be planted as defaults on every subparser to survive
+        for p in (parser, *commands.values()):
+            p.set_defaults(**defaults)
 
     try:
         args = parser.parse_args(argv)
@@ -424,7 +409,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     # argparse checks choices only on the command line, so a value that
     # breaks them came from the config file
-    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
     for action in commands[args.command]._actions:
         if action.choices is not None and getattr(args, action.dest) not in action.choices:
             allowed = ", ".join(action.choices)

@@ -196,11 +196,13 @@ class EngineIndex:
     keeps its string table as one text and an offsets column, split
     into dictionaries by range, its element classes as name tuples,
     value dictionaries and label sets, and its payload bytes; its other
-    columns are sequence views.  The first access to an ordinal or an
-    edge id decodes its whole bucket into elements, key tuples and
-    label sets, and slices out the strings they use, each once, so a
-    join pays only for the buckets it visits (``decoded_buckets``
-    counts them); ``n_edges`` decodes nothing.
+    columns are sequence views of one bucket decoder, which reads the
+    directory, CSR offsets, keys and maxima from this index.  The first
+    access to an ordinal or an edge id decodes its whole bucket, one
+    ``(element, key tuple, labels)`` row per vertex and one
+    ``(element, labels)`` row per out-edge, and slices out the strings
+    they use, each once, so a join pays only for the buckets it visits
+    (``decoded_buckets`` counts them); ``n_edges`` decodes nothing.
 
     ``vertex_max`` and ``edge_max`` are the largest replicas of the
     operand's vertex and edge index universes, 0 for an empty one; the
@@ -286,7 +288,7 @@ class EngineIndex:
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
-        every bucket first."""
+        every bucket that holds vertices first."""
         # every table is numbered in order of first use, which a
         # read-back index repeats, so the bytes round-trip exactly.
         # Dictionary 0 maps each name and label to its id code, and
@@ -437,28 +439,22 @@ class EngineIndex:
         bucket_at = _offsets(bucket_bytes)
         if bucket_at[-1] != len(payload):
             raise ValidationError("bucket payload offsets do not fit the payload")
+        # no access decodes a bucket without vertices, so its block must be empty
+        if any(compress(bucket_bytes, map(not_, counts))):
+            raise ValidationError("a bucket without vertices has a payload block")
 
-        lazy = _LazyPayload(
-            classes,
-            keys,
-            (vertex_base, edge_base),
-            (vertex_max, edge_max),
-            hashes,
-            counts,
-            bucket_at,
-            edge_offsets,
-            payload,
-        )
+        lazy = _LazyPayload(classes, (vertex_base, edge_base), bucket_at, payload)
+        vertices, edges = lazy.vertices, lazy.edges
         ndest = len(dest)
         index = cls(
             keys,
-            _LazyColumn(lazy, lazy.elements, nverts, lazy.decode_ordinal),
-            _LazyColumn(lazy, lazy.key_values, nverts, lazy.decode_ordinal),
-            _LazyColumn(lazy, lazy.labels, nverts, lazy.decode_ordinal),
+            _LazyColumn(vertices, 0, nverts, lazy.decode_ordinal),
+            _LazyColumn(vertices, 1, nverts, lazy.decode_ordinal),
+            _LazyColumn(vertices, 2, nverts, lazy.decode_ordinal),
             edge_offsets,
             dest,
-            _LazyColumn(lazy, lazy.edge_elements, ndest, lazy.decode_edge),
-            _LazyColumn(lazy, lazy.edge_labels, ndest, lazy.decode_edge),
+            _LazyColumn(edges, 0, ndest, lazy.decode_edge),
+            _LazyColumn(edges, 1, ndest, lazy.decode_edge),
             hashes,
             counts,
             incomplete,
@@ -467,7 +463,7 @@ class EngineIndex:
             skipped,
             dropped,
         )
-        lazy.starts = index.bucket_start
+        lazy.index = index
         index._payload = lazy
         return index
 
@@ -808,81 +804,54 @@ class _LazyPayload:
     value dictionaries and its label set, checked at load, so a record
     is built without checking or sorting its names again; class 0 is
     the empty record with no labels.  ``bases`` holds the two smallest
-    replicas.  Out-edge counts come from the CSR offsets, a vertex's
-    key values from its record, and ``starts`` is the index's
-    ``bucket_start``, set once the index is built.
+    replicas, and block ``b`` is ``payload[bucket_at[b]:bucket_at[b + 1]]``.
+    The directory, the CSR offsets, the keys and the maxima are read
+    from ``index``, the index these columns belong to, set once it is
+    built.  A vertex's key values come from its record.
+
+    ``vertices`` holds an ``(element, key tuple, labels)`` row per
+    decoded ordinal and ``edges`` an ``(element, labels)`` row per
+    decoded edge id.
     """
 
-    __slots__ = (
-        "classes",
-        "keys",
-        "bases",
-        "maxima",
-        "hashes",
-        "starts",
-        "counts",
-        "bucket_at",
-        "edge_offsets",
-        "payload",
-        "elements",
-        "key_values",
-        "labels",
-        "edge_elements",
-        "edge_labels",
-        "done",
-    )
+    __slots__ = ("classes", "bases", "bucket_at", "payload", "index", "vertices", "edges", "done")
 
-    def __init__(
-        self, classes, keys, bases, maxima, hashes, counts, bucket_at, edge_offsets, payload
-    ):
+    def __init__(self, classes, bases, bucket_at, payload):
         self.classes = classes
-        self.keys = keys
         self.bases = bases
-        self.maxima = maxima
-        self.hashes = hashes
-        self.counts = counts
         self.bucket_at = bucket_at
-        self.edge_offsets = edge_offsets
         self.payload = payload
-        # decoded values by ordinal or edge id, only of decoded buckets
-        self.elements, self.key_values, self.labels = {}, {}, {}
-        self.edge_elements, self.edge_labels = {}, {}
-        self.done = bytearray(len(hashes))
+        self.index: Optional[EngineIndex] = None
+        self.vertices, self.edges = {}, {}
+        self.done = bytearray(len(bucket_at) - 1)
 
     def decode_ordinal(self, o: int) -> None:
         # the last bucket starting at or before o; an empty bucket
         # shares its start with the next one, so it is never picked
-        self.decode(bisect_right(self.starts, o) - 1)
+        self.decode(bisect_right(self.index.bucket_start, o) - 1)
 
     def decode_edge(self, e: int) -> None:
         # its source: the last ordinal whose out-edges start at or
         # before e, so never one without out-edges
-        self.decode_ordinal(bisect_right(self.edge_offsets, e) - 1)
-
-    def decode_all(self) -> None:
-        for b, done in enumerate(self.done):
-            if not done:
-                self.decode(b)
+        self.decode_ordinal(bisect_right(self.index.edge_offsets, e) - 1)
 
     def decode(self, b: int) -> None:
-        start, count = self.starts[b], self.counts[b]
+        index = self.index
+        start, count = index.bucket_start[b], index.bucket_count[b]
         ints = _read_varints(self.payload[self.bucket_at[b] : self.bucket_at[b + 1]])
-        classes, keys, edge_offsets = self.classes, self.keys, self.edge_offsets
+        classes, keys, edge_offsets = self.classes, index.keys, index.edge_offsets
         vertex_base, edge_base = self.bases
-        elements, key_values, labels, edge_elements, edge_labels = [], [], [], [], []
+        vertices, edges = [], []
         pos = 0
         try:
             for o in range(start, start + count):
                 replica = ints[pos] + vertex_base
                 rec, labs, pos = _take_record(ints, pos + 1, classes)
-                key_values.append(tuple([rec[k] for k in keys]))
-                elements.append(Element(rec, replica))
-                labels.append(labs)
+                vertices.append((Element(rec, replica), tuple([rec[k] for k in keys]), labs))
                 for _ in range(edge_offsets[o], edge_offsets[o + 1]):
                     replica = ints[pos] + edge_base
                     rec, labs, pos = _take_record(ints, pos + 1, classes)
-                    edge_elements.append(Element(rec, replica))
-                    edge_labels.append(labs)
+                    edges.append((Element(rec, replica), labs))
         except IndexError as exc:
             raise ValidationError(f"corrupt payload in bucket {b}") from exc
         except KeyError as exc:
@@ -891,22 +860,16 @@ class _LazyPayload:
             raise ValidationError(f"corrupt payload in bucket {b}")
         # a replica past its universe's maximum would fold into another
         # merged element's replica
-        vertex_max, edge_max = self.maxima
-        if any(e.replica > vertex_max for e in elements) or any(
-            e.replica > edge_max for e in edge_elements
+        if any(row[0].replica > index.vertex_max for row in vertices) or any(
+            row[0].replica > index.edge_max for row in edges
         ):
             raise ValidationError(f"a replica in bucket {b} exceeds its universe's maximum")
-        h = self.hashes[b]
-        for kvs in set(key_values):
+        h = index.bucket_hash[b]
+        for kvs in {row[1] for row in vertices}:
             if stable_hash(kvs) != h:
                 raise ValidationError(f"key {kvs!r} does not hash to its bucket {h:#x}")
-        ordinals = range(start, start + count)
-        self.elements.update(zip(ordinals, elements))
-        self.key_values.update(zip(ordinals, key_values))
-        self.labels.update(zip(ordinals, labels))
-        edge_ids = range(edge_offsets[start], edge_offsets[start + count])
-        self.edge_elements.update(zip(edge_ids, edge_elements))
-        self.edge_labels.update(zip(edge_ids, edge_labels))
+        self.vertices.update(zip(range(start, start + count), vertices))
+        self.edges.update(zip(range(edge_offsets[start], edge_offsets[start + count]), edges))
         self.done[b] = 1
 
 
@@ -924,15 +887,15 @@ def _take_record(ints: list, pos: int, classes: list) -> tuple[Record, frozenset
 
 class _LazyColumn(Sequence):
     """One ordinal or edge column of a deserialized index, of length
-    ``n``; reading a position decodes its bucket on first access.
-    ``values`` holds the decoded positions, and ``decode`` decodes the
-    bucket of a position."""
+    ``n``: item ``field`` of each row of ``rows``, which holds the rows
+    of the decoded positions.  Reading a position decodes its bucket on
+    first access; ``decode`` decodes the bucket of a position."""
 
-    __slots__ = ("_payload", "_values", "_n", "_decode")
+    __slots__ = ("_rows", "_field", "_n", "_decode")
 
-    def __init__(self, payload: _LazyPayload, values: dict, n: int, decode: Callable[[int], None]):
-        self._payload = payload
-        self._values = values
+    def __init__(self, rows: dict, field: int, n: int, decode: Callable[[int], None]):
+        self._rows = rows
+        self._field = field
         self._n = n
         self._decode = decode
 
@@ -942,18 +905,13 @@ class _LazyColumn(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(self._n)[i]))
-        value = self._values.get(i)
-        if value is None:
-            if not -self._n <= i < self._n:
-                raise IndexError("index column position out of range")
-            i %= self._n
+        row = self._rows.get(i)
+        if row is None:
+            # raises the IndexError a tuple raises
+            i = range(self._n)[i]
             self._decode(i)
-            value = self._values[i]
-        return value
-
-    def __iter__(self):
-        self._payload.decode_all()
-        return map(self._values.__getitem__, range(self._n))
+            row = self._rows[i]
+        return row[self._field]
 
 
 def _check_keys(keys: Iterable[str]) -> tuple[str, ...]:

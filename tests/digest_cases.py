@@ -7,11 +7,13 @@ Run it once against each version's ``src`` (the cases come from this
 directory either way) and diff the two outputs.  Each line is
 tab-separated: the case, the semantics, the SHA-256 of the written
 result files (written before and after the result is materialized), of
-``raw_signature``, the counters, a SHA-256 of ``bucket_stats`` and,
-last, the byte lengths of the two operands' index bytes.  A change that
-only alters the index format differs in that last column alone:
+``raw_signature``, the counters, a SHA-256 of ``bucket_stats``, the two
+operands' ``decoded_buckets`` once the join is written and
+materialized (every bucket of an operand built in memory) and, last,
+the byte lengths of the two operands' index bytes.  A change that only
+alters the index format differs in that last column alone:
 
-    diff <(cut -f1-7 parent.txt) <(cut -f1-7 change.txt)
+    diff <(cut -f1-8 parent.txt) <(cut -f1-8 change.txt)
 
 Cases: ``build_pair`` seeds 0-39 through ``prepare``, with the operands
 in memory and read back from their bytes; every ``FILE_CASES`` entry
@@ -68,8 +70,10 @@ def line(case, operands, semantics, work) -> str:
     run.edges  # materializes the result
     materialized = written(run, os.path.join(work, "materialized"))
     signature = sha(repr(raw_signature(run)).encode())
+    decoded = f"{a.decoded_buckets},{b.decoded_buckets}"
     lengths = f"{len(a.to_bytes())},{len(b.to_bytes())}"
-    return "\t".join([case, semantics, fresh, materialized, signature, counters, stats, lengths])
+    fields = [fresh, materialized, signature, counters, stats, decoded, lengths]
+    return "\t".join([case, semantics, *fields])
 
 
 def reloaded(operands):

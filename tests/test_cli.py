@@ -362,6 +362,28 @@ def test_config_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "bench").exists()
 
 
+def test_config_takes_every_option_that_takes_a_value(tmp_path, file_pairs):
+    cfg = tmp_path / "generate.cfg"
+    cfg.write_text(f"attr-suffix=x\nout={tmp_path / 'gen'}\n", encoding="utf-8")
+    assert run_cli("--config", str(cfg), "generate", "--scale", "2") == 0
+    header = (tmp_path / "gen" / "graph.vertices.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert "dobx" in header and "companyx" in header
+
+    # join's four paths and its key pairs from the file, as from flags
+    lv, le, rv, re_ = file_pairs
+    cfg = tmp_path / "join.cfg"
+    cfg.write_text(
+        f"left-vertices={lv}\nleft_edges={le}\nright-vertices={rv}\nright_edges={re_}\n"
+        "on=dob1=dob2,company1=company2\n",
+        encoding="utf-8",
+    )
+    assert run_cli("--config", str(cfg), "join", "--out", str(tmp_path / "from-config")) == 0
+    assert run_cli(*join_args(file_pairs, tmp_path / "from-flags")) == 0
+    for name in ("vertices.csv", "edges.tsv"):
+        from_config = (tmp_path / "from-config" / name).read_bytes()
+        assert from_config == (tmp_path / "from-flags" / name).read_bytes()
+
+
 def test_help_and_unknown_commands(capsys):
     assert run_cli("--help") == 0
     assert run_cli("frobnicate") == 2

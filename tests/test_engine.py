@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import graphjoin
@@ -493,21 +493,30 @@ def reloaded_alike(op):
     return EngineIndex.from_bytes(raw)
 
 
-def assert_joins_alike(ops, loaded, work, graphs_in):
+def assert_joins_alike(ops, loaded, work, graphs_in, pairs):
     """``ops`` and ``loaded`` write the same bytes and give the
-    ``raw_signature`` of the reference join on k = k of the two graphs
-    ``graphs_in`` builds in a database, under both semantics."""
+    ``raw_signature`` of the reference join on the equalities ``pairs``
+    of the two graphs ``graphs_in`` builds in a database, under both
+    semantics."""
     for semantics in (CONJUNCTIVE, DISJUNCTIVE):
         live, thawed = run_join(*ops, semantics), run_join(*loaded, semantics)
         # one database cannot hold two reference results
-        oracle = oracle_join(*graphs_in(PropertyGraph()), [("k", "k")], semantics)
+        oracle = oracle_join(*graphs_in(PropertyGraph()), pairs, semantics)
         assert raw_signature(thawed) == raw_signature(live) == raw_signature(oracle)
         out = os.path.join(work, semantics)
         assert written(thawed, Path(out, "thawed")) == written(live, Path(out, "live"))
 
 
-@given(graph_payloads(), graph_payloads(), st.booleans())
-def test_index_bytes_round_trip_and_loaded_operands_join_alike(left, right, collide):
+# "1" and "é" meet in one bucket under the collided hash, so only the
+# vertex scan's key check keeps k = "1" from joining w = "é"
+@example(
+    left=([Record({"k": "1"})], [], [[]], []),
+    right=([Record({}), Record({}), Record({}), Record({"w": "é"})], [], [[]] * 4, []),
+    right_key="w",
+    collide=True,
+)
+@given(graph_payloads(), graph_payloads(), st.sampled_from(["k", "w"]), st.booleans())
+def test_index_bytes_round_trip_and_loaded_operands_join_alike(left, right, right_key, collide):
     def drawn(db):
         return [
             component_from_payloads(db, v, e, vertex_labels=vl, edge_labels=el)
@@ -519,21 +528,23 @@ def test_index_bytes_round_trip_and_loaded_operands_join_alike(left, right, coll
     bucket = (lambda kt: ord(kt[0][0]) % 2) if collide else stable_hash
     with hashing(bucket), tempfile.TemporaryDirectory() as work:
         graphs = drawn(PropertyGraph())
-        ops = [prepare(g, ["k"]) for g in graphs]
+        ops = [prepare(g, [key]) for g, key in zip(graphs, ("k", right_key))]
         loaded = [reloaded_alike(op) for op in ops]
-        assert_joins_alike(ops, loaded, os.path.join(work, "prepare"), drawn)
-        pairs = []
+        pairs = [("k", right_key)]
+        assert_joins_alike(ops, loaded, os.path.join(work, "prepare"), drawn, pairs)
+        files = []
         for i, g in enumerate(graphs):
             pair = os.path.join(work, f"{i}.csv"), os.path.join(work, f"{i}.tsv")
             write_graph(g, *pair)
-            pairs.append(pair)
-        ops = prepare_files(*pairs, ["k"], ["k"])
+            files.append(pair)
+        ops = prepare_files(*files, ["k"], [right_key])
         loaded = [reloaded_alike(op) for op in ops]
         assert_joins_alike(
             ops,
             loaded,
             os.path.join(work, "files"),
-            lambda db: [load_graph_pair(db, *pair) for pair in pairs],
+            lambda db: [load_graph_pair(db, *pair) for pair in files],
+            pairs,
         )
 
 
@@ -774,6 +785,17 @@ STRUCTURAL_DAMAGE = {
     "block-truncated-varint": (
         damages(damage("payload", lambda b, w: b + b"\x80"), damage("bucket_bytes", plus_one)),
         "truncated varint",
+    ),
+    # a second bucket, without vertices, whose block holds two bytes
+    "empty-bucket-with-a-block": (
+        damages(
+            damage("bucket_hash", lambda b, w: b + plus_one(b, w)),
+            damage("bucket_count", lambda b, w: b + bytes(w)),
+            damage("bucket_incomplete", lambda b, w: b + b"\x00"),
+            damage("bucket_bytes", lambda b, w: b + (2).to_bytes(w, "little")),
+            damage("payload", lambda b, w: b + b"\x00\x00"),
+        ),
+        "a bucket without vertices has a payload block",
     ),
     # class 1 now lists k twice
     "record-duplicate-name": (
