@@ -16,21 +16,21 @@ each independently usable:
    bucket hash, the module global :func:`stable_hash`, so patching it
    forces collisions on every path.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 6 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 7 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
    keeps one dictionary of the key, attribute and label names and one
    of each attribute's values, every element class (its sorted
-   attribute names and its labels) once, replicas past the smallest
-   one of their kind, the directory and the CSR out-degrees and
-   destinations as int columns of the narrowest width that fits, and
-   one checksummed section per part; it stores nothing its reader can
-   derive, so offsets are stored as lengths.  The sections that
-   compress (the string table, the directory's counts, flags and block
-   lengths, and the out-degrees) are stored as zlib streams.
+   attribute names and its labels) once, and per vertex and per edge
+   its replica past the smallest one of its kind, its class id and its
+   value ids; these, the directory and the CSR out-degrees and
+   destinations are int columns of the narrowest width that fits, one
+   checksummed section each.  It stores nothing its reader can derive,
+   so offsets are stored as lengths or derived from the classes, and
+   each section is stored as a zlib stream where that is smaller.
    Reading it back (:meth:`EngineIndex.load_file`,
    :meth:`EngineIndex.from_bytes`) reads, checks and inflates one
    section at a time, checks the structure at once, and keeps the int
-   columns, string text and payload as they are; it decodes a bucket's
+   columns and string text as they are; it decodes a bucket's
    vertices and edges, and the strings they use, only when the join
    first touches that bucket.
 
@@ -195,10 +195,11 @@ class EngineIndex:
     as they are, sums the CSR offsets up from the out-degrees, and
     keeps its string table as one text and an offsets column, split
     into dictionaries by range, its element classes as name tuples,
-    value dictionaries and label sets, and its payload bytes; its other
-    columns are sequence views of one bucket decoder, which reads the
-    directory, CSR offsets, keys and maxima from this index.  The first
-    access to an ordinal or an edge id decodes its whole bucket, one
+    value dictionaries and label sets, and its replica, class and value
+    columns; its other columns are sequence views of one bucket
+    decoder, which reads the directory, CSR offsets and keys from this
+    index.  The first access to an ordinal or an edge id decodes its
+    whole bucket, one
     ``(element, key tuple, labels)`` row per vertex and one
     ``(element, labels)`` row per out-edge, and slices out the strings
     they use, each once, so a join pays only for the buckets it visits
@@ -275,16 +276,16 @@ class EngineIndex:
 
     @property
     def decoded_buckets(self) -> int:
-        """Buckets whose payload has been decoded; every bucket of an
-        index built in memory."""
+        """Buckets whose vertices and edges have been decoded; every
+        bucket of an index built in memory."""
         if self._payload is None:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 6
+    # -- serialization, format GJIX version 7
 
     MAGIC = b"GJIX"
-    VERSION = 6
+    VERSION = 7
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
@@ -292,10 +293,10 @@ class EngineIndex:
         # every table is numbered in order of first use, which a
         # read-back index repeats, so the bytes round-trip exactly.
         # Dictionary 0 maps each name and label to its id code, and
-        # ``values`` holds one such dictionary per attribute, of the
-        # values bound to it; a dict keeps its strings in id order
+        # ``values`` holds one dictionary per attribute, of the values
+        # bound to it and their ids; a dict keeps its strings in id order
         names: dict[str, bytes] = {}
-        values: dict[str, dict[str, bytes]] = {}
+        values: dict[str, dict[str, int]] = {}
         classes = []
         class_of = {}
 
@@ -305,11 +306,7 @@ class EngineIndex:
                 code = names[s] = _varint(len(names))
             return code
 
-        def new_value(dictionary: dict, v: str) -> bytes:
-            code = dictionary[v] = _varint(len(dictionary))
-            return code
-
-        def new_class(key) -> tuple[bytes, list]:
+        def new_class(key) -> tuple[int, list]:
             attrs, labels = key
             classes.append(
                 b"".join(
@@ -321,44 +318,36 @@ class EngineIndex:
                     ]
                 )
             )
-            entry = class_of[key] = _varint(len(classes)), [values.setdefault(a, {}) for a in attrs]
+            entry = class_of[key] = len(classes), [values.setdefault(a, {}) for a in attrs]
             return entry
 
-        def element(el: Element, labels: frozenset, base: int) -> bytes:
-            replica = _varint(el.replica - base)
-            items = el.record.items
-            # class 0 is the empty record with no labels
-            if not (items or labels):
-                return replica + b"\x00"
-            attrs, vals = zip(*items) if items else ((), ())
+        def element(el: Element, labels: frozenset, class_ids: list, value_ids: list) -> None:
+            attrs, vals = zip(*el.record.items) if el.record.items else ((), ())
             key = (attrs, labels)
             code, dictionaries = class_of.get(key) or new_class(key)
-            return b"".join(
-                [replica, code, *[d.get(v) or new_value(d, v) for d, v in zip(dictionaries, vals)]]
-            )
+            class_ids.append(code)
+            value_ids += [d.setdefault(v, len(d)) for d, v in zip(dictionaries, vals)]
 
         keys = list(map(name, self.keys))
-        # replicas are stored past the smallest one of their kind
-        bases = (
-            min((el.replica for el in self.elements), default=0),
-            min((el.replica for el in self.edge_elements), default=0),
-        )
-        vertex_base, edge_base = bases
         offsets = self.edge_offsets
         degrees = list(map(sub, offsets[1:], offsets))
         edges = zip(self.edge_elements, self.edge_labels)
-        blocks = []
+        vertex_class, vertex_values, edge_class, edge_values = [], [], [], []
+        # a vertex binds its keys, so only an edge can be of class 0
         for el, labs, degree in zip(self.elements, self.labels, degrees):
-            pieces = [element(el, labs, vertex_base)]
-            pieces += [element(ee, elabs, edge_base) for ee, elabs in islice(edges, degree)]
-            blocks.append(b"".join(pieces))
-        payload = b"".join(blocks)
-        vertex_at = list(accumulate(map(len, blocks), initial=0))
-
-        # a bucket's block runs from its first vertex to the next
-        # bucket's; starts past the table only occur in tampered indices
-        bucket_at = [vertex_at[s] if s < len(vertex_at) else len(payload) for s in self.bucket_start]
-        bucket_at.append(len(payload))
+            element(el, labs, vertex_class, vertex_values)
+            for ee, elabs in islice(edges, degree):
+                if ee.record.items or elabs:
+                    element(ee, elabs, edge_class, edge_values)
+                else:
+                    # class 0 is the empty record with no labels
+                    edge_class.append(0)
+        # replicas are stored past the smallest one of their kind
+        replicas = [el.replica for el in self.elements], [el.replica for el in self.edge_elements]
+        bases = [min(r, default=0) for r in replicas]
+        vertex_replica, edge_replica = (
+            _column([r - base for r in rs]) for rs, base in zip(replicas, bases)
+        )
 
         tallies = (
             self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max, *bases
@@ -371,17 +360,21 @@ class EngineIndex:
         return _pack_sections(
             {
                 "meta": (1, meta),
-                "string_lengths": _column(map(len, strings)),
+                "string_lengths": _column(list(map(len, strings))),
                 "string_text": (1, "".join(strings).encode("utf-8")),
                 "dictionaries": (1, dictionaries),
                 "classes": (1, b"".join(classes)),
                 "bucket_hash": _column(self.bucket_hash),
                 "bucket_count": _column(self.bucket_count),
                 "bucket_incomplete": (1, bytes(self.bucket_incomplete)),
-                "bucket_bytes": _column(map(sub, bucket_at[1:], bucket_at)),
                 "edge_degrees": _column(degrees),
                 "edge_dest": _column(self.edge_dest),
-                "payload": (1, payload),
+                "vertex_replica": vertex_replica,
+                "vertex_class": _column(vertex_class),
+                "vertex_values": _column(vertex_values),
+                "edge_replica": edge_replica,
+                "edge_class": _column(edge_class),
+                "edge_values": _column(edge_values),
             }
         )
 
@@ -396,15 +389,14 @@ class EngineIndex:
         """The index whose sections ``sec`` reads.  Each section is
         taken in file order and turned into the column the index keeps
         before the next is read; the structure is checked here, and
-        bucket payloads are decoded on first access."""
+        buckets are decoded on first access."""
         meta = _read_varints(_byte_section(sec, "meta"))
-        offsets = _offsets(_read_column(sec, "string_lengths"))
+        lengths = _read_column(sec, "string_lengths")
         try:
             text = str(_byte_section(sec, "string_text"), "utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError("string table is not UTF-8") from exc
-        if offsets[-1] != len(text):
-            raise ValidationError("string table offsets do not fit the string text")
+        offsets = _offsets(lengths, len(text), "string table offsets do not fit the string text")
         names, values = _read_dictionaries(_byte_section(sec, "dictionaries"), text, offsets)
 
         nkeys = meta[0] if meta else -1
@@ -414,38 +406,30 @@ class EngineIndex:
         keys = _check_keys([names[i] for i in meta[1 : 1 + nkeys]])
         skipped, dropped, vertex_max, edge_max, vertex_base, edge_base = meta[-6:]
         classes = _read_classes(_byte_section(sec, "classes"), names, values)
+        arity = [len(c[0]) for c in classes]
+        vertex = _element_columns(sec, "vertex", arity, vertex_base, vertex_max)
+        edge = _element_columns(sec, "edge", arity, edge_base, edge_max)
+        nverts, nedges = len(vertex[0]), len(edge[0])
 
         hashes, counts = _read_column(sec, "bucket_hash"), _read_column(sec, "bucket_count")
         incomplete = _byte_section(sec, "bucket_incomplete")
-        bucket_bytes, degrees, dest = (
-            _read_column(sec, name) for name in ("bucket_bytes", "edge_degrees", "edge_dest")
-        )
-        payload = _byte_section(sec, "payload")
-        if not len(hashes) == len(counts) == len(incomplete) == len(bucket_bytes):
+        if not len(hashes) == len(counts) == len(incomplete):
             raise ValidationError("directory columns differ in length")
         if max(incomplete, default=0) > 1:
             raise ValidationError("a bucket flag is neither 0 nor 1")
-        nverts = len(degrees)
         if sum(counts) != nverts:
             raise ValidationError("directory does not cover the vertex table")
         # the directory merge walks both directories in hash order
         if not all(map(lt, hashes, islice(hashes, 1, None))):
             raise ValidationError("directory hashes do not strictly ascend")
-        edge_offsets = _offsets(degrees)
-        if edge_offsets[-1] != len(dest):
-            raise ValidationError("edge offsets do not fit the edge table")
+        degrees, dest = _read_column(sec, "edge_degrees"), _read_column(sec, "edge_dest")
+        edge_offsets = _offsets(degrees, len(dest), "edge offsets do not fit the edge table")
+        if len(degrees) != nverts or len(dest) != nedges:
+            raise ValidationError("the CSR columns do not fit the vertex and edge tables")
         if dest and max(dest) >= nverts:
             raise ValidationError(f"out-edge destination {max(dest)} outside the vertex table")
-        bucket_at = _offsets(bucket_bytes)
-        if bucket_at[-1] != len(payload):
-            raise ValidationError("bucket payload offsets do not fit the payload")
-        # no access decodes a bucket without vertices, so its block must be empty
-        if any(compress(bucket_bytes, map(not_, counts))):
-            raise ValidationError("a bucket without vertices has a payload block")
-
-        lazy = _LazyPayload(classes, (vertex_base, edge_base), bucket_at, payload)
+        lazy = _LazyPayload(classes, vertex, edge, len(hashes))
         vertices, edges = lazy.vertices, lazy.edges
-        ndest = len(dest)
         index = cls(
             keys,
             _LazyColumn(vertices, 0, nverts, lazy.decode_ordinal),
@@ -453,8 +437,8 @@ class EngineIndex:
             _LazyColumn(vertices, 2, nverts, lazy.decode_ordinal),
             edge_offsets,
             dest,
-            _LazyColumn(edges, 0, ndest, lazy.decode_edge),
-            _LazyColumn(edges, 1, ndest, lazy.decode_edge),
+            _LazyColumn(edges, 0, nedges, lazy.decode_edge),
+            _LazyColumn(edges, 1, nedges, lazy.decode_edge),
             hashes,
             counts,
             incomplete,
@@ -490,62 +474,73 @@ class EngineIndex:
             return cls._read(_StoredSections(fh.read, os.fstat(fh.fileno()).st_size))
 
 
-# GJIX v6 layout: magic, u16 version, one (width, stored length, length,
-# CRC32) entry per section in this order, a CRC32 of everything before
-# it, then the stored section bodies back to back.  The sections of
-# _DEFLATED are stored as zlib streams at level _LEVEL, and their length
-# is the inflated one; the others are stored as they are, and their two
-# lengths are equal.  Each CRC32 covers the stored bytes.  A byte section
-# has width 1; an int column is little-endian and unsigned, at the
-# narrowest width of 1, 2, 4 or 8 bytes that holds its largest item.
-# Offsets are stored as lengths, and the reader sums them up.  The string
-# table is a run of dictionaries: dictionary 0 holds the key, attribute
-# and label names, and each attribute then has one of the values bound
-# to it.  Every table is numbered from 0 in order of first use.
+# GJIX v7 layout: magic, u16 version, u16 byte length of the section
+# table, the table, a CRC32 of everything before it, then the stored
+# section bodies back to back.  The table holds per section, in this
+# order, three varints (width, stored length, inflated length) and the
+# CRC32 of the stored bytes.  A section is stored as a zlib stream at
+# level _LEVEL where that is strictly smaller, and as it is otherwise, so
+# its stored length is below its inflated length exactly when it is
+# deflated.  A byte section has width 1; an int column is little-endian
+# and unsigned, at the narrowest width of 1, 2, 4 or 8 bytes that holds
+# its largest item, or width 0, as varints, where none does.  Offsets
+# are stored as lengths, and the reader sums them up.  The string table
+# is a run of dictionaries: dictionary 0 holds the key, attribute and
+# label names, and each attribute then has one of the values bound to
+# it.  Every table is numbered from 0 in order of first use.
 _SECTIONS = (
     "meta",  # varints: key count, key name ids, skipped, dropped,
     # vertex max, edge max, smallest vertex replica, smallest edge replica
-    "string_lengths",  # deflated column per string: its length in code points
-    "string_text",  # deflated: every dictionary's strings, back to back, as UTF-8
+    "string_lengths",  # column per string: its length in code points
+    "string_text",  # every dictionary's strings, back to back, as UTF-8
     "dictionaries",  # varints: dictionary 0's count, then per attribute
     # dictionary its name id and its count
     "classes",  # varints per class: name count, name ids ascending by
     # name, label count, label ids
-    "bucket_hash",  # column per bucket, strictly ascending; random, so stored
-    "bucket_count",  # deflated column per bucket: vertex count
-    "bucket_incomplete",  # deflated byte per bucket: 1 where it lacks vertices
-    "bucket_bytes",  # deflated column per bucket: byte length of its block in payload
-    "edge_degrees",  # deflated column per ordinal: out-edge count, CSR in ordinal order
-    "edge_dest",  # column per edge id: destination ordinal; deflates by under a fifth
-    "payload",  # varints: one block per bucket, see _LazyPayload; deflates by
-    # under a fifth, and a join reads only the blocks it visits
-)
-_DEFLATED = frozenset(
-    ("string_lengths", "string_text", "bucket_count", "bucket_incomplete", "bucket_bytes", "edge_degrees")
+    "vertex_replica",  # column per ordinal: replica less the smallest one
+    "vertex_class",  # column per ordinal: class id
+    "vertex_values",  # column: per ordinal, one value id per name of its class
+    "edge_replica",  # column per edge id: replica less the smallest one
+    "edge_class",  # column per edge id: class id
+    "edge_values",  # column: per edge id, one value id per name of its class
+    "bucket_hash",  # column per bucket, strictly ascending
+    "bucket_count",  # column per bucket: vertex count
+    "bucket_incomplete",  # byte per bucket: 1 where it lacks vertices
+    "edge_degrees",  # column per ordinal: out-edge count, CSR in ordinal order
+    "edge_dest",  # column per edge id: destination ordinal
 )
 _LEVEL = 6
 # no deflate stream inflates to more than 1032 bytes per byte stored
 _MAX_INFLATE = 1032
-_ENTRY = struct.Struct("<BQQI")
-_HEAD = struct.Struct("<4sH")
+_HEAD = struct.Struct("<4sHH")
 _CRC = struct.Struct("<I")
-_HEAD_SIZE = _HEAD.size + _ENTRY.size * len(_SECTIONS) + _CRC.size
 _TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _SWAP = sys.byteorder == "big"
 
 
 def _pack_sections(sections: dict) -> bytes:
     """The file for ``{name: (width, body)}``, one entry per name of
-    ``_SECTIONS``; the sections of ``_DEFLATED`` are deflated here."""
-    head = bytearray(_HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION))
+    ``_SECTIONS``, each body deflated where that makes it smaller."""
     stored = []
     for name in _SECTIONS:
         width, body = sections[name]
-        data = zlib.compress(body, _LEVEL) if name in _DEFLATED else body
-        head += _ENTRY.pack(width, len(data), len(body), zlib.crc32(data))
-        stored.append(data)
-    head += _CRC.pack(zlib.crc32(head))
-    return bytes(head) + b"".join(stored)
+        # a column of wide items deflates about as small by runs alone,
+        # and several times faster
+        pack = zlib.compressobj(_LEVEL, strategy=zlib.Z_RLE if width > 1 else zlib.Z_DEFAULT_STRATEGY)
+        data = pack.compress(body) + pack.flush()
+        stored.append((width, data if len(data) < len(body) else body, len(body)))
+    return _pack_stored(stored)
+
+
+def _pack_stored(stored: list) -> bytes:
+    """The file of one ``(width, stored bytes, inflated length)`` per
+    section, its checksums computed here."""
+    table = b"".join(
+        _varint(width) + _varint(len(data)) + _varint(length) + _CRC.pack(zlib.crc32(data))
+        for width, data, length in stored
+    )
+    head = _HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION, len(table)) + table
+    return b"".join([head, _CRC.pack(zlib.crc32(head)), *[data for _, data, _ in stored]])
 
 
 def _unpack_sections(raw: bytes) -> dict:
@@ -558,51 +553,63 @@ def _unpack_sections(raw: bytes) -> dict:
 class _StoredSections:
     """The sections of a file of ``size`` bytes, read through ``read``.
 
-    Opening it reads the header and checks its magic, version and
-    checksum, and that the section lengths add up to ``size``.  Then
-    indexing it by the name of the next section in file order reads
-    that section alone, checks its CRC32 and gives its ``(width,
-    body)``, a deflated section inflated to its declared length."""
+    Opening it reads the header and section table, checks the magic,
+    version and checksum, and that the section lengths add up to
+    ``size``; ``table`` then holds ``(width, stored length, inflated
+    length, CRC32)`` per section.  Indexing it by the name of the next
+    section in file order reads that section alone, checks its CRC32 and
+    gives its ``(width, body)``, a deflated section inflated to its
+    inflated length."""
 
-    __slots__ = ("_read", "_entries")
+    __slots__ = ("_read", "_entries", "table")
 
     def __init__(self, read: Callable[[int], bytes], size: int):
-        head = read(_HEAD_SIZE)
+        head = read(_HEAD.size)
         if len(head) < _HEAD.size:
             raise ValidationError("truncated index")
-        magic, version = _HEAD.unpack_from(head)
+        magic, version, table_size = _HEAD.unpack(head)
         if magic != EngineIndex.MAGIC:
             raise ValidationError("not an engine index: bad magic")
         if version != EngineIndex.VERSION:
             raise ValidationError(f"unsupported index version {version}")
-        if len(head) < _HEAD_SIZE:
+        table = read(table_size + _CRC.size)
+        if len(table) < table_size + _CRC.size:
             raise ValidationError("truncated index")
-        table = memoryview(head)[: _HEAD_SIZE - _CRC.size]
-        if zlib.crc32(table) != _CRC.unpack_from(head, len(table))[0]:
+        if zlib.crc32(table[:table_size], zlib.crc32(head)) != _CRC.unpack_from(table, table_size)[0]:
             raise ValidationError("index header checksum mismatch")
-        entries = list(_ENTRY.iter_unpack(table[_HEAD.size :]))
-        end = _HEAD_SIZE + sum(stored for _, stored, _, _ in entries)
+        self.table = []
+        pos = 0
+        try:
+            for _ in _SECTIONS:
+                width, pos = _varint_at(table, pos)
+                stored, pos = _varint_at(table, pos)
+                length, pos = _varint_at(table, pos)
+                self.table.append((width, stored, length, *_CRC.unpack_from(table, pos)))
+                pos += _CRC.size
+        except (IndexError, struct.error) as exc:
+            raise ValidationError("corrupt section table") from exc
+        if pos != table_size:
+            raise ValidationError("corrupt section table")
+        end = len(head) + len(table) + sum(entry[1] for entry in self.table)
         if end > size:
             raise ValidationError("truncated index")
         if end < size:
             raise ValidationError("trailing bytes after index payload")
         self._read = read
-        self._entries = zip(_SECTIONS, entries)
+        self._entries = zip(_SECTIONS, self.table)
 
     def __getitem__(self, name: str) -> tuple[int, bytes]:
         at, (width, stored, length, crc) = next(self._entries)
         # the reader asks for the sections in file order
         assert at == name, (at, name)
+        if stored > length:
+            raise ValidationError(f"index section {name} stores {stored} bytes, more than its {length}")
         data = self._read(stored)
         if len(data) != stored:
             raise ValidationError("truncated index")
         if zlib.crc32(data) != crc:
             raise ValidationError(f"checksum mismatch in index section {name}")
-        if name in _DEFLATED:
-            return width, _inflate(name, data, length)
-        if length != stored:
-            raise ValidationError(f"index section {name} declares {length} bytes and stores {stored}")
-        return width, data
+        return width, _inflate(name, data, length) if stored < length else data
 
 
 def _inflate(name: str, data: bytes, length: int) -> bytes:
@@ -638,8 +645,12 @@ def _narrowest(top: int) -> str:
     return "Q"
 
 
-def _column(values) -> tuple[int, bytes]:
-    col = array("Q", values)
+def _column(values: Sequence[int]) -> tuple[int, bytes]:
+    try:
+        col = array("Q", values)
+    except OverflowError:
+        # an item past 8 bytes: the column is stored as varints
+        return 0, b"".join(map(_varint, values))
     code = _narrowest(max(col, default=0))
     if code != "Q":
         col = array(code, col)
@@ -648,8 +659,11 @@ def _column(values) -> tuple[int, bytes]:
     return col.itemsize, col.tobytes()
 
 
-def _read_column(sections, name: str) -> array:
+def _read_column(sections, name: str) -> Sequence[int]:
+    """An int column: an array at its width, a list at width 0."""
     width, body = sections[name]
+    if width == 0:
+        return _read_varints(body)
     if width not in _TYPECODES or len(body) % width:
         raise ValidationError(f"index section {name} is not an int column")
     col = array(_TYPECODES[width])
@@ -666,10 +680,41 @@ def _byte_section(sections, name: str) -> bytes:
     return body
 
 
-def _offsets(lengths) -> array:
+def _offsets(lengths, end: int, fault: str) -> array:
     """Where each item starts, and then where the last one ends: the
-    sums of the lengths before it."""
-    return array(_narrowest(sum(lengths)), accumulate(lengths, initial=0))
+    sums of the lengths before it, which must come to ``end``; a sum
+    past it raises ``ValidationError(fault)``."""
+    try:
+        at = array(_narrowest(end), accumulate(lengths, initial=0))
+        if at[-1] == end:
+            return at
+    except OverflowError:
+        pass
+    raise ValidationError(fault)
+
+
+def _element_columns(sec, kind: str, arity: list, base: int, top: int) -> tuple:
+    """The replica, class and value columns of the vertices or the edges
+    (``kind``) of an index read back, where each one's value ids start,
+    summed up from the arities of the classes, then ``base`` and
+    ``top``, the smallest replica and the universe's maximum.  The
+    replica column sets the length of the table, which the class column
+    must fit, and each class id must lie in the class table."""
+    replica, class_ids, values = (_read_column(sec, f"{kind}_{c}") for c in ("replica", "class", "values"))
+    n = len(replica)
+    if len(class_ids) != n:
+        raise ValidationError(f"the {kind} columns differ in length")
+    one = class_ids[0] if n and class_ids.count(class_ids[0]) == n else None
+    if (max(class_ids, default=0) if one is None else one) >= len(arity):
+        raise ValidationError(f"a class id of the {kind} table is past the class table")
+    if one is not None and n * arity[one] == len(values):
+        # all of one class, as every operand of a file pair's edges is:
+        # the offsets step by its arity
+        at = range(0, len(values) + 1, arity[one]) if arity[one] else bytes(n + 1)
+    else:
+        fault = f"the {kind} value column does not fit the {kind} classes"
+        at = _offsets(map(arity.__getitem__, class_ids), len(values), fault)
+    return replica, class_ids, values, at, base, top
 
 
 def _read_dictionaries(table, text: str, offsets: array) -> tuple[_Strings, dict]:
@@ -778,52 +823,58 @@ def _varint(v: int) -> bytes:
 
 
 def _read_varints(buf) -> list[int]:
-    values = []
-    v = shift = 0
-    for byte in buf:
-        if byte & 0x80:
-            v |= (byte & 0x7F) << shift
-            shift += 7
-        else:
-            values.append(v | byte << shift)
-            v = shift = 0
-    if shift:
-        raise ValidationError("truncated varint in index")
+    values, pos = [], 0
+    try:
+        while pos < len(buf):
+            v, pos = _varint_at(buf, pos)
+            values.append(v)
+    except IndexError:
+        raise ValidationError("truncated varint in index") from None
     return values
+
+
+def _varint_at(buf: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``pos`` of ``buf`` and the position after it; one
+    cut short raises ``IndexError``."""
+    v = shift = 0
+    while buf[pos] & 0x80:
+        v |= (buf[pos] & 0x7F) << shift
+        shift += 7
+        pos += 1
+    return v | buf[pos] << shift, pos + 1
 
 
 class _LazyPayload:
     """The ordinal and edge columns of a deserialized index, filled one
     bucket at a time.
 
-    A bucket's block holds, per vertex in ordinal order: its replica
-    less the smallest vertex replica, its class id and one value id per
-    attribute name of that class; then per out-edge of that vertex, in
-    edge id order, the same, the replica less the smallest edge
-    replica.  ``classes`` holds each class's attribute names, their
-    value dictionaries and its label set, checked at load, so a record
-    is built without checking or sorting its names again; class 0 is
-    the empty record with no labels.  ``bases`` holds the two smallest
-    replicas, and block ``b`` is ``payload[bucket_at[b]:bucket_at[b + 1]]``.
-    The directory, the CSR offsets, the keys and the maxima are read
-    from ``index``, the index these columns belong to, set once it is
-    built.  A vertex's key values come from its record.
+    ``vertex`` holds four columns per ordinal: the replica less the
+    smallest vertex replica, the class id, the flat column of value ids,
+    one per attribute name of the class, and where each ordinal's value
+    ids start in it, then where the last ones end; then that smallest
+    replica and the largest of the vertex universe.  ``edge`` holds the
+    same per edge id.  Their structure was checked at load.  ``classes`` holds each class's attribute names,
+    their value dictionaries and its label set, checked at load, so a
+    record is built without checking or sorting its names again; class
+    0 is the empty record with no labels.  The directory, the CSR
+    offsets and the keys are read from ``index``, the index these
+    columns belong to, set once it is built.  A vertex's key values come
+    from its record.
 
     ``vertices`` holds an ``(element, key tuple, labels)`` row per
     decoded ordinal and ``edges`` an ``(element, labels)`` row per
     decoded edge id.
     """
 
-    __slots__ = ("classes", "bases", "bucket_at", "payload", "index", "vertices", "edges", "done")
+    __slots__ = ("classes", "vertex", "edge", "index", "vertices", "edges", "done")
 
-    def __init__(self, classes, bases, bucket_at, payload):
+    def __init__(self, classes, vertex, edge, n_buckets: int):
         self.classes = classes
-        self.bases = bases
-        self.bucket_at = bucket_at
-        self.payload = payload
+        self.vertex = vertex
+        self.edge = edge
         self.index: Optional[EngineIndex] = None
         self.vertices, self.edges = {}, {}
-        self.done = bytearray(len(bucket_at) - 1)
+        self.done = bytearray(n_buckets)
 
     def decode_ordinal(self, o: int) -> None:
         # the last bucket starting at or before o; an empty bucket
@@ -837,52 +888,39 @@ class _LazyPayload:
 
     def decode(self, b: int) -> None:
         index = self.index
-        start, count = index.bucket_start[b], index.bucket_count[b]
-        ints = _read_varints(self.payload[self.bucket_at[b] : self.bucket_at[b + 1]])
-        classes, keys, edge_offsets = self.classes, index.keys, index.edge_offsets
-        vertex_base, edge_base = self.bases
-        vertices, edges = [], []
-        pos = 0
+        start, end = index.bucket_start[b], index.bucket_start[b] + index.bucket_count[b]
+        keys, edge_offsets = index.keys, index.edge_offsets
         try:
-            for o in range(start, start + count):
-                replica = ints[pos] + vertex_base
-                rec, labs, pos = _take_record(ints, pos + 1, classes)
-                vertices.append((Element(rec, replica), tuple([rec[k] for k in keys]), labs))
-                for _ in range(edge_offsets[o], edge_offsets[o + 1]):
-                    replica = ints[pos] + edge_base
-                    rec, labs, pos = _take_record(ints, pos + 1, classes)
-                    edges.append((Element(rec, replica), labs))
-        except IndexError as exc:
-            raise ValidationError(f"corrupt payload in bucket {b}") from exc
+            vertices = [
+                (el, tuple([el.record[k] for k in keys]), labs)
+                for el, labs in self._elements(self.vertex, start, end)
+            ]
         except KeyError as exc:
             raise ValidationError(f"a record in bucket {b} lacks join key {exc.args[0]!r}") from exc
-        if pos != len(ints):
-            raise ValidationError(f"corrupt payload in bucket {b}")
-        # a replica past its universe's maximum would fold into another
-        # merged element's replica
-        if any(row[0].replica > index.vertex_max for row in vertices) or any(
-            row[0].replica > index.edge_max for row in edges
-        ):
-            raise ValidationError(f"a replica in bucket {b} exceeds its universe's maximum")
+        edges = self._elements(self.edge, edge_offsets[start], edge_offsets[end])
         h = index.bucket_hash[b]
         for kvs in {row[1] for row in vertices}:
             if stable_hash(kvs) != h:
                 raise ValidationError(f"key {kvs!r} does not hash to its bucket {h:#x}")
-        self.vertices.update(zip(range(start, start + count), vertices))
-        self.edges.update(zip(range(edge_offsets[start], edge_offsets[start + count]), edges))
+        self.vertices.update(zip(range(start, end), vertices))
+        self.edges.update(zip(range(edge_offsets[start], edge_offsets[end]), edges))
         self.done[b] = 1
 
-
-def _take_record(ints: list, pos: int, classes: list) -> tuple[Record, frozenset, int]:
-    """The record and label set of the element whose class id is at
-    ``pos``, and the position after its value ids."""
-    names, dictionaries, labels = classes[ints[pos]]
-    if not names:
-        return EMPTY_RECORD, labels, pos + 1
-    end = pos + 1 + len(names)
-    # a block cut short leaves fewer values than names, and the next
-    # read past its end raises IndexError
-    return Record._sorted(names, map(getitem, dictionaries, ints[pos + 1 : end])), labels, end
+    def _elements(self, columns, lo: int, hi: int) -> list:
+        """``(element, labels)`` for positions ``lo`` to ``hi`` of the
+        vertex or edge ``columns``."""
+        replicas, class_ids, values, at, base, top = columns
+        # a replica past its universe's maximum would fold into another
+        # merged element's replica
+        if max(replicas[lo:hi], default=0) + base > top:
+            raise ValidationError("a replica exceeds its universe's maximum")
+        classes = self.classes
+        rows = []
+        for replica, c, i, j in zip(replicas[lo:hi], class_ids[lo:hi], at[lo:hi], at[lo + 1 : hi + 1]):
+            names, dictionaries, labels = classes[c]
+            rec = Record._sorted(names, map(getitem, dictionaries, values[i:j])) if names else EMPTY_RECORD
+            rows.append((Element(rec, replica + base), labels))
+        return rows
 
 
 class _LazyColumn(Sequence):

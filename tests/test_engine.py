@@ -6,6 +6,7 @@ from the phase definitions."""
 
 import hashlib
 import inspect
+import io
 import os
 import struct
 import tempfile
@@ -25,14 +26,11 @@ import graphjoin.engine
 import graphjoin.graphio
 from graphjoin.engine import (
     EngineIndex,
-    _CRC,
-    _DEFLATED,
-    _ENTRY,
-    _HEAD,
-    _HEAD_SIZE,
     _SECTIONS,
+    _StoredSections,
     _column,
     _pack_sections,
+    _pack_stored,
     _read_column,
     _unpack_sections,
     explain,
@@ -329,6 +327,17 @@ def test_a_version_5_index_is_rejected(tmp_path):
             load()
 
 
+def test_a_version_6_index_is_rejected(tmp_path):
+    # the head of a version 6 file: magic, version, its first section
+    # entry (width, stored length, length, CRC32)
+    v6 = b"GJIX" + struct.pack("<HBQQI", 6, 1, 11, 11, 0) + bytes(16)
+    path = tmp_path / "v6.gjix"
+    path.write_bytes(v6)
+    for load in (lambda: EngineIndex.from_bytes(v6), lambda: EngineIndex.load_file(path)):
+        with pytest.raises(ValidationError, match="unsupported index version 6"):
+            load()
+
+
 @pytest.mark.parametrize(
     "top, width",
     [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)],
@@ -339,6 +348,13 @@ def test_int_columns_take_the_narrowest_width_that_holds_them(top, width):
     assert sections["column"][0] == width
     assert len(sections["column"][1]) == 3 * width
     assert list(_read_column(sections, "column")) == values
+
+
+def test_an_int_column_past_8_bytes_is_stored_as_varints():
+    values = [0, 2**64, 1]
+    sections = {"column": _column(values)}
+    assert sections["column"] == (0, bytes([0, 128, 128, 128, 128, 128, 128, 128, 128, 128, 2, 1]))
+    assert _read_column(sections, "column") == values
 
 
 def test_the_largest_bucket_hash_round_trips():
@@ -629,14 +645,31 @@ def test_loading_a_saved_index_takes_memory_per_file_byte(tmp_path):
     assert peak < 3 * path.stat().st_size
 
 
+def test_saved_sparse_operands_take_at_most_0_31_bytes_per_input_byte(tmp_path):
+    # the two operands of the sparse benchmark workloads: generated 2^13
+    # graphs, seeds 1 and 2, with 365x512 key values, as perfbench's
+    # index_size_ratio counts them
+    db = PropertyGraph()
+    saved = inputs = 0
+    for s, keys in ((1, ["dob1", "company1"]), (2, ["dob2", "company2"])):
+        pair = generate(GeneratorParams(scale=13, seed=s, attr_suffix=str(s)), tmp_path, f"side{s}")
+        inputs += sum(os.path.getsize(p) for p in pair)
+        path = tmp_path / f"side{s}.gjix"
+        prepare(load_graph_pair(db, *pair), keys).save(path)
+        saved += path.stat().st_size
+    assert saved / inputs <= 0.31
+
+
 def test_from_bytes_rejects_checksum_mismatches(citation_instance):
     db, researcher, _ = citation_instance
     raw = prepare(researcher, ["Name"]).to_bytes()
-    in_payload = raw[:-1] + bytes([raw[-1] ^ 0x01])
-    with pytest.raises(ValidationError, match="checksum mismatch in index section payload"):
-        EngineIndex.from_bytes(in_payload)
-    # the first section's length, inside the section table
-    in_table = raw[:7] + bytes([raw[7] ^ 0x01]) + raw[8:]
+    # the last section holds the last byte of the file
+    last = [name for name in _SECTIONS if stored_sections(raw)[name][1]][-1]
+    in_last = raw[:-1] + bytes([raw[-1] ^ 0x01])
+    with pytest.raises(ValidationError, match=f"checksum mismatch in index section {last}"):
+        EngineIndex.from_bytes(in_last)
+    # the first section's width, the first byte of the section table
+    in_table = raw[:8] + bytes([raw[8] ^ 0x01]) + raw[9:]
     with pytest.raises(ValidationError, match="header checksum"):
         EngineIndex.from_bytes(in_table)
 
@@ -645,14 +678,17 @@ def test_bucket_decode_rejects_a_key_that_does_not_hash_to_its_bucket():
     db = PropertyGraph()
     g = component_from_payloads(db, [Record({"k": "a"}), Record({"k": "b"})], [])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
-    width, payload = sections["payload"]
     # per vertex: replica less the smallest, class 1 (the names ("k",),
     # no labels), its value id; k's dictionary numbers the first
     # vertex's value, then the second's
     assert bytes(sections["classes"][1]) == bytes([1, 0, 0])
-    assert bytes(payload) == bytes([0, 1, 0, 0, 1, 1])
+    assert [bytes(sections[f"vertex_{c}"][1]) for c in ("replica", "class", "values")] == [
+        bytes([0, 0]),
+        bytes([1, 1]),
+        bytes([0, 1]),
+    ]
     # the first vertex now binds the second one's key value
-    sections["payload"] = (width, bytes([0, 1, 1, 0, 1, 1]))
+    sections["vertex_values"] = (1, bytes([1, 1]))
     patched = EngineIndex.from_bytes(_pack_sections(sections))
     assert patched.key_values[1] == (patched.elements[1].record["k"],)
     with pytest.raises(ValidationError, match="does not hash to its bucket"):
@@ -722,7 +758,8 @@ def declared_width(name, width):
 # the one vertex {k=a, x=b} and its self-loop {}, both replica 1:
 # dictionary 0 holds k=0 and x=1, then k's dictionary holds a=0 and x's
 # b=0; class 1 is ("k", "x") with no labels, listed as [2, 0, 1, 0]; the
-# vertex is [0, 1, 0, 0], the self-loop [0, 0]
+# vertex has replica 0 past the smallest, class 1 and the value ids
+# [0, 0], the self-loop replica 0 and class 0, with no value ids
 STRUCTURAL_DAMAGE = {
     "string-text-not-utf8": (damage("string_text", lambda b, w: b"\xff" + b[1:]), "not UTF-8"),
     "string-text-past-offsets": (damage("string_text", lambda b, w: b + b"z"), "string table offsets"),
@@ -777,25 +814,51 @@ STRUCTURAL_DAMAGE = {
     "bucket-flag-not-0-or-1": (damage("bucket_incomplete", lambda b, w: b"\x02"), "neither 0 nor 1"),
     "edge-offsets-past-dest": (damage("edge_dest", lambda b, w: b""), "edge offsets"),
     "edge-degrees-miss-dest": (damage("edge_degrees", plus_one), "edge offsets"),
-    "block-lengths-miss-payload": (damage("bucket_bytes", plus_one), "bucket payload offsets"),
-    "block-trailing-byte": (
-        damages(damage("payload", lambda b, w: b + b"\x00"), damage("bucket_bytes", plus_one)),
-        "corrupt payload in bucket",
+    "vertex-values-one-short": (
+        damage("vertex_values", lambda b, w: b[:-w]),
+        "the vertex value column does not fit the vertex classes",
     ),
-    "block-truncated-varint": (
-        damages(damage("payload", lambda b, w: b + b"\x80"), damage("bucket_bytes", plus_one)),
-        "truncated varint",
+    "vertex-values-one-long": (
+        damage("vertex_values", lambda b, w: b + bytes(w)),
+        "the vertex value column does not fit the vertex classes",
     ),
-    # a second bucket, without vertices, whose block holds two bytes
-    "empty-bucket-with-a-block": (
+    # the self-loop now has class 1, which takes two value ids
+    "edge-values-short-of-their-class": (
+        damage("edge_class", lambda b, w: b"\x01"),
+        "the edge value column does not fit the edge classes",
+    ),
+    "vertex-class-column-long": (
+        damage("vertex_class", lambda b, w: b + b"\x01"),
+        "the vertex columns differ in length",
+    ),
+    "edge-class-column-short": (damage("edge_class", lambda b, w: b""), "the edge columns differ in length"),
+    # a second vertex, {k=a, x=b} again, that neither the directory nor
+    # the CSR counts
+    "vertex-table-past-directory": (
         damages(
-            damage("bucket_hash", lambda b, w: b + plus_one(b, w)),
-            damage("bucket_count", lambda b, w: b + bytes(w)),
-            damage("bucket_incomplete", lambda b, w: b + b"\x00"),
-            damage("bucket_bytes", lambda b, w: b + (2).to_bytes(w, "little")),
-            damage("payload", lambda b, w: b + b"\x00\x00"),
+            damage("vertex_replica", lambda b, w: b + b),
+            damage("vertex_class", lambda b, w: b + b),
+            damage("vertex_values", lambda b, w: b + b),
         ),
-        "a bucket without vertices has a payload block",
+        "directory does not cover the vertex table",
+    ),
+    "vertex-table-past-out-degrees": (
+        damages(
+            damage("vertex_replica", lambda b, w: b + b),
+            damage("vertex_class", lambda b, w: b + b),
+            damage("vertex_values", lambda b, w: b + b),
+            damage("bucket_count", plus_one),
+        ),
+        "the CSR columns do not fit the vertex and edge tables",
+    ),
+    # a second self-loop in the edge columns alone
+    "edge-table-past-destinations": (
+        damages(damage("edge_replica", lambda b, w: b + b), damage("edge_class", lambda b, w: b + b)),
+        "the CSR columns do not fit the vertex and edge tables",
+    ),
+    "replica-varint-truncated": (
+        damages(declared_width("vertex_replica", 0), damage("vertex_replica", lambda b, w: b"\x80")),
+        "truncated varint",
     ),
     # class 1 now lists k twice
     "record-duplicate-name": (
@@ -819,23 +882,35 @@ STRUCTURAL_DAMAGE = {
     ),
     # the record binds x to value id 9, past x's one value
     "record-value-id-past-dictionary": (
-        damage("payload", lambda b, w: b.replace(bytes([1, 0, 0]), bytes([1, 0, 9]), 1)),
+        damage("vertex_values", lambda b, w: bytes([0, 9])),
         "id 9 is past the dictionary of attribute 'x'",
     ),
     # the vertex has class 2, past the one class listed
     "class-id-past-table": (
-        damage("payload", lambda b, w: b.replace(bytes([0, 1]), bytes([0, 2]), 1)),
-        "corrupt payload in bucket",
+        damage("vertex_class", lambda b, w: b"\x02"),
+        "a class id of the vertex table is past the class table",
+    ),
+    "edge-class-id-past-table": (
+        damage("edge_class", lambda b, w: b"\x02"),
+        "a class id of the edge table is past the class table",
     ),
     # class 1 is now ("x",), so the record, one value shorter, is {x=b}
     "record-lacks-join-key": (
         damages(
             damage("classes", lambda b, w: bytes([1, 1, 0])),
-            damage("payload", lambda b, w: b[:3] + b[4:]),
-            damage("bucket_bytes", minus_one),
+            damage("vertex_values", lambda b, w: b[w:]),
         ),
         "join key 'k'",
     ),
+}
+# the damage only the bucket decoder finds, on first access; a load
+# finds every other case before it decodes any bucket
+FOUND_AT_DECODE = {
+    "meta-vertex-max-too-small",
+    "meta-edge-max-too-small",
+    "replica-offset-past-maximum",
+    "record-value-id-past-dictionary",
+    "record-lacks-join-key",
 }
 
 
@@ -847,13 +922,22 @@ def test_structural_damage_behind_valid_checksums_is_rejected(case):
     assert bytes(sections["meta"][1]) == bytes([1, 0, 0, 0, 1, 1, 1, 1])
     assert bytes(sections["dictionaries"][1]) == bytes([2, 0, 1, 1, 1])
     assert bytes(sections["classes"][1]) == bytes([2, 0, 1, 0])
+    element_columns = ("replica", "class", "values")
     # vertex: replica less the smallest, class 1 and its two value ids;
-    # its self-loop: replica less the smallest, class 0
-    assert bytes(sections["payload"][1]) == bytes([0, 1, 0, 0, 0, 0])
+    # its self-loop: replica less the smallest, class 0 and no value ids
+    assert [sections[f"vertex_{c}"] for c in element_columns] == [(1, b"\x00"), (1, b"\x01"), (1, b"\x00\x00")]
+    assert [sections[f"edge_{c}"] for c in element_columns] == [(1, b"\x00"), (1, b"\x00"), (1, b"")]
     apply, message = STRUCTURAL_DAMAGE[case]
     apply(sections)
-    with pytest.raises(ValidationError, match=message):
-        EngineIndex.from_bytes(_pack_sections(sections)).to_bytes()
+    raw = _pack_sections(sections)
+    if case in FOUND_AT_DECODE:
+        back = EngineIndex.from_bytes(raw)
+        with pytest.raises(ValidationError, match=message):
+            back.to_bytes()
+        assert back.decoded_buckets == 0
+    else:
+        with pytest.raises(ValidationError, match=message):
+            EngineIndex.from_bytes(raw)
 
 
 def test_a_value_id_past_its_dictionary_never_reads_the_next_one():
@@ -865,32 +949,28 @@ def test_a_value_id_past_its_dictionary_never_reads_the_next_one():
     g = component_from_payloads(db, [Record({"a": "1", "k": "2"})], [])
     sections = _unpack_sections(prepare(g, ["k"]).to_bytes())
     assert bytes(sections["dictionaries"][1]) == bytes([2, 1, 1, 0, 1])
-    assert bytes(sections["payload"][1]) == bytes([0, 1, 0, 0])
-    sections["payload"] = (1, bytes([0, 1, 1, 0]))
+    assert bytes(sections["vertex_values"][1]) == bytes([0, 0])
+    sections["vertex_values"] = (1, bytes([1, 0]))
     back = EngineIndex.from_bytes(_pack_sections(sections))
     with pytest.raises(ValidationError, match="id 1 is past the dictionary of attribute 'a'"):
         back.elements[0]
 
 
 def stored_sections(raw: bytes) -> dict:
-    """``{name: [width, stored bytes, declared length]}`` of a file, the
+    """``{name: [width, stored bytes, inflated length]}`` of a file, the
     deflated sections as their zlib streams."""
-    entries = _ENTRY.iter_unpack(raw[_HEAD.size : _HEAD_SIZE - _CRC.size])
-    table, at = {}, _HEAD_SIZE
-    for name, (width, stored, length, _) in zip(_SECTIONS, entries):
-        table[name] = [width, raw[at : at + stored], length]
+    table = _StoredSections(io.BytesIO(raw).read, len(raw)).table
+    at = len(raw) - sum(stored for _, stored, _, _ in table)
+    sections = {}
+    for name, (width, stored, length, _) in zip(_SECTIONS, table):
+        sections[name] = [width, raw[at : at + stored], length]
         at += stored
-    return table
+    return sections
 
 
 def pack_stored(table: dict) -> bytes:
     """The file of a ``stored_sections`` table, its checksums recomputed."""
-    head = bytearray(_HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION))
-    for name in _SECTIONS:
-        width, data, length = table[name]
-        head += _ENTRY.pack(width, len(data), length, zlib.crc32(data))
-    head += _CRC.pack(zlib.crc32(head))
-    return bytes(head) + b"".join(table[name][1] for name in _SECTIONS)
+    return _pack_stored([tuple(table[name]) for name in _SECTIONS])
 
 
 def stored_damage(name, data=None, length=None):
@@ -907,8 +987,9 @@ def stored_damage(name, data=None, length=None):
     return apply
 
 
-# the deflated string text of the one-vertex index holds "kxab"; the
-# checksums are recomputed after each change
+# the one vertex {k=a...a, x=b}, its value 64 a's long, and its
+# self-loop: the string text "kx", the 64 a's and "b" deflates, and no
+# other section does; the checksums are recomputed after each change
 DEFLATE_DAMAGE = {
     "not-a-zlib-stream": (stored_damage("string_text", lambda d: b"kxab" * 4), "not a zlib stream"),
     "runs-past-declared-length": (
@@ -929,10 +1010,15 @@ DEFLATE_DAMAGE = {
         "more than its",
     ),
     "declared-past-u64": (stored_damage("edge_degrees", length=lambda n, stored: 2**64 - 1), "more than its"),
-    "empty-stream": (stored_damage("bucket_bytes", lambda d: b"", lambda n, stored: 0), "ends short"),
+    "empty-stream": (stored_damage("string_text", lambda d: zlib.compress(b"")), "ends short"),
+    # a section stored as it is, declared longer, reads as a stream
     "stored-section-lengths-differ": (
-        stored_damage("payload", length=lambda n, stored: n + 1),
-        "section payload declares",
+        stored_damage("meta", length=lambda n, stored: n + 1),
+        "index section meta is not a zlib stream",
+    ),
+    "stored-longer-than-inflated": (
+        stored_damage("meta", length=lambda n, stored: n - 1),
+        "index section meta stores 8 bytes, more than its 7",
     ),
 }
 
@@ -940,10 +1026,11 @@ DEFLATE_DAMAGE = {
 @pytest.mark.parametrize("case", sorted(DEFLATE_DAMAGE))
 def test_hostile_deflate_streams_raise_validation_errors(tmp_path, case):
     db = PropertyGraph()
-    g = component_from_payloads(db, [Record({"k": "a", "x": "b"})], [(0, 0, EMPTY_RECORD)])
+    g = component_from_payloads(db, [Record({"k": "a" * 64, "x": "b"})], [(0, 0, EMPTY_RECORD)])
     table = stored_sections(prepare(g, ["k"]).to_bytes())
-    assert table["string_text"][2] == 4
-    assert zlib.decompress(table["string_text"][1]) == b"kxab"
+    assert table["string_text"][2] == 67
+    assert zlib.decompress(table["string_text"][1]) == b"kx" + b"a" * 64 + b"b"
+    assert [name for name in _SECTIONS if len(table[name][1]) < table[name][2]] == ["string_text"]
     apply, message = DEFLATE_DAMAGE[case]
     apply(table)
     raw = pack_stored(table)
@@ -961,18 +1048,24 @@ def test_the_deflated_sections_are_zlib_streams_of_their_declared_length():
     stored, inflated = stored_sections(raw), _unpack_sections(raw)
     for name in _SECTIONS:
         width, data, length = stored[name]
-        body = zlib.decompress(data) if name in _DEFLATED else data
+        # a section is deflated exactly where that made it smaller
+        body = zlib.decompress(data) if len(data) < length else data
         assert (width, body) == inflated[name]
         assert len(body) == length
+    assert any(len(data) < length for _, data, length in stored.values())
     # an index that no operand pruned flags no bucket
     assert inflated["bucket_incomplete"][1] == bytes(len(inflated["bucket_count"][1]))
 
 
 def test_a_stream_that_runs_on_allocates_no_more_than_its_declared_length():
     db = PropertyGraph()
-    g = component_from_payloads(db, [Record({"k": "a"})], [])
+    g = component_from_payloads(db, [Record({"k": "a" * 100_000})], [])
     table = stored_sections(prepare(g, ["k"]).to_bytes())
-    # 64 MiB of zeros in about 64 KiB, declared as the 2 bytes "ka"
+    # 64 MiB of zeros in about 64 KiB, declared as the 100,001 bytes of
+    # "k" and the value; a stream is only inflated where it is stored
+    # shorter than it is declared
+    declared = table["string_text"][2]
+    assert declared == 100_001
     table["string_text"][1] = zlib.compress(bytes(64 << 20), 9)
     raw = pack_stored(table)
     tracemalloc.start()
@@ -982,7 +1075,10 @@ def test_a_stream_that_runs_on_allocates_no_more_than_its_declared_length():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * len(raw)
+    # the stream read from the file and the unread rest of it that the
+    # inflater keeps, the output, gathered in blocks and joined, and the
+    # inflater's window; 64 MiB is over 100 times more
+    assert peak < 2 * len(raw) + 3 * declared
 
 
 def mutated(raw: bytes, data) -> bytes:
@@ -1385,50 +1481,50 @@ def test_prepare_files_takes_less_than_1_kib_per_vertex_row(tmp_path):
 # out-edges differently fails here.
 FROZEN_PREPARE_DIGESTS = {
     0: (
-        "07061aad1da7e314d9b16cab01d7ca4e89a77e1d8cde65595a1bc6f81230df0f",
-        "a0003aef88eeb2f7bc510ced45e38fee0a6a6d33eb9fdd34c44ef2894593a63c",
+        "63670dd50741c19a434d35abe38a2ff4499c7b9c6e06cda7d9c11b9258d78d8c",
+        "e36b13b861cf446a2be4d2fbc626496a020b05e0bb445d55b7b6ce19d798aeeb",
     ),
     1: (
-        "ff5d368cd1b07585814d46f7acdad361e66908ebba3e99349669e8435736eb74",
-        "0115779d47b1da7752d84243fe010476648e18ca826f6c6c6037854f7f56c5e8",
+        "b93723b47e9c0ea93cbf81df61ef948bf6522bcb78c0e37e89cc4f1fb3820573",
+        "c384a0271ba9992b10bc639f09a57617b4ca42229fe27db709c9069178a94de0",
     ),
     2: (
-        "bdb6b8a47b77a01efa34d4bfdfff2606f098022962a7540ccbca665bd6490901",
-        "fd5a7e55da2b392c7b4e64f6abb871c190a698d5fa50a041a210bc2c3cdd65b1",
+        "f37a4f9bc860dad844c7ce9e5e9e980d2171d89c31a402e1fd3e5582e8413f21",
+        "7ca6e35b125cbfbacae4bdb93eb123e583b25e88d3449f64e46b77e8831b5cf4",
     ),
     3: (
-        "4cb689f18cd889d77b7191d5c31ca4853281c6bfb7ec303e2c8c3388e0396d7d",
-        "4bca17704fd2649e2cea1cb4f2633a14b4c875263b7b6498f5957316ef6febdf",
+        "26d08bf9b3cf54fd605118f08d15950c5a807e43ae871cc9cb02f451a870cf1c",
+        "87079c2113d059b68cc734b624b1a4026e943206290dbedf183856cc5faf3f50",
     ),
     4: (
-        "bd017bcc533cc451dcebf08f9cd7549f12abfadc280a0f5c43c3460f8828d24c",
-        "1d0938ba26f56300650cc4d0346c7a183d7e98fb02047c14dc8aa299c15abe63",
+        "d85e720b0d99051516bf0cffbeb58d3f102a6751a23e3588466bd3956b467342",
+        "8ae2a1df77f709b8470b3a4720f6ece6c58b2d7c8d80f81744fc8c9d072e4b3e",
     ),
 }
 FROZEN_PREPARE_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "c09854251405770f6945f70a8c1bfe3f9856c833aa32a26f0934383554e8c23f",
-        "22854cc9ea5204c412a05ab50223fe7fcdbafef87f37b3ec2d27544b5bf4f4d7",
+        "93dd7d1ed43397184b0ff550ffbbfcab64e3c2f087ba273d16d879786d628321",
+        "8a6e538cba3d94593dc667e444aee4c615da9a96dc559247c8b71f1354ec9352",
     ),
     "no-common-bucket": (
-        "a2a30024e76a8796c6449687d666ff09b2349b83cf4991cfccdd632ab0d67f6e",
-        "e40c1e12ba303c4472e6f308d27a4ffc6b06ad0de381e7c3f9953bfabec3221f",
+        "8a727966047356199325b482133a53c1d02bfaf94c4640840ff6e9db5c697f2b",
+        "7d8737308dd43ed0464b367938f18480c09658c84544fbdd6be34595278c1c60",
     ),
     "reordered-columns": (
-        "dafc5ba96b9dd3f32997e22f268d799f2f9decab4c094656ea3ec15bd6418186",
-        "21dda85ddf5d04730acfdaa1c2794f5916f858b548e4353f2e60327dcc9da658",
+        "681065f14493801dde2ab45447c887edf9c477cfe4c1bb01526e17db930366ba",
+        "3287174f52a7dbc1ed18ed668eae06f21b1026b534bec173872fc81626cfda67",
     ),
     "extra-column-empty-on-some-rows": (
-        "037ef61af51220d10d6148d72d1365f2543e63aafcd39e5e8200d269e3b163f4",
-        "e30da6529af93e18775b53d05b55b7050e1433b60727f492c1fb147109a1a009",
+        "a4d8e74fdd9bfc55c1a1c84178d0498dd96559cf8dd3414dc9b7e4398a576e3b",
+        "6091d266f29f5fcdaa5e38224345d79dfdfe9d90ec3e1205dd5ff063b8864a54",
     ),
     "repeated-column-name": (
-        "9a35bd35b7b17a0db11be9992bd42031fd6d61e939115f5183beb2d4b900b51a",
-        "0126adc63e4340137dc3a0c8efc178c8e9c6684b91ece55252591f4c5292bc85",
+        "07b0a803a0b561ab476c93e47c0bc40a8d25abca6a422491123af7c5cead7971",
+        "ae8a8a769bfa3f5b95a487d4022cec209496abddbc1069a42e10c099828fdc77",
     ),
     "shared-names": (
-        "e24aee47ca39cd2390f10998088e9e926b9372c158f93dbf7ff3b73a4ad85fb4",
-        "52b157fc312f367fc53eb7ea70d3cc140e16b85828a9da0f08db0c802d8645aa",
+        "0a41f88c8d836bcc33b328b5c63fe69abb4561d7d8993c9e010ab314d1b1f955",
+        "d538e4bf54a2e3a813dbd1222669ea230edcfdc45f0ce3cc379b0b08f27d4e51",
     ),
 }
 
@@ -1453,50 +1549,50 @@ def test_index_bytes_are_frozen(tmp_path):
 # above, a format change fails both.
 FROZEN_INFLATED_DIGESTS = {
     0: (
-        "1a18783a0d51e4b5cfde5a0642b999bfd84a7be77b981dda31b0b00f59ad9652",
-        "451f5b84eade3c624c5abf8322735f9523cbb434406303bc239d703b28c2bbcf",
+        "dec8ca52fef63a880c503511b13cab4c78d75dc54bd1e8fcde51dfe19623e31b",
+        "054a68f155f0586b2e41502bd885724877c2c415790eb021ea36d2a2c37a4332",
     ),
     1: (
-        "48d5c5fe4bb99971e77251f30a3b2e0c85b6fa3bcdb6dfc1024b98f737b299e3",
-        "8f590839dbd02f7a91ddad89c6ca620b83b2a87e337a1cdb07d561981cf1082e",
+        "2b682d883fda7558365bc01874e24f77bdd24b78948a1c2ef470e8120ae78711",
+        "34fde2af2b896461fbe3f7cc359105191e56a651f46fc57914ff1bc622eaacc3",
     ),
     2: (
-        "bf0208af6023c4b405f3ac504d97bb54105f31f4836e3666fe9ce40809dc7ffc",
-        "499c45492cdb22feaccea8934c4f5f98b9ba2c09e37e1f28422d12eebc9b954f",
+        "966fad7b1eabd305ee06adc36f9adbf61d027a017a182579f81ae3cde9077373",
+        "cfc7a2fbbca1a3af6b80723cb77b24cb2c9b1bee0695ec00041a7b09edf7f2c4",
     ),
     3: (
-        "e26d369daced6e86461a4ddcea36e8350cd83c62de03e4b82e07d3635b3f1edc",
-        "304a03abeed90bfa639acfb1355c64c3e014bb37ea9c0853041ac62406414aa2",
+        "7049e2ef4949cc89ba375a8ed1ce5a1ccc2b1b0b2ab72599ed36ff44d22c1109",
+        "c4e183ba4c01c668b1a069219487ebd88ae9a02cb4ecd668fb2971095361138f",
     ),
     4: (
-        "d03f44a81fac6b36761279594c208986f096d35886383fe3a579f8c66889f73c",
-        "2f314e5fe372a7d3df66545d967f3906b305d55a2a1c8d99be4bb75e749e2fca",
+        "48948a657556132746a24eaa976fbf96ed8368f5be23c904b4477944a039a38c",
+        "321465ef12a1401a1e8e831c20697293f13cd40667b8dcc8b1767dca58619b45",
     ),
 }
 FROZEN_INFLATED_FILES_DIGESTS = {
     "key-column-missing-on-one-side": (
-        "a4c8e16f3315f5f5b05b653f99ed20581e3ea7533c78a9daeec41278339a5476",
-        "1d7902b01fbf0130fcb8c7db2b32a90f9089870993190d9af025ea1be56e4243",
+        "35810c411e4a23693b867dde7e69918dbf9d294b7f077dbc14ee29ff1b9eb381",
+        "f0aa3d57500e3d536a6c1ea3c4e5527dbfb97e4fa5b4b01f3b95a88950be52c3",
     ),
     "no-common-bucket": (
-        "e6be44f6c4939ec792f969790360efb45896154fda893fc2430a236af574f560",
-        "6e9e8042f82d96600aec6f72f6a3436da49cfd992a7771500bc67aea9f6e0ebf",
+        "79a81f9029f0829b7d722a25d04202c26f9e9d40f8542e9f7f5ca6d79b3c53ca",
+        "32739175a99d41f2a1fb7edb9085b7b93df7e4e6bf3f2ef025ead10daac836dc",
     ),
     "reordered-columns": (
-        "2053a7897d327981aa01e764f5acc83eb7c48beceff01f1df7bb0ae66ca22968",
-        "a2fa4bda99af7429f1347da617ca251804173ebc3aa396f9a2cc3b899563b8f5",
+        "d4fcfee4e265a0213805282f47a3634b4caa15a8f6f2f87d312b791dc617a794",
+        "47c30cf5e4bccc375cfb9cb991352c3674c73f610004cb66b1134d1baf18e7bf",
     ),
     "extra-column-empty-on-some-rows": (
-        "09293aaec7bf342e0e25c30918e47f0faad04d7e2c07b69eea33ba7e4491d39b",
-        "db236d26ee1c70444e0c619514e4669c0e7115c63264c60cfc42e6feb7beb00a",
+        "f07f1b9b07465ed70c7961d65238beebc088fd88f833f7e8ed612477180b9e61",
+        "ecef2e372fbe05088906f9a3e8178046393cd4dd39b7e2440213d039d612a66d",
     ),
     "repeated-column-name": (
-        "41742113299f08d8783f822fa16456bfbb3ed280d51cbfc1b58c91f9e50d4b41",
-        "c2b51a8feb9e7e7d48b812360fa2a9a4bebfcc8e577cc4adcc4a1d212be88230",
+        "4485754dc33ae2a29405ebb5e0c32bb9faa0406d04fa5bf4418ac9833c87ba58",
+        "9815d384934e0c4339ca2b1aecfe61bc5fe17b029d43e53e74b558483c30631a",
     ),
     "shared-names": (
-        "d4f09b2f9e97a74be35d0b1282f85110a00a687b1de2b56b37b6417a9005d232",
-        "ec0a7dce241ab4ab150465d1f3b7afda4c7ab26cbc782f7860648741d5d6df64",
+        "d194f179cf2aedd3a3c5d24ac8faea2457d285f1327660db3443d1e9b82cdc3f",
+        "37129b93163e25cb201c57756fe772a91623667b910ba48cbd58b904278a5367",
     ),
 }
 
