@@ -199,11 +199,11 @@ class EngineIndex:
     columns; its other columns are sequence views of one bucket
     decoder, which reads the directory, CSR offsets and keys from this
     index.  The first access to an ordinal or an edge id decodes its
-    whole bucket, one
-    ``(element, key tuple, labels)`` row per vertex and one
-    ``(element, labels)`` row per out-edge, and slices out the strings
-    they use, each once, so a join pays only for the buckets it visits
-    (``decoded_buckets`` counts them); ``n_edges`` decodes nothing.
+    whole bucket, one ``(element, key tuple, labels)`` row per vertex
+    and one ``(element, labels)`` row per out-edge, and slices out the
+    strings they use, each once, so a join pays only for the buckets it
+    visits (``decoded_buckets`` counts them); ``n_edges`` decodes
+    nothing.
 
     ``vertex_max`` and ``edge_max`` are the largest replicas of the
     operand's vertex and edge index universes, 0 for an empty one; the
@@ -487,7 +487,9 @@ class EngineIndex:
 # are stored as lengths, and the reader sums them up.  The string table
 # is a run of dictionaries: dictionary 0 holds the key, attribute and
 # label names, and each attribute then has one of the values bound to
-# it.  Every table is numbered from 0 in order of first use.
+# it.  Every table is numbered from 0 in order of first use.  A load
+# keeps most of what it reads, so the sections that inflate to the most
+# come first, while it holds little.
 _SECTIONS = (
     "meta",  # varints: key count, key name ids, skipped, dropped,
     # vertex max, edge max, smallest vertex replica, smallest edge replica

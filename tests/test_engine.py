@@ -663,8 +663,9 @@ def test_saved_sparse_operands_take_at_most_0_31_bytes_per_input_byte(tmp_path):
 def test_from_bytes_rejects_checksum_mismatches(citation_instance):
     db, researcher, _ = citation_instance
     raw = prepare(researcher, ["Name"]).to_bytes()
-    # the last section holds the last byte of the file
-    last = [name for name in _SECTIONS if stored_sections(raw)[name][1]][-1]
+    # the last section that stores a byte holds the last byte of the file
+    stored = stored_sections(raw)
+    last = [name for name in _SECTIONS if stored[name][1]][-1]
     in_last = raw[:-1] + bytes([raw[-1] ^ 0x01])
     with pytest.raises(ValidationError, match=f"checksum mismatch in index section {last}"):
         EngineIndex.from_bytes(in_last)
