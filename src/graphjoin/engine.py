@@ -16,7 +16,7 @@ each independently usable:
    bucket hash, the module global :func:`stable_hash`, so patching it
    forces collisions on every path.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 7 (:meth:`EngineIndex.to_bytes`), so one side
+   format, GJIX version 8 (:meth:`EngineIndex.to_bytes`), so one side
    of a repeated join can be prepared once and reused.  The format
    keeps one dictionary of the key, attribute and label names and one
    of each attribute's values, every element class (its sorted
@@ -24,13 +24,14 @@ each independently usable:
    its replica past the smallest one of its kind, its class id and its
    value ids; these, the directory and the CSR out-degrees and
    destinations are int columns of the narrowest width that fits, one
-   checksummed section each.  It stores nothing its reader can derive,
-   so offsets are stored as lengths or derived from the classes, and
-   each section is stored as a zlib stream where that is smaller.
-   Reading it back (:meth:`EngineIndex.load_file`,
+   checksummed section each, stored as byte planes.  It stores nothing
+   its reader can derive, so offsets are stored as lengths or derived
+   from the classes, and each section is stored as a zlib stream where
+   that is smaller.  Reading it back (:meth:`EngineIndex.load_file`,
    :meth:`EngineIndex.from_bytes`) reads, checks and inflates one
-   section at a time, checks the structure at once, and keeps the int
-   columns and string text as they are; it decodes a bucket's
+   section at a time, in pieces, straight into the column it becomes,
+   checks the structure at once, and keeps the int columns and string
+   text; it decodes a bucket's
    vertices and edges, and the strings they use, only when the join
    first touches that bucket.
 
@@ -103,11 +104,11 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
-from itertools import accumulate, chain, compress, count, groupby, islice, product
+from itertools import accumulate, chain, compress, count, groupby, islice, product, repeat
 from operator import attrgetter, getitem, itemgetter, lt, ne, not_, or_, sub
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 try:
     # the module hashlib takes it from, without loading OpenSSL
@@ -127,6 +128,7 @@ from .model import (
     Record,
     SpecMismatch,
     ValidationError,
+    _bulk,
     _pair_index,
     fresh_fill_start,
     pick_canonical,
@@ -282,10 +284,10 @@ class EngineIndex:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 7
+    # -- serialization, format GJIX version 8
 
     MAGIC = b"GJIX"
-    VERSION = 7
+    VERSION = 8
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
@@ -412,7 +414,7 @@ class EngineIndex:
         nverts, nedges = len(vertex[0]), len(edge[0])
 
         hashes, counts = _read_column(sec, "bucket_hash"), _read_column(sec, "bucket_count")
-        incomplete = _byte_section(sec, "bucket_incomplete")
+        incomplete = bytes(_byte_section(sec, "bucket_incomplete"))
         if not len(hashes) == len(counts) == len(incomplete):
             raise ValidationError("directory columns differ in length")
         if max(incomplete, default=0) > 1:
@@ -474,7 +476,7 @@ class EngineIndex:
             return cls._read(_StoredSections(fh.read, os.fstat(fh.fileno()).st_size))
 
 
-# GJIX v7 layout: magic, u16 version, u16 byte length of the section
+# GJIX v8 layout: magic, u16 version, u16 byte length of the section
 # table, the table, a CRC32 of everything before it, then the stored
 # section bodies back to back.  The table holds per section, in this
 # order, three varints (width, stored length, inflated length) and the
@@ -483,13 +485,14 @@ class EngineIndex:
 # its stored length is below its inflated length exactly when it is
 # deflated.  A byte section has width 1; an int column is little-endian
 # and unsigned, at the narrowest width of 1, 2, 4 or 8 bytes that holds
-# its largest item, or width 0, as varints, where none does.  Offsets
-# are stored as lengths, and the reader sums them up.  The string table
-# is a run of dictionaries: dictionary 0 holds the key, attribute and
-# label names, and each attribute then has one of the values bound to
-# it.  Every table is numbered from 0 in order of first use.  A load
-# keeps most of what it reads, so the sections that inflate to the most
-# come first, while it holds little.
+# its largest item, stored as its byte planes (byte 0 of every item, then
+# byte 1, ...), or width 0, as varints, where none does.  Offsets are
+# stored as lengths, and the reader sums them up.  The string table is a
+# run of dictionaries: dictionary 0 holds the key, attribute and label
+# names, and each attribute then has one of the values bound to it.
+# Every table is numbered from 0 in order of first use.  A load keeps
+# most of what it reads, so the sections that inflate to the most come
+# first, while it holds little.
 _SECTIONS = (
     "meta",  # varints: key count, key name ids, skipped, dropped,
     # vertex max, edge max, smallest vertex replica, smallest edge replica
@@ -517,19 +520,20 @@ _MAX_INFLATE = 1032
 _HEAD = struct.Struct("<4sHH")
 _CRC = struct.Struct("<I")
 _TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_CHUNK = 1 << 12  # bytes of a section read or inflated at a time
 _SWAP = sys.byteorder == "big"
 
 
 def _pack_sections(sections: dict) -> bytes:
     """The file for ``{name: (width, body)}``, one entry per name of
-    ``_SECTIONS``, each body deflated where that makes it smaller."""
+    ``_SECTIONS``, each body in item order; an int column is stored as
+    its byte planes, and each body deflated where that makes it smaller."""
     stored = []
     for name in _SECTIONS:
         width, body = sections[name]
-        # a column of wide items deflates about as small by runs alone,
-        # and several times faster
-        pack = zlib.compressobj(_LEVEL, strategy=zlib.Z_RLE if width > 1 else zlib.Z_DEFAULT_STRATEGY)
-        data = pack.compress(body) + pack.flush()
+        if width in _TYPECODES:
+            body = b"".join([body[j::width] for j in range(width)])
+        data = zlib.compress(body, _LEVEL)
         stored.append((width, data if len(data) < len(body) else body, len(body)))
     return _pack_stored(stored)
 
@@ -546,10 +550,10 @@ def _pack_stored(stored: list) -> bytes:
 
 
 def _unpack_sections(raw: bytes) -> dict:
-    """``{name: (width, body)}`` of a file, every body inflated and
-    checked as a load checks it."""
+    """``{name: (width, body)}`` of a file, each body in item order,
+    read and checked as a load reads it."""
     sec = _StoredSections(io.BytesIO(raw).read, len(raw))
-    return {name: sec[name] for name in _SECTIONS}
+    return {name: (width, col.tobytes()) for name in _SECTIONS for width, col in [sec[name]]}
 
 
 class _StoredSections:
@@ -560,8 +564,8 @@ class _StoredSections:
     ``size``; ``table`` then holds ``(width, stored length, inflated
     length, CRC32)`` per section.  Indexing it by the name of the next
     section in file order reads that section alone, checks its CRC32 and
-    gives its ``(width, body)``, a deflated section inflated to its
-    inflated length."""
+    gives its ``(width, column)``, an array of exactly its items, of 1
+    byte where the width is not 1, 2, 4 or 8, read straight into it."""
 
     __slots__ = ("_read", "_entries", "table")
 
@@ -600,42 +604,81 @@ class _StoredSections:
         self._read = read
         self._entries = zip(_SECTIONS, self.table)
 
-    def __getitem__(self, name: str) -> tuple[int, bytes]:
+    def __getitem__(self, name: str) -> tuple[int, array]:
         at, (width, stored, length, crc) = next(self._entries)
         # the reader asks for the sections in file order
         assert at == name, (at, name)
         if stored > length:
             raise ValidationError(f"index section {name} stores {stored} bytes, more than its {length}")
-        data = self._read(stored)
-        if len(data) != stored:
-            raise ValidationError("truncated index")
-        if zlib.crc32(data) != crc:
+        if length > _MAX_INFLATE * stored:
+            raise ValidationError(
+                f"index section {name} declares {length} bytes, more than its"
+                f" {stored} stored bytes can inflate to"
+            )
+        size = width if width in _TYPECODES else 1
+        if length % size:
+            raise ValidationError(f"index section {name} is not an int column")
+        col = array(_TYPECODES[size], [0]) * (length // size)
+        pieces = self._pieces(name, stored, crc)
+        try:
+            _unshuffle(col, _inflate(name, pieces, length) if stored < length else pieces)
+        except ValidationError:
+            # a fault in bytes that fail their CRC32 is reported as the mismatch
+            deque(pieces, 0)
+            raise
+        return width, col
+
+    def _pieces(self, name: str, stored: int, crc: int) -> Iterator[bytes]:
+        """The ``stored`` bytes of section ``name``, ``_CHUNK`` at a time,
+        then a check of their CRC32 against ``crc``."""
+        total = 0
+        for left in range(stored, 0, -_CHUNK):
+            piece = self._read(min(left, _CHUNK))
+            total = zlib.crc32(piece, total)
+            yield piece
+        if total != crc:
             raise ValidationError(f"checksum mismatch in index section {name}")
-        return width, _inflate(name, data, length) if stored < length else data
 
 
-def _inflate(name: str, data: bytes, length: int) -> bytes:
-    """The zlib stream ``data`` of section ``name`` inflated, which must
-    give exactly ``length`` bytes; no more than one byte past them is
-    ever allocated."""
-    if length > _MAX_INFLATE * len(data):
-        raise ValidationError(
-            f"index section {name} declares {length} bytes, more than its"
-            f" {len(data)} stored bytes can inflate to"
-        )
+def _unshuffle(col: array, planes: Iterable[bytes]) -> None:
+    """Write ``planes``, the stored bytes of ``col``, byte 0 of every item,
+    then byte 1, and so on, into it through copies of at most ``_CHUNK``
+    bytes: a strided write to a bytearray is ten times faster than to a memoryview."""
+    view, n, w = memoryview(col).cast("B"), len(col), col.itemsize
+    at = 0
+    for piece in map(memoryview, planes):
+        while piece:
+            plane, i = divmod(at, n)
+            k = min(len(piece), n - i, _CHUNK // w)
+            items = bytearray(view[i * w : (i + k) * w])
+            items[plane::w] = piece[:k]
+            view[i * w : (i + k) * w] = items
+            at += k
+            piece = piece[k:]
+
+
+def _inflate(name: str, pieces: Iterator[bytes], length: int) -> Iterator[bytes]:
+    """The zlib stream ``pieces`` of section ``name`` inflated, at most
+    ``_CHUNK`` bytes at a time, to exactly ``length`` bytes and never one more."""
     stream = zlib.decompressobj()
+    at = 0
     try:
-        # a stream that runs on past the declared length gives one byte more
-        body = stream.decompress(data, length + 1)
+        while not stream.eof:
+            feed = stream.unconsumed_tail or next(pieces, b"")
+            # a stream that runs on past the declared length gives one byte more
+            piece = stream.decompress(feed, min(_CHUNK, length + 1 - at))
+            if not (piece or feed):
+                break
+            at += len(piece)
+            if at > length:
+                raise ValidationError(f"index section {name} inflates past its declared length")
+            yield piece
     except zlib.error as exc:
         raise ValidationError(f"index section {name} is not a zlib stream") from exc
-    if len(body) > length:
-        raise ValidationError(f"index section {name} inflates past its declared length")
-    if not stream.eof or len(body) < length:
+    if not stream.eof or at < length:
         raise ValidationError(f"index section {name} ends short of its declared length")
-    if stream.unused_data:
+    if stream.unused_data or next(pieces, None) is not None:
         raise ValidationError(f"bytes after the zlib stream of index section {name}")
-    return body
 
 
 def _narrowest(top: int) -> str:
@@ -663,19 +706,17 @@ def _column(values: Sequence[int]) -> tuple[int, bytes]:
 
 def _read_column(sections, name: str) -> Sequence[int]:
     """An int column: an array at its width, a list at width 0."""
-    width, body = sections[name]
+    width, col = sections[name]
     if width == 0:
-        return _read_varints(body)
-    if width not in _TYPECODES or len(body) % width:
+        return _read_varints(col)
+    if width not in _TYPECODES:
         raise ValidationError(f"index section {name} is not an int column")
-    col = array(_TYPECODES[width])
-    col.frombytes(body)
     if _SWAP:
         col.byteswap()
     return col
 
 
-def _byte_section(sections, name: str) -> bytes:
+def _byte_section(sections, name: str) -> array:
     width, body = sections[name]
     if width != 1:
         raise ValidationError(f"index section {name} is not a byte section")
@@ -711,8 +752,9 @@ def _element_columns(sec, kind: str, arity: list, base: int, top: int) -> tuple:
         raise ValidationError(f"a class id of the {kind} table is past the class table")
     if one is not None and n * arity[one] == len(values):
         # all of one class, as every operand of a file pair's edges is:
-        # the offsets step by its arity
-        at = range(0, len(values) + 1, arity[one]) if arity[one] else bytes(n + 1)
+        # kept as one id, its starts stepping by its arity (or 1, unread)
+        class_ids = one
+        at = range(0, len(values) + 1, arity[one]) if arity[one] else range(n + 1)
     else:
         fault = f"the {kind} value column does not fit the {kind} classes"
         at = _offsets(map(arity.__getitem__, class_ids), len(values), fault)
@@ -850,18 +892,18 @@ class _LazyPayload:
     """The ordinal and edge columns of a deserialized index, filled one
     bucket at a time.
 
-    ``vertex`` holds four columns per ordinal: the replica less the
-    smallest vertex replica, the class id, the flat column of value ids,
-    one per attribute name of the class, and where each ordinal's value
-    ids start in it, then where the last ones end; then that smallest
-    replica and the largest of the vertex universe.  ``edge`` holds the
-    same per edge id.  Their structure was checked at load.  ``classes`` holds each class's attribute names,
-    their value dictionaries and its label set, checked at load, so a
-    record is built without checking or sorting its names again; class
-    0 is the empty record with no labels.  The directory, the CSR
-    offsets and the keys are read from ``index``, the index these
-    columns belong to, set once it is built.  A vertex's key values come
-    from its record.
+    ``vertex`` holds four columns per ordinal: the replica less the smallest
+    vertex replica, the class id (one id for a table of one class), the flat
+    column of value ids, one per attribute name of the class, and where each
+    ordinal's value ids start in it, then where the last ones end; then that
+    smallest replica and the largest of the vertex universe.  ``edge`` holds
+    the same per edge id.  Their structure was checked at load.  ``classes``
+    holds each class's attribute names, their value dictionaries and its
+    label set, checked at load, so a record is built without checking or
+    sorting its names again; class 0 is the empty record with no labels.
+    The directory, the CSR offsets and the keys are read from ``index``, the
+    index these columns belong to, set once it is built.  A vertex's key
+    values come from its record.
 
     ``vertices`` holds an ``(element, key tuple, labels)`` row per
     decoded ordinal and ``edges`` an ``(element, labels)`` row per
@@ -918,7 +960,8 @@ class _LazyPayload:
             raise ValidationError("a replica exceeds its universe's maximum")
         classes = self.classes
         rows = []
-        for replica, c, i, j in zip(replicas[lo:hi], class_ids[lo:hi], at[lo:hi], at[lo + 1 : hi + 1]):
+        ids = repeat(class_ids) if isinstance(class_ids, int) else class_ids[lo:hi]
+        for replica, c, i, j in zip(replicas[lo:hi], ids, at[lo:hi], at[lo + 1 : hi + 1]):
             names, dictionaries, labels = classes[c]
             rec = Record._sorted(names, map(getitem, dictionaries, values[i:j])) if names else EMPTY_RECORD
             rows.append((Element(rec, replica + base), labels))
@@ -1026,6 +1069,7 @@ def _index_operand(keys, vertices, incomplete, edges, vertex_max, edge_max, skip
     )
 
 
+@_bulk()
 def prepare(graph: Graph, keys: Iterable[str]) -> EngineIndex:
     """Index one component on the join attributes ``keys``.
 

@@ -39,6 +39,7 @@ from .model import (
     PropertyGraph,
     Record,
     ValidationError,
+    _bulk,
     component_from_payloads,
 )
 
@@ -154,6 +155,7 @@ def read_graph_rows(vertex_path, edge_path, ends, *, keep_id: bool = False):
             dst.append(d)
 
 
+@_bulk()
 def load_graph_pair(
     db: PropertyGraph,
     vertex_path,

@@ -22,7 +22,9 @@ equality and no numeric coercion ever happens.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -760,3 +762,16 @@ def component_from_payloads(
         IndexedSet(vertices), IndexedSet(edges), endpoints, vlabs, elabs
     )
     return db.get_graph(cid)
+
+
+@contextmanager
+def _bulk() -> Iterator[None]:
+    """The collector off for a bulk build, whose new objects a collection
+    would only walk again, then on again if it was; process-wide."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -13,18 +13,24 @@ dob2/company2.  The output is a Markdown table: one row per section,
 in file order, with side A's and side B's bytes as stored in the file,
 then as inflated with the item width (0 for a column of varints), then
 a row for the header with its section table, then the totals.  It reads
-the sections through the engine's own section table.  The last line
-gives ``index_size_ratio``: the bytes of both files over the bytes of
-the four CSV files they were built from.  The name does not start with
-``test_``, so pytest does not collect it.
+the sections through the engine's own section table.  Then comes
+``index_size_ratio``: the bytes of both files over the bytes of the four
+CSV files they were built from.  Last, per side, what
+``EngineIndex.load_file`` takes in traced memory (``tracemalloc``, from
+a collected heap): its peak, the peak over the file's bytes, which
+``test_loading_a_saved_index_takes_memory_per_file_byte`` bounds at 3,
+and what the loaded index keeps once the heap is collected again.  The
+name does not start with ``test_``, so pytest does not collect it.
 """
 
 import argparse
+import gc
 import io
 import os
 import tempfile
+import tracemalloc
 
-from graphjoin.engine import _SECTIONS, _StoredSections, prepare
+from graphjoin.engine import _SECTIONS, EngineIndex, _StoredSections, prepare
 from graphjoin.graphio import GeneratorParams, generate, load_graph_pair
 from graphjoin.model import PropertyGraph
 
@@ -41,6 +47,21 @@ def saved_pair(seed: int, scale: int, work: str, **values) -> tuple[list, int]:
     return raws, input_bytes
 
 
+def load_memory(path: str) -> tuple[int, int]:
+    """The traced peak of loading ``path`` and what the index keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = EngineIndex.load_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert index.decoded_buckets == 0
+    return peak, kept
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -52,6 +73,12 @@ def main() -> None:
         raws, input_bytes = saved_pair(
             args.seed, args.scale, work, dob_values=args.dob_values, company_values=args.company_values
         )
+        loads = []
+        for side, raw in zip("AB", raws):
+            path = os.path.join(work, f"side{side}.gjix")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            loads.append((side, len(raw), *load_memory(path)))
     # (width, stored length, inflated length, CRC32) per section
     tables = [_StoredSections(io.BytesIO(raw).read, len(raw)).table for raw in raws]
     print("| section | A stored | A inflated | B stored | B inflated |")
@@ -66,6 +93,8 @@ def main() -> None:
     ]
     print(f"| **total** | {' | '.join(totals)} |")
     print(f"\nindex_size_ratio: {sum(map(len, raws)) / input_bytes:.4f} ({sum(map(len, raws)):,} / {input_bytes:,} bytes)")
+    for side, size, peak, kept in loads:
+        print(f"load_file {side}: peak {peak:,} bytes ({peak / size:.3f}x the file), keeps {kept:,}")
 
 
 if __name__ == "__main__":
