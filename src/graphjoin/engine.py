@@ -16,24 +16,12 @@ each independently usable:
    bucket hash, the module global :func:`stable_hash`, so patching it
    forces collisions on every path.  The result is an
    :class:`EngineIndex`, which also serializes to a stable binary
-   format, GJIX version 8 (:meth:`EngineIndex.to_bytes`), so one side
-   of a repeated join can be prepared once and reused.  The format
-   keeps one dictionary of the key, attribute and label names and one
-   of each attribute's values, every element class (its sorted
-   attribute names and its labels) once, and per vertex and per edge
-   its replica past the smallest one of its kind, its class id and its
-   value ids; these, the directory and the CSR out-degrees and
-   destinations are int columns of the narrowest width that fits, one
-   checksummed section each, stored as byte planes.  It stores nothing
-   its reader can derive, so offsets are stored as lengths or derived
-   from the classes, and each section is stored as a zlib stream where
-   that is smaller.  Reading it back (:meth:`EngineIndex.load_file`,
-   :meth:`EngineIndex.from_bytes`) reads, checks and inflates one
-   section at a time, in pieces, straight into the column it becomes,
-   checks the structure at once, and keeps the int columns and string
-   text; it decodes a bucket's
-   vertices and edges, and the strings they use, only when the join
-   first touches that bucket.
+   format, GJIX version 8 (:meth:`EngineIndex.to_bytes`, the module
+   ``gjix``), so one side of a repeated join can be prepared once and
+   reused.  An index read back (:meth:`EngineIndex.load_file`,
+   :meth:`EngineIndex.from_bytes`) keeps the file's int columns and
+   string text; it decodes a bucket's vertices and edges, and the
+   strings they use, only when the join first touches that bucket.
 
    :func:`prepare_files` is the pruned variant for a one-off join of two
    file pairs: it reads both pairs, intersects their bucket hashes, and
@@ -100,14 +88,12 @@ import heapq
 import io
 import os
 import struct
-import sys
-import zlib
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, count, groupby, islice, product, repeat
-from operator import attrgetter, getitem, itemgetter, lt, ne, not_, or_, sub
+from operator import attrgetter, getitem, itemgetter, ne, not_, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 try:
@@ -116,6 +102,8 @@ try:
 except ImportError:  # pragma: no cover - a build without the module
     from hashlib import blake2b
 
+from . import gjix
+from .gjix import _NO_LABELS, _narrowest
 from .graphio import read_graph_rows
 from .logical import CONJUNCTIVE, DISJUNCTIVE
 from .model import (
@@ -170,9 +158,6 @@ def stable_hash(values: tuple[str, ...]) -> int:
 # phase 1: prepare
 
 
-_NO_LABELS: frozenset = frozenset()
-
-
 class EngineIndex:
     """One prepared operand, in a serializable form.
 
@@ -193,19 +178,15 @@ class EngineIndex:
 
     The directory, ``edge_offsets`` and ``edge_dest`` are int arrays,
     and an index built in memory holds its other columns as tuples.
-    One read back with :meth:`from_bytes` keeps the file's int columns
-    as they are, sums the CSR offsets up from the out-degrees, and
-    keeps its string table as one text and an offsets column, split
-    into dictionaries by range, its element classes as name tuples,
-    value dictionaries and label sets, and its replica, class and value
-    columns; its other columns are sequence views of one bucket
-    decoder, which reads the directory, CSR offsets and keys from this
-    index.  The first access to an ordinal or an edge id decodes its
-    whole bucket, one ``(element, key tuple, labels)`` row per vertex
-    and one ``(element, labels)`` row per out-edge, and slices out the
-    strings they use, each once, so a join pays only for the buckets it
-    visits (``decoded_buckets`` counts them); ``n_edges`` decodes
-    nothing.
+    One read back with :meth:`from_bytes` keeps the columns
+    :func:`gjix.read` gives; its other columns are sequence views of
+    one bucket decoder, which reads the directory, CSR offsets and keys
+    from this index.  The first access to an ordinal or an edge id
+    decodes its whole bucket, one ``(element, key tuple, labels)`` row
+    per vertex and one ``(element, labels)`` row per out-edge, and
+    slices out the strings they use, each once, so a join pays only for
+    the buckets it visits (``decoded_buckets`` counts them); ``n_edges``
+    decodes nothing.
 
     ``vertex_max`` and ``edge_max`` are the largest replicas of the
     operand's vertex and edge index universes, 0 for an empty one; the
@@ -284,59 +265,38 @@ class EngineIndex:
             return len(self.bucket_hash)
         return self._payload.done.count(1)
 
-    # -- serialization, format GJIX version 8
+    # -- serialization, format GJIX version 8 (see the module gjix)
 
-    MAGIC = b"GJIX"
-    VERSION = 8
+    MAGIC = gjix.MAGIC
+    VERSION = gjix.VERSION
 
     def to_bytes(self) -> bytes:
         """Serialize; on an index read back from bytes this decodes
         every bucket that holds vertices first."""
-        # every table is numbered in order of first use, which a
-        # read-back index repeats, so the bytes round-trip exactly.
-        # Dictionary 0 maps each name and label to its id code, and
-        # ``values`` holds one dictionary per attribute, of the values
-        # bound to it and their ids; a dict keeps its strings in id order
-        names: dict[str, bytes] = {}
+        # classes and each attribute's values are numbered in order of
+        # first use, which a read-back index repeats, so the bytes
+        # round-trip exactly; a dict keeps its values in id order
         values: dict[str, dict[str, int]] = {}
-        classes = []
+        classes = [((), (), _NO_LABELS)]
         class_of = {}
-
-        def name(s: str) -> bytes:
-            code = names.get(s)
-            if code is None:
-                code = names[s] = _varint(len(names))
-            return code
-
-        def new_class(key) -> tuple[int, list]:
-            attrs, labels = key
-            classes.append(
-                b"".join(
-                    [
-                        _varint(len(attrs)),
-                        *map(name, attrs),
-                        _varint(len(labels)),
-                        *map(name, sorted(labels)),
-                    ]
-                )
-            )
-            entry = class_of[key] = len(classes), [values.setdefault(a, {}) for a in attrs]
-            return entry
 
         def element(el: Element, labels: frozenset, class_ids: list, value_ids: list) -> None:
             attrs, vals = zip(*el.record.items) if el.record.items else ((), ())
             key = (attrs, labels)
-            code, dictionaries = class_of.get(key) or new_class(key)
+            entry = class_of.get(key)
+            if entry is None:
+                dictionaries = [values.setdefault(a, {}) for a in attrs]
+                entry = class_of[key] = len(classes), dictionaries
+                classes.append((attrs, dictionaries, labels))
+            code, dictionaries = entry
             class_ids.append(code)
             value_ids += [d.setdefault(v, len(d)) for d, v in zip(dictionaries, vals)]
 
-        keys = list(map(name, self.keys))
         offsets = self.edge_offsets
-        degrees = list(map(sub, offsets[1:], offsets))
         edges = zip(self.edge_elements, self.edge_labels)
         vertex_class, vertex_values, edge_class, edge_values = [], [], [], []
         # a vertex binds its keys, so only an edge can be of class 0
-        for el, labs, degree in zip(self.elements, self.labels, degrees):
+        for el, labs, degree in zip(self.elements, self.labels, map(sub, offsets[1:], offsets)):
             element(el, labs, vertex_class, vertex_values)
             for ee, elabs in islice(edges, degree):
                 if ee.record.items or elabs:
@@ -344,110 +304,49 @@ class EngineIndex:
                 else:
                     # class 0 is the empty record with no labels
                     edge_class.append(0)
-        # replicas are stored past the smallest one of their kind
-        replicas = [el.replica for el in self.elements], [el.replica for el in self.edge_elements]
-        bases = [min(r, default=0) for r in replicas]
-        vertex_replica, edge_replica = (
-            _column([r - base for r in rs]) for rs, base in zip(replicas, bases)
+        tables = []
+        for els, class_ids, value_ids, top in (
+            (self.elements, vertex_class, vertex_values, self.vertex_max),
+            (self.edge_elements, edge_class, edge_values, self.edge_max),
+        ):
+            replicas = [el.replica for el in els]
+            base = min(replicas, default=0)
+            tables.append(gjix.Table([r - base for r in replicas], class_ids, value_ids, base, top))
+        columns = gjix.Columns(
+            self.keys, self.skipped_vertices, self.dropped_edges, classes, *tables,
+            self.bucket_hash, self.bucket_count, self.bucket_incomplete, offsets, self.edge_dest
         )
-
-        tallies = (
-            self.skipped_vertices, self.dropped_edges, self.vertex_max, self.edge_max, *bases
-        )
-        meta = b"".join([_varint(len(keys)), *keys, *map(_varint, tallies)])
-        dictionaries = b"".join(
-            [_varint(len(names)), *[names[a] + _varint(len(d)) for a, d in values.items()]]
-        )
-        strings = list(chain(names, *values.values()))
-        return _pack_sections(
-            {
-                "meta": (1, meta),
-                "string_lengths": _column(list(map(len, strings))),
-                "string_text": (1, "".join(strings).encode("utf-8")),
-                "dictionaries": (1, dictionaries),
-                "classes": (1, b"".join(classes)),
-                "bucket_hash": _column(self.bucket_hash),
-                "bucket_count": _column(self.bucket_count),
-                "bucket_incomplete": (1, bytes(self.bucket_incomplete)),
-                "edge_degrees": _column(degrees),
-                "edge_dest": _column(self.edge_dest),
-                "vertex_replica": vertex_replica,
-                "vertex_class": _column(vertex_class),
-                "vertex_values": _column(vertex_values),
-                "edge_replica": edge_replica,
-                "edge_class": _column(edge_class),
-                "edge_values": _column(edge_values),
-            }
-        )
+        return gjix.write(columns)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EngineIndex":
         """Read an index back from its bytes, as :meth:`load_file` reads
         it from a file."""
-        return cls._read(_StoredSections(io.BytesIO(raw).read, len(raw)))
+        return cls._read(gjix.read(io.BytesIO(raw).read, len(raw)))
 
     @classmethod
-    def _read(cls, sec: "_StoredSections") -> "EngineIndex":
-        """The index whose sections ``sec`` reads.  Each section is
-        taken in file order and turned into the column the index keeps
-        before the next is read; the structure is checked here, and
-        buckets are decoded on first access."""
-        meta = _read_varints(_byte_section(sec, "meta"))
-        lengths = _read_column(sec, "string_lengths")
-        try:
-            text = str(_byte_section(sec, "string_text"), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError("string table is not UTF-8") from exc
-        offsets = _offsets(lengths, len(text), "string table offsets do not fit the string text")
-        names, values = _read_dictionaries(_byte_section(sec, "dictionaries"), text, offsets)
-
-        nkeys = meta[0] if meta else -1
-        if len(meta) != nkeys + 7 or max(meta[1 : 1 + nkeys], default=-1) >= names.n:
-            raise ValidationError("corrupt index header fields")
-        # without a key, every bucket would join as a cross product
-        keys = _check_keys([names[i] for i in meta[1 : 1 + nkeys]])
-        skipped, dropped, vertex_max, edge_max, vertex_base, edge_base = meta[-6:]
-        classes = _read_classes(_byte_section(sec, "classes"), names, values)
-        arity = [len(c[0]) for c in classes]
-        vertex = _element_columns(sec, "vertex", arity, vertex_base, vertex_max)
-        edge = _element_columns(sec, "edge", arity, edge_base, edge_max)
-        nverts, nedges = len(vertex[0]), len(edge[0])
-
-        hashes, counts = _read_column(sec, "bucket_hash"), _read_column(sec, "bucket_count")
-        incomplete = bytes(_byte_section(sec, "bucket_incomplete"))
-        if not len(hashes) == len(counts) == len(incomplete):
-            raise ValidationError("directory columns differ in length")
-        if max(incomplete, default=0) > 1:
-            raise ValidationError("a bucket flag is neither 0 nor 1")
-        if sum(counts) != nverts:
-            raise ValidationError("directory does not cover the vertex table")
-        # the directory merge walks both directories in hash order
-        if not all(map(lt, hashes, islice(hashes, 1, None))):
-            raise ValidationError("directory hashes do not strictly ascend")
-        degrees, dest = _read_column(sec, "edge_degrees"), _read_column(sec, "edge_dest")
-        edge_offsets = _offsets(degrees, len(dest), "edge offsets do not fit the edge table")
-        if len(degrees) != nverts or len(dest) != nedges:
-            raise ValidationError("the CSR columns do not fit the vertex and edge tables")
-        if dest and max(dest) >= nverts:
-            raise ValidationError(f"out-edge destination {max(dest)} outside the vertex table")
-        lazy = _LazyPayload(classes, vertex, edge, len(hashes))
-        vertices, edges = lazy.vertices, lazy.edges
+    def _read(cls, columns: gjix.Columns) -> "EngineIndex":
+        """The index of ``columns`` read back; buckets are decoded on
+        first access."""
+        lazy = _LazyPayload(columns)
+        nverts, nedges = len(columns.vertex.replica), len(columns.edge.replica)
         index = cls(
-            keys,
-            _LazyColumn(vertices, 0, nverts, lazy.decode_ordinal),
-            _LazyColumn(vertices, 1, nverts, lazy.decode_ordinal),
-            _LazyColumn(vertices, 2, nverts, lazy.decode_ordinal),
-            edge_offsets,
-            dest,
-            _LazyColumn(edges, 0, nedges, lazy.decode_edge),
-            _LazyColumn(edges, 1, nedges, lazy.decode_edge),
-            hashes,
-            counts,
-            incomplete,
-            vertex_max,
-            edge_max,
-            skipped,
-            dropped,
+            # without a key, every bucket would join as a cross product
+            _check_keys(columns.keys),
+            _LazyColumn(lazy.vertices, 0, nverts, lazy.decode_ordinal),
+            _LazyColumn(lazy.vertices, 1, nverts, lazy.decode_ordinal),
+            _LazyColumn(lazy.vertices, 2, nverts, lazy.decode_ordinal),
+            columns.edge_offsets,
+            columns.edge_dest,
+            _LazyColumn(lazy.edges, 0, nedges, lazy.decode_edge),
+            _LazyColumn(lazy.edges, 1, nedges, lazy.decode_edge),
+            columns.bucket_hash,
+            columns.bucket_count,
+            columns.bucket_incomplete,
+            columns.vertex.top,
+            columns.edge.top,
+            columns.skipped_vertices,
+            columns.dropped_edges,
         )
         lazy.index = index
         index._payload = lazy
@@ -473,351 +372,7 @@ class EngineIndex:
         """Read an index back from ``path``, one section at a time, so
         the file and the columns read from it are never held together."""
         with open(path, "rb") as fh:
-            return cls._read(_StoredSections(fh.read, os.fstat(fh.fileno()).st_size))
-
-
-# GJIX v8 layout: magic, u16 version, u16 byte length of the section
-# table, the table, a CRC32 of everything before it, then the stored
-# section bodies back to back.  The table holds per section, in this
-# order, three varints (width, stored length, inflated length) and the
-# CRC32 of the stored bytes.  A section is stored as a zlib stream at
-# level _LEVEL where that is strictly smaller, and as it is otherwise, so
-# its stored length is below its inflated length exactly when it is
-# deflated.  A byte section has width 1; an int column is little-endian
-# and unsigned, at the narrowest width of 1, 2, 4 or 8 bytes that holds
-# its largest item, stored as its byte planes (byte 0 of every item, then
-# byte 1, ...), or width 0, as varints, where none does.  Offsets are
-# stored as lengths, and the reader sums them up.  The string table is a
-# run of dictionaries: dictionary 0 holds the key, attribute and label
-# names, and each attribute then has one of the values bound to it.
-# Every table is numbered from 0 in order of first use.  A load keeps
-# most of what it reads, so the sections that inflate to the most come
-# first, while it holds little.
-_SECTIONS = (
-    "meta",  # varints: key count, key name ids, skipped, dropped,
-    # vertex max, edge max, smallest vertex replica, smallest edge replica
-    "string_lengths",  # column per string: its length in code points
-    "string_text",  # every dictionary's strings, back to back, as UTF-8
-    "dictionaries",  # varints: dictionary 0's count, then per attribute
-    # dictionary its name id and its count
-    "classes",  # varints per class: name count, name ids ascending by
-    # name, label count, label ids
-    "vertex_replica",  # column per ordinal: replica less the smallest one
-    "vertex_class",  # column per ordinal: class id
-    "vertex_values",  # column: per ordinal, one value id per name of its class
-    "edge_replica",  # column per edge id: replica less the smallest one
-    "edge_class",  # column per edge id: class id
-    "edge_values",  # column: per edge id, one value id per name of its class
-    "bucket_hash",  # column per bucket, strictly ascending
-    "bucket_count",  # column per bucket: vertex count
-    "bucket_incomplete",  # byte per bucket: 1 where it lacks vertices
-    "edge_degrees",  # column per ordinal: out-edge count, CSR in ordinal order
-    "edge_dest",  # column per edge id: destination ordinal
-)
-_LEVEL = 6
-# no deflate stream inflates to more than 1032 bytes per byte stored
-_MAX_INFLATE = 1032
-_HEAD = struct.Struct("<4sHH")
-_CRC = struct.Struct("<I")
-_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_CHUNK = 1 << 12  # bytes of a section read or inflated at a time
-_SWAP = sys.byteorder == "big"
-
-
-def _pack_sections(sections: dict) -> bytes:
-    """The file for ``{name: (width, body)}``, one entry per name of
-    ``_SECTIONS``, each body in item order; an int column is stored as
-    its byte planes, and each body deflated where that makes it smaller."""
-    stored = []
-    for name in _SECTIONS:
-        width, body = sections[name]
-        if width in _TYPECODES:
-            body = b"".join([body[j::width] for j in range(width)])
-        data = zlib.compress(body, _LEVEL)
-        stored.append((width, data if len(data) < len(body) else body, len(body)))
-    return _pack_stored(stored)
-
-
-def _pack_stored(stored: list) -> bytes:
-    """The file of one ``(width, stored bytes, inflated length)`` per
-    section, its checksums computed here."""
-    table = b"".join(
-        _varint(width) + _varint(len(data)) + _varint(length) + _CRC.pack(zlib.crc32(data))
-        for width, data, length in stored
-    )
-    head = _HEAD.pack(EngineIndex.MAGIC, EngineIndex.VERSION, len(table)) + table
-    return b"".join([head, _CRC.pack(zlib.crc32(head)), *[data for _, data, _ in stored]])
-
-
-def _unpack_sections(raw: bytes) -> dict:
-    """``{name: (width, body)}`` of a file, each body in item order,
-    read and checked as a load reads it."""
-    sec = _StoredSections(io.BytesIO(raw).read, len(raw))
-    return {name: (width, col.tobytes()) for name in _SECTIONS for width, col in [sec[name]]}
-
-
-class _StoredSections:
-    """The sections of a file of ``size`` bytes, read through ``read``.
-
-    Opening it reads the header and section table, checks the magic,
-    version and checksum, and that the section lengths add up to
-    ``size``; ``table`` then holds ``(width, stored length, inflated
-    length, CRC32)`` per section.  Indexing it by the name of the next
-    section in file order reads that section alone, checks its CRC32 and
-    gives its ``(width, column)``, an array of exactly its items, of 1
-    byte where the width is not 1, 2, 4 or 8, read straight into it."""
-
-    __slots__ = ("_read", "_entries", "table")
-
-    def __init__(self, read: Callable[[int], bytes], size: int):
-        head = read(_HEAD.size)
-        if len(head) < _HEAD.size:
-            raise ValidationError("truncated index")
-        magic, version, table_size = _HEAD.unpack(head)
-        if magic != EngineIndex.MAGIC:
-            raise ValidationError("not an engine index: bad magic")
-        if version != EngineIndex.VERSION:
-            raise ValidationError(f"unsupported index version {version}")
-        table = read(table_size + _CRC.size)
-        if len(table) < table_size + _CRC.size:
-            raise ValidationError("truncated index")
-        if zlib.crc32(table[:table_size], zlib.crc32(head)) != _CRC.unpack_from(table, table_size)[0]:
-            raise ValidationError("index header checksum mismatch")
-        self.table = []
-        pos = 0
-        try:
-            for _ in _SECTIONS:
-                width, pos = _varint_at(table, pos)
-                stored, pos = _varint_at(table, pos)
-                length, pos = _varint_at(table, pos)
-                self.table.append((width, stored, length, *_CRC.unpack_from(table, pos)))
-                pos += _CRC.size
-        except (IndexError, struct.error) as exc:
-            raise ValidationError("corrupt section table") from exc
-        if pos != table_size:
-            raise ValidationError("corrupt section table")
-        end = len(head) + len(table) + sum(entry[1] for entry in self.table)
-        if end > size:
-            raise ValidationError("truncated index")
-        if end < size:
-            raise ValidationError("trailing bytes after index payload")
-        self._read = read
-        self._entries = zip(_SECTIONS, self.table)
-
-    def __getitem__(self, name: str) -> tuple[int, array]:
-        at, (width, stored, length, crc) = next(self._entries)
-        # the reader asks for the sections in file order
-        assert at == name, (at, name)
-        if stored > length:
-            raise ValidationError(f"index section {name} stores {stored} bytes, more than its {length}")
-        if length > _MAX_INFLATE * stored:
-            raise ValidationError(
-                f"index section {name} declares {length} bytes, more than its"
-                f" {stored} stored bytes can inflate to"
-            )
-        size = width if width in _TYPECODES else 1
-        if length % size:
-            raise ValidationError(f"index section {name} is not an int column")
-        col = array(_TYPECODES[size], [0]) * (length // size)
-        pieces = self._pieces(name, stored, crc)
-        try:
-            _unshuffle(col, _inflate(name, pieces, length) if stored < length else pieces)
-        except ValidationError:
-            # a fault in bytes that fail their CRC32 is reported as the mismatch
-            deque(pieces, 0)
-            raise
-        return width, col
-
-    def _pieces(self, name: str, stored: int, crc: int) -> Iterator[bytes]:
-        """The ``stored`` bytes of section ``name``, ``_CHUNK`` at a time,
-        then a check of their CRC32 against ``crc``."""
-        total = 0
-        for left in range(stored, 0, -_CHUNK):
-            piece = self._read(min(left, _CHUNK))
-            total = zlib.crc32(piece, total)
-            yield piece
-        if total != crc:
-            raise ValidationError(f"checksum mismatch in index section {name}")
-
-
-def _unshuffle(col: array, planes: Iterable[bytes]) -> None:
-    """Write ``planes``, the stored bytes of ``col``, byte 0 of every item,
-    then byte 1, and so on, into it through copies of at most ``_CHUNK``
-    bytes: a strided write to a bytearray is ten times faster than to a memoryview."""
-    view, n, w = memoryview(col).cast("B"), len(col), col.itemsize
-    at = 0
-    for piece in map(memoryview, planes):
-        while piece:
-            plane, i = divmod(at, n)
-            k = min(len(piece), n - i, _CHUNK // w)
-            items = bytearray(view[i * w : (i + k) * w])
-            items[plane::w] = piece[:k]
-            view[i * w : (i + k) * w] = items
-            at += k
-            piece = piece[k:]
-
-
-def _inflate(name: str, pieces: Iterator[bytes], length: int) -> Iterator[bytes]:
-    """The zlib stream ``pieces`` of section ``name`` inflated, at most
-    ``_CHUNK`` bytes at a time, to exactly ``length`` bytes and never one more."""
-    stream = zlib.decompressobj()
-    at = 0
-    try:
-        while not stream.eof:
-            feed = stream.unconsumed_tail or next(pieces, b"")
-            # a stream that runs on past the declared length gives one byte more
-            piece = stream.decompress(feed, min(_CHUNK, length + 1 - at))
-            if not (piece or feed):
-                break
-            at += len(piece)
-            if at > length:
-                raise ValidationError(f"index section {name} inflates past its declared length")
-            yield piece
-    except zlib.error as exc:
-        raise ValidationError(f"index section {name} is not a zlib stream") from exc
-    if not stream.eof or at < length:
-        raise ValidationError(f"index section {name} ends short of its declared length")
-    if stream.unused_data or next(pieces, None) is not None:
-        raise ValidationError(f"bytes after the zlib stream of index section {name}")
-
-
-def _narrowest(top: int) -> str:
-    """The typecode of the narrowest unsigned column item that holds
-    ``top``; 8 bytes for anything wider, which ``array`` then rejects."""
-    for width, code in _TYPECODES.items():
-        if top < 1 << 8 * width:
-            return code
-    return "Q"
-
-
-def _column(values: Sequence[int]) -> tuple[int, bytes]:
-    try:
-        col = array("Q", values)
-    except OverflowError:
-        # an item past 8 bytes: the column is stored as varints
-        return 0, b"".join(map(_varint, values))
-    code = _narrowest(max(col, default=0))
-    if code != "Q":
-        col = array(code, col)
-    if _SWAP:
-        col.byteswap()
-    return col.itemsize, col.tobytes()
-
-
-def _read_column(sections, name: str) -> Sequence[int]:
-    """An int column: an array at its width, a list at width 0."""
-    width, col = sections[name]
-    if width == 0:
-        return _read_varints(col)
-    if width not in _TYPECODES:
-        raise ValidationError(f"index section {name} is not an int column")
-    if _SWAP:
-        col.byteswap()
-    return col
-
-
-def _byte_section(sections, name: str) -> array:
-    width, body = sections[name]
-    if width != 1:
-        raise ValidationError(f"index section {name} is not a byte section")
-    return body
-
-
-def _offsets(lengths, end: int, fault: str) -> array:
-    """Where each item starts, and then where the last one ends: the
-    sums of the lengths before it, which must come to ``end``; a sum
-    past it raises ``ValidationError(fault)``."""
-    try:
-        at = array(_narrowest(end), accumulate(lengths, initial=0))
-        if at[-1] == end:
-            return at
-    except OverflowError:
-        pass
-    raise ValidationError(fault)
-
-
-def _element_columns(sec, kind: str, arity: list, base: int, top: int) -> tuple:
-    """The replica, class and value columns of the vertices or the edges
-    (``kind``) of an index read back, where each one's value ids start,
-    summed up from the arities of the classes, then ``base`` and
-    ``top``, the smallest replica and the universe's maximum.  The
-    replica column sets the length of the table, which the class column
-    must fit, and each class id must lie in the class table."""
-    replica, class_ids, values = (_read_column(sec, f"{kind}_{c}") for c in ("replica", "class", "values"))
-    n = len(replica)
-    if len(class_ids) != n:
-        raise ValidationError(f"the {kind} columns differ in length")
-    one = class_ids[0] if n and class_ids.count(class_ids[0]) == n else None
-    if (max(class_ids, default=0) if one is None else one) >= len(arity):
-        raise ValidationError(f"a class id of the {kind} table is past the class table")
-    if one is not None and n * arity[one] == len(values):
-        # all of one class, as every operand of a file pair's edges is:
-        # kept as one id, its starts stepping by its arity (or 1, unread)
-        class_ids = one
-        at = range(0, len(values) + 1, arity[one]) if arity[one] else range(n + 1)
-    else:
-        fault = f"the {kind} value column does not fit the {kind} classes"
-        at = _offsets(map(arity.__getitem__, class_ids), len(values), fault)
-    return replica, class_ids, values, at, base, top
-
-
-def _read_dictionaries(table, text: str, offsets: array) -> tuple[_Strings, dict]:
-    """Dictionary 0 of an index read back, and each attribute's
-    dictionary by attribute name.  Their counts, in table order, split
-    the string table into ranges; they must cover it, and no two
-    dictionaries may name one attribute."""
-    ints = _read_varints(table)
-    if len(ints) % 2 != 1:
-        raise ValidationError("corrupt dictionary table")
-    counts = ints[::2]
-    if sum(counts) != len(offsets) - 1:
-        raise ValidationError("dictionary counts do not sum to the string table")
-    names = _Strings(text, offsets, 0, counts[0], "dictionary 0")
-    values = {}
-    bases = accumulate(counts)
-    for attr, base, n in zip(map(names.__getitem__, ints[1::2]), bases, counts[1:]):
-        if attr in values:
-            raise ValidationError(f"two dictionaries name attribute {attr!r}")
-        values[attr] = _Strings(text, offsets, base, n, f"the dictionary of attribute {attr!r}")
-    return names, values
-
-
-def _read_classes(table, names: _Strings, values: dict) -> list[tuple]:
-    """The element classes of an index read back, as ``(names,
-    dictionaries, labels)``: the record's attribute names, the value
-    dictionary of each, and the label set.  Class 0, the empty record
-    with no labels, comes first.  Each class of the table is checked to
-    name strings of dictionary 0, its attribute names strictly
-    ascending and each with a dictionary, its labels distinct."""
-    ints = _read_varints(table)
-    classes = [((), (), _NO_LABELS)]
-    pos = 0
-    try:
-        while pos < len(ints):
-            c = len(classes)
-            n = ints[pos]
-            name_ids = ints[pos + 1 : pos + 1 + n]
-            pos += 1 + n
-            m = ints[pos]
-            label_ids = ints[pos + 1 : pos + 1 + m]
-            pos += 1 + m
-            if not (len(name_ids) == n and len(label_ids) == m and n + m):
-                raise ValidationError("corrupt class table")
-            if max(name_ids + label_ids) >= names.n:
-                raise ValidationError(f"class {c} names a string past dictionary 0")
-            attrs = tuple(map(names.__getitem__, name_ids))
-            if not all(map(lt, attrs, attrs[1:])):
-                raise ValidationError(f"the names of class {c} do not strictly ascend")
-            labels = frozenset(map(names.__getitem__, label_ids))
-            if len(labels) != m:
-                raise ValidationError(f"the labels of class {c} repeat")
-            dictionaries = tuple(map(values.get, attrs))
-            if None in dictionaries:
-                raise ValidationError(f"an attribute of class {c} has no dictionary")
-            classes.append((attrs, dictionaries, labels or _NO_LABELS))
-    except IndexError as exc:
-        raise ValidationError("corrupt class table") from exc
-    return classes
+            return cls._read(gjix.read(fh.read, os.fstat(fh.fileno()).st_size))
 
 
 def _starts(counts) -> array:
@@ -825,85 +380,17 @@ def _starts(counts) -> array:
     return array(_narrowest(sum(counts)), map(sub, accumulate(counts), counts))
 
 
-class _Strings(dict):
-    """One dictionary of the string table of an index read back: the
-    ``n`` strings from string ``base`` on, by id from 0, each sliced
-    out of the text on first use and shared after that.  An id past the
-    dictionary raises ``ValidationError``, so it never reads a string
-    of the next dictionary."""
-
-    __slots__ = ("text", "offsets", "base", "n", "what")
-
-    def __init__(self, text: str, offsets: array, base: int, n: int, what: str):
-        self.text = text
-        self.offsets = offsets
-        self.base = base
-        self.n = n
-        self.what = what
-
-    def __missing__(self, i: int) -> str:
-        if i >= self.n:
-            raise ValidationError(f"id {i} is past {self.what}")
-        at = self.base + i
-        s = self[i] = self.text[self.offsets[at] : self.offsets[at + 1]]
-        return s
-
-
-_SMALL_VARINTS = [bytes((v,)) for v in range(0x80)]
-
-
-def _varint(v: int) -> bytes:
-    """Unsigned LEB128: seven bits per byte, low bits first."""
-    if v < 0x80:
-        return _SMALL_VARINTS[v]
-    if v < 0x4000:
-        return bytes((v & 0x7F | 0x80, v >> 7))
-    w = bytearray()
-    while v > 0x7F:
-        w.append(v & 0x7F | 0x80)
-        v >>= 7
-    w.append(v)
-    return bytes(w)
-
-
-def _read_varints(buf) -> list[int]:
-    values, pos = [], 0
-    try:
-        while pos < len(buf):
-            v, pos = _varint_at(buf, pos)
-            values.append(v)
-    except IndexError:
-        raise ValidationError("truncated varint in index") from None
-    return values
-
-
-def _varint_at(buf: bytes, pos: int) -> tuple[int, int]:
-    """The varint at ``pos`` of ``buf`` and the position after it; one
-    cut short raises ``IndexError``."""
-    v = shift = 0
-    while buf[pos] & 0x80:
-        v |= (buf[pos] & 0x7F) << shift
-        shift += 7
-        pos += 1
-    return v | buf[pos] << shift, pos + 1
-
-
 class _LazyPayload:
     """The ordinal and edge columns of a deserialized index, filled one
     bucket at a time.
 
-    ``vertex`` holds four columns per ordinal: the replica less the smallest
-    vertex replica, the class id (one id for a table of one class), the flat
-    column of value ids, one per attribute name of the class, and where each
-    ordinal's value ids start in it, then where the last ones end; then that
-    smallest replica and the largest of the vertex universe.  ``edge`` holds
-    the same per edge id.  Their structure was checked at load.  ``classes``
-    holds each class's attribute names, their value dictionaries and its
-    label set, checked at load, so a record is built without checking or
-    sorting its names again; class 0 is the empty record with no labels.
-    The directory, the CSR offsets and the keys are read from ``index``, the
-    index these columns belong to, set once it is built.  A vertex's key
-    values come from its record.
+    ``vertex``, ``edge`` and ``classes`` are those of the index's
+    :class:`gjix.Columns`: the vertex and edge tables and each class's
+    attribute names, their value dictionaries and its label set.  Their
+    structure was checked at load, so a record is built without checking
+    or sorting its names again.  The directory, the CSR offsets and the
+    keys are read from ``index``, the index these columns belong to, set
+    once it is built.  A vertex's key values come from its record.
 
     ``vertices`` holds an ``(element, key tuple, labels)`` row per
     decoded ordinal and ``edges`` an ``(element, labels)`` row per
@@ -912,13 +399,11 @@ class _LazyPayload:
 
     __slots__ = ("classes", "vertex", "edge", "index", "vertices", "edges", "done")
 
-    def __init__(self, classes, vertex, edge, n_buckets: int):
-        self.classes = classes
-        self.vertex = vertex
-        self.edge = edge
+    def __init__(self, columns: gjix.Columns):
+        self.classes, self.vertex, self.edge = columns.classes, columns.vertex, columns.edge
         self.index: Optional[EngineIndex] = None
         self.vertices, self.edges = {}, {}
-        self.done = bytearray(n_buckets)
+        self.done = bytearray(len(columns.bucket_hash))
 
     def decode_ordinal(self, o: int) -> None:
         # the last bucket starting at or before o; an empty bucket
@@ -950,13 +435,14 @@ class _LazyPayload:
         self.edges.update(zip(range(edge_offsets[start], edge_offsets[end]), edges))
         self.done[b] = 1
 
-    def _elements(self, columns, lo: int, hi: int) -> list:
+    def _elements(self, table: gjix.Table, lo: int, hi: int) -> list:
         """``(element, labels)`` for positions ``lo`` to ``hi`` of the
-        vertex or edge ``columns``."""
-        replicas, class_ids, values, at, base, top = columns
+        vertex or edge ``table``."""
+        replicas, class_ids, values, at = table.replica, table.class_ids, table.values, table.starts
+        base = table.base
         # a replica past its universe's maximum would fold into another
         # merged element's replica
-        if max(replicas[lo:hi], default=0) + base > top:
+        if max(replicas[lo:hi], default=0) + base > table.top:
             raise ValidationError("a replica exceeds its universe's maximum")
         classes = self.classes
         rows = []
@@ -1096,6 +582,7 @@ def prepare(graph: Graph, keys: Iterable[str]) -> EngineIndex:
     )
 
 
+@_bulk()
 def prepare_files(left_pair, right_pair, keys_a, keys_b) -> tuple[EngineIndex, EngineIndex]:
     """Both operands of a join of two vertex/edge file pairs, read
     straight from the files and pruned to each other (a semi-join
@@ -1329,10 +816,11 @@ class EngineRun:
         if self._vertices is None:
             a, b = self.left.elements, self.right.elements
             # the sources are in canonical order already
-            self._vertices = IndexedSet._canonical(
-                Element(a[xo].record.combine(b[yo].record), replica, parts=(a[xo], b[yo]))
-                for xo, yo, replica in self._vertex_sources
-            )
+            with _bulk():
+                self._vertices = IndexedSet._canonical(
+                    Element(a[xo].record.combine(b[yo].record), replica, parts=(a[xo], b[yo]))
+                    for xo, yo, replica in self._vertex_sources
+                )
         return self._vertices
 
     def vertex_operands(self) -> Iterable[tuple[Element, Element]]:
@@ -1376,15 +864,21 @@ class EngineRun:
         merged by payload with the sorted bonded edges, bonded first on
         a tie.
 
-        The rows are chained from one iterator per group of fill sets
-        with an equal real edge (see :func:`_fill_order`), each preceded
-        by the bonded edges that sort before it; a group of one set is
-        the product of its source and destination positions, so the
-        stream holds nothing per fill.
+        The rows are chained from :meth:`edge_runs`, so the stream
+        holds nothing per fill.
         """
-        return chain.from_iterable(self._row_runs())
+        return chain.from_iterable(
+            product(run.srcs, run.dsts) if isinstance(run, _FillSet) else run
+            for run in self.edge_runs()
+        )
 
-    def _row_runs(self):
+    def edge_runs(self) -> Iterator:
+        """The rows of :meth:`edge_rows`, in their order, in runs: one
+        per group of fill sets with an equal real edge (see
+        :func:`_fill_order`), each preceded by a list of the bonded edges'
+        rows that sort before it, and one such list last.  A group of one
+        set is that :class:`_FillSet`, whose rows are the product of its
+        ``srcs`` and ``dsts``; a larger group is an iterator of rows."""
         bonded = sorted(self._bonded, key=lambda t: t[0].sort_key)
         payloads = [m.record.items for m, _ in bonded]
         rows = [ends for _, (ends, _) in bonded]
@@ -1394,7 +888,7 @@ class EngineRun:
             yield rows[k:stop]
             k = stop
             if len(group) == 1:
-                yield product(group[0].srcs, group[0].dsts)
+                yield group[0]
             else:
                 yield ((fs.srcs[i], fs.dsts[j]) for fs, i, j in self._merged(group))
         yield rows[k:]
@@ -1438,6 +932,7 @@ class EngineRun:
             self._failure = exc
             raise
 
+    @_bulk()
     def _build(self) -> None:
         a, b = self.left, self.right
         joined = self.vertices.elements
@@ -1720,6 +1215,7 @@ def _mates(pairs: list, pair_pos: dict, side: int, other) -> dict:
     return mates
 
 
+@_bulk()
 def run_join(
     a: EngineIndex,
     b: EngineIndex,

@@ -23,7 +23,7 @@ import os
 from array import array
 from itertools import chain, islice
 from sys import intern
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 try:
     # the module hashlib takes it from, without loading OpenSSL
@@ -239,7 +239,7 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
     src/dst ids.  Returns the two paths.
 
     A vertex's id is its position in ``result.vertices``.  A result
-    that offers ``vertex_operands`` and ``edge_rows`` (an engine run)
+    that offers ``vertex_operands`` and ``edge_runs`` (an engine run)
     writes each vertex row from the vertex's two operands, whose records
     merge as :meth:`Record.combine` merges them and whose leaves make
     its provenance, and streams its edges' rows, without building a
@@ -290,17 +290,39 @@ def write_join_result(result, out_dir) -> tuple[str, str]:
             row[-1] = "+".join(tokens)
             w.writerow(row)
     if engine_run:
-        rows = result.edge_rows()
+        texts = _edge_texts(result.edge_runs())
     else:
         ids = {v: i for i, v in enumerate(result.vertices)}
         rows = ((ids[src], ids[dst]) for src, dst in map(result.db.endpoints_of, result.edges))
-    # edge rows hold only ints, formatted as the CSV writer would write
-    # them; a block of 256 rows per write keeps the text held small
-    row_text = "%d\t%d\r\n".__mod__
+        texts = map(_row_text, rows)
+    # a block of 256 texts per write keeps the text held small
     with open(edge_path, "w", newline="", encoding="utf-8") as fh:
-        while block := "".join(map(row_text, islice(rows, 256))):
+        while block := "".join(islice(texts, 256)):
             fh.write(block)
     return vertex_path, edge_path
+
+
+# edge rows hold only ints, formatted as the CSV writer would write them
+_row_text = "%d\t%d\r\n".__mod__
+
+
+def _edge_texts(runs) -> Iterator[str]:
+    """The text of the edge rows of an engine run's ``edge_runs``.  A
+    fill set's run, the product of its ``srcs`` and ``dsts``, is one
+    string per source, ``p + p.join(...)`` over the text of its
+    destinations; fill sets share their destination lists, so that text
+    is built once per list, by identity, which the run keeps alive."""
+    dst_texts: dict[int, list[str]] = {}
+    for run in runs:
+        if hasattr(run, "dsts"):
+            texts = dst_texts.get(id(run.dsts))
+            if texts is None:
+                texts = dst_texts[id(run.dsts)] = ["%d\r\n" % d for d in run.dsts]
+            for src in run.srcs:
+                p = "%d\t" % src
+                yield p + p.join(texts)
+        else:
+            yield from map(_row_text, run)
 
 
 # ---------------------------------------------------------------------------

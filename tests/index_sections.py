@@ -30,7 +30,8 @@ import os
 import tempfile
 import tracemalloc
 
-from graphjoin.engine import _SECTIONS, EngineIndex, _StoredSections, prepare
+from graphjoin.engine import EngineIndex, prepare
+from graphjoin.gjix import _SECTIONS, _StoredSections
 from graphjoin.graphio import GeneratorParams, generate, load_graph_pair
 from graphjoin.model import PropertyGraph
 
@@ -62,13 +63,13 @@ def load_memory(path: str) -> tuple[int, int]:
     return peak, kept
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scale", type=int, default=13)
     parser.add_argument("--dob-values", type=int, default=365)
     parser.add_argument("--company-values", type=int, default=512)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         raws, input_bytes = saved_pair(
             args.seed, args.scale, work, dob_values=args.dob_values, company_values=args.company_values

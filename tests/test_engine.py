@@ -25,20 +25,14 @@ from hypothesis import strategies as st
 import graphjoin
 import graphjoin.engine
 import graphjoin.graphio
-from graphjoin.engine import (
-    EngineIndex,
+from graphjoin.engine import EngineIndex, explain, prepare, prepare_files, run_join, stable_hash
+from graphjoin.gjix import (
     _SECTIONS,
     _StoredSections,
     _column,
     _pack_sections,
     _pack_stored,
     _read_column,
-    _unpack_sections,
-    explain,
-    prepare,
-    prepare_files,
-    run_join,
-    stable_hash,
 )
 from graphjoin.graphio import (
     DanglingEndpointError,
@@ -66,6 +60,13 @@ from graphjoin.relational import ThetaPredicate
 from graphjoin.verify import build_pair, build_triple, check_oracle_engine, raw_signature
 
 NAME_EQ = ThetaPredicate.equalities([("Name", "1Author")])
+
+
+def _unpack_sections(raw: bytes) -> dict:
+    """``{name: (width, body)}`` of a file, each body in item order,
+    read and checked as a load reads it."""
+    sec = _StoredSections(io.BytesIO(raw).read, len(raw))
+    return {name: (width, col.tobytes()) for name in _SECTIONS for width, col in [sec[name]]}
 
 
 def out_edges(index, o):
@@ -680,6 +681,19 @@ def test_saved_sparse_operands_take_at_most_0_27_bytes_per_input_byte(tmp_path):
         prepare(load_graph_pair(db, *pair), keys).save(path)
         saved += path.stat().st_size
     assert saved / inputs <= 0.27
+
+
+def test_the_section_table_script_prints_every_section_and_both_loads(capsys):
+    # README's section table comes from this script, which this directory holds
+    import index_sections
+
+    index_sections.main(["--scale", "8"])
+    lines = capsys.readouterr().out.splitlines()
+    for name in _SECTIONS:
+        assert len([line for line in lines if line.startswith(f"| {name} | ")]) == 1
+    assert len([line for line in lines if line.startswith("index_size_ratio: 0.")]) == 1
+    for side in "AB":
+        assert len([line for line in lines if line.startswith(f"load_file {side}: peak ")]) == 1
 
 
 def test_from_bytes_rejects_checksum_mismatches(citation_instance):
@@ -1534,6 +1548,41 @@ def test_bulk_builds_pause_the_collector_and_restore_it(tmp_path, enabled):
         with pytest.raises(ValidationError, match="join keys"):
             prepare(graph, [])
         assert gc.isenabled() is enabled
+        # prepare_files hashes each distinct key tuple of both sides once
+        during.clear()
+        with hashing(seen(stable_hash)):
+            prepare_files(good, good, ["k"], ["k"])
+        assert gc.isenabled() is enabled
+        assert during == [False] * 2
+        with pytest.raises(DanglingEndpointError):
+            prepare_files(good, dangling, ["k"], ["k"])
+        assert gc.isenabled() is enabled
+        # a join over loaded operands decodes the buckets it visits,
+        # rechecking their hashes, and its result builds its merged
+        # vertices and then registers its component
+        db, left, right = fill_instance()
+        a, b = prepare(left, ["k"]), prepare(right, ["k"])
+        loaded = [EngineIndex.from_bytes(op.to_bytes()) for op in (a, b)]
+        during.clear()
+        with hashing(seen(stable_hash)):
+            run = run_join(*loaded, DISJUNCTIVE)
+        assert gc.isenabled() is enabled
+        assert during == [False] * 4
+        with patch.object(Record, "combine", seen(Record.combine)):
+            run.vertices
+        assert gc.isenabled() is enabled
+        assert during == [False] * 6
+        with patch.object(PropertyGraph, "register_component", seen(PropertyGraph.register_component)):
+            run.graph
+        assert gc.isenabled() is enabled
+        assert during == [False] * 7
+        # the failed materialization of test_a_failed_materialization_raises_its_error_again
+        run_join(a, b, CONJUNCTIVE, target_db=db).db
+        failing = run_join(a, b, DISJUNCTIVE, target_db=db)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="vertex .* already exists"):
+                failing.db
+            assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
 
